@@ -34,17 +34,7 @@ def growth_values(mode: Mode, w: WeightedSeminorm, samples: SampleSet) -> np.nda
     """Weighted log-seminorm of the mode Jacobian at every sample point."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    basis = w.subspace.basis
-    jacs = eval_jacobian(mode, samples.points)           # (m, n, n)
-    a11 = np.einsum("ia,mij,jb->mab", basis, jacs, basis)  # (m, h, h)
-    if w.reduced.shape == (1, 1):
-        return a11[:, 0, 0]
-    r = w.reduced
-    out = np.empty(len(samples))
-    for k in range(len(samples)):
-        lhs = r @ a11[k] + a11[k].T @ r
-        out[k] = gen_sym_eig(lhs, 2.0 * r)[-1]
-    return out
+    return log_seminorm(w, eval_jacobian(mode, samples.points))
 
 
 def classify_mode(mode: Mode, w: WeightedSeminorm, samples: SampleSet):

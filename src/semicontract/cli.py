@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError, decay_constants
+from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError
 from .ioutil import atomic_write_json, atomic_write_text
 from .linalg import PSD_TOL
 from .report import analyze, certificates_from_report, config_digest, make_samples

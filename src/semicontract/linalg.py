@@ -1,29 +1,21 @@
-"""Dense symmetric eigensolvers and semidefinite tests.
+"""Dense symmetric eigenproblems and semidefinite tests.
 
-Everything here works on small dense matrices (problem sizes are tens at
-most). The eigensolver is a cyclic Jacobi iteration, which is unconditionally
-stable for symmetric input and keeps the package free of LAPACK wrappers.
+Thin wrappers over numpy's LAPACK (`eigh`, `eigvalsh`, `cholesky`) that
+validate and symmetrize their input. Problem sizes are tens at most; the
+generalized eigenproblem also takes a stack of left-hand sides against one
+weight, so a whole sample set costs one Cholesky and one batched eigensolve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Relative off-diagonal Frobenius mass at which Jacobi is converged.
-JACOBI_TOL = 1e-13
-# Hard cap on full Jacobi sweeps.
-MAX_SWEEPS = 50
 # Default relative tolerance for semidefinite comparisons.
 PSD_TOL = 1e-9
 # Relative asymmetry accepted before symmetrizing.
 SYMMETRY_TOL = 1e-12
-
-
-class NotConvergedError(RuntimeError):
-    """The Jacobi iteration did not reach the off-diagonal threshold."""
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -35,16 +27,18 @@ def frobenius(a) -> float:
 
 
 def as_square_symmetric(a, name: str = "matrix") -> np.ndarray:
-    """Validate and symmetrize a square matrix; returns (A + A^T)/2."""
+    """Validate and symmetrize a square matrix or a stack (..., n, n) of them;
+    returns (A + A^T)/2."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
-    scale = frobenius(a)
-    if frobenius(a - a.T) > SYMMETRY_TOL * max(1.0, scale):
+    a_t = np.swapaxes(a, -1, -2)
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    if np.any(np.linalg.norm(a - a_t, axis=(-2, -1)) > SYMMETRY_TOL * np.maximum(1.0, scale)):
         raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL} of its scale")
-    return (a + a.T) / 2.0
+    return (a + a_t) / 2.0
 
 
 @dataclass(frozen=True)
@@ -59,98 +53,43 @@ class SymEigResult:
         return q @ np.diag(w) @ q.T
 
 
-def _normalize_column_signs(q: np.ndarray) -> np.ndarray:
-    # Fix each eigenvector's sign by its largest-magnitude entry (first on
-    # ties) so results are deterministic across runs.
-    q = q.copy()
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            q[:, j] = -col
-    return q
-
-
 def sym_eig(a) -> SymEigResult:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations."""
+    """Eigendecomposition of a symmetric matrix. Each eigenvector's sign is
+    fixed by its largest-magnitude entry (first on ties)."""
     a = as_square_symmetric(a, "sym_eig input")
-    n = a.shape[0]
-    scale = frobenius(a)
-    q = np.eye(n)
-    if n == 1 or scale == 0.0:
-        w = np.diag(a).copy()
-        order = np.argsort(w, kind="stable")
-        return SymEigResult(w[order], _normalize_column_signs(q[:, order]))
-
-    a = a.copy()
-    threshold = JACOBI_TOL * scale
-    for _ in range(MAX_SWEEPS):
-        off = frobenius(a - np.diag(np.diag(a)))
-        if off < threshold:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= 0.0:
-                    continue
-                # Classic two-sided rotation choosing the smaller angle.
-                tau = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, r]
-                rot_r = s * a[:, p] + c * a[:, r]
-                a[:, p], a[:, r] = rot_p, rot_r
-                rot_p = c * a[p, :] - s * a[r, :]
-                rot_r = s * a[p, :] + c * a[r, :]
-                a[p, :], a[r, :] = rot_p, rot_r
-                # Zero the target pair explicitly to cut round-off drift.
-                a[p, r] = a[r, p] = 0.0
-                rot_p = c * q[:, p] - s * q[:, r]
-                rot_r = s * q[:, p] + c * q[:, r]
-                q[:, p], q[:, r] = rot_p, rot_r
-    else:
-        raise NotConvergedError(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return SymEigResult(w[order], _normalize_column_signs(q[:, order]))
+    if a.ndim != 2:
+        raise ValueError(f"sym_eig input must be one matrix, got shape {a.shape}")
+    w, q = np.linalg.eigh(a)
+    lead = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
+    return SymEigResult(w, np.where(lead < 0, -q, q))
 
 
-def cholesky(p, min_pivot: float = 0.0) -> np.ndarray:
-    """Lower-triangular L with L L^T = P. Raises if a pivot is <= min_pivot."""
+def cholesky(p) -> np.ndarray:
+    """Lower-triangular L with L L^T = P. Raises if P is not positive definite."""
     p = as_square_symmetric(p, "cholesky input")
-    n = p.shape[0]
-    lower = np.zeros_like(p)
-    for j in range(n):
-        pivot = p[j, j] - float(lower[j, :j] @ lower[j, :j])
-        if pivot <= min_pivot:
-            raise NotPositiveDefiniteError(
-                f"pivot {pivot:.3e} at index {j} signals an indefinite matrix"
-            )
-        lower[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, n):
-            lower[i, j] = (p[i, j] - float(lower[i, :j] @ lower[j, :j])) / lower[j, j]
-    return lower
+    try:
+        return np.linalg.cholesky(p)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"cholesky failed: {exc}") from None
 
 
 def gen_sym_eig(s, p) -> np.ndarray:
     """Ascending generalized eigenvalues of (S, P) for symmetric S, SPD P.
 
-    Reduced to an ordinary symmetric problem through P = L L^T:
-    eig(L^-1 S L^-T).
+    S is one (h, h) matrix or a stack (m, h, h) sharing P; the result has the
+    shape (h,) or (m, h). Reduced to ordinary symmetric problems through a
+    single factorization P = L L^T: eig(L^-1 S L^-T).
     """
     s = as_square_symmetric(s, "gen_sym_eig S")
     p = as_square_symmetric(p, "gen_sym_eig P")
-    if s.shape != p.shape:
+    if s.ndim not in (2, 3) or s.shape[-2:] != p.shape:
         raise ValueError(f"dimension mismatch: S is {s.shape}, P is {p.shape}")
-    p_scale = frobenius(p)
-    if sym_eig(p).eigenvalues[0] <= 1e-12 * p_scale:
+    if np.linalg.eigvalsh(p)[0] <= 1e-12 * frobenius(p):
         raise NotPositiveDefiniteError("P is not positive definite at the working tolerance")
     lower = cholesky(p)
     x = np.linalg.solve(lower, s)
-    m = np.linalg.solve(lower, x.T).T
-    return sym_eig((m + m.T) / 2.0).eigenvalues
+    m = np.swapaxes(np.linalg.solve(lower, np.swapaxes(x, -1, -2)), -1, -2)
+    return np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)
 
 
 def psd_check(m, tol: float = PSD_TOL) -> bool:
@@ -158,5 +97,6 @@ def psd_check(m, tol: float = PSD_TOL) -> bool:
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     m = as_square_symmetric(m, "psd_check input")
-    lam_min = sym_eig(m).eigenvalues[0]
-    return bool(lam_min >= -tol * max(1.0, frobenius(m)))
+    if m.ndim != 2:
+        raise ValueError(f"psd_check input must be one matrix, got shape {m.shape}")
+    return bool(np.linalg.eigvalsh(m)[0] >= -tol * max(1.0, frobenius(m)))

@@ -5,16 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .certificates import (
     DEFAULT_MARGIN,
     InfeasibleError,
-    SubspaceCertificate,
     build_certificate,
     check_rate,
     check_switch_coupling,
@@ -33,15 +31,6 @@ SCHEMA_VERSION = 1
 SAMPLED_EVIDENCE_NOTE = (
     "pass verdicts are sampled evidence over the domain box, not a proof"
 )
-
-
-def worker_count() -> int:
-    """Parallelism cap from SEMICONTRACT_THREADS (default: sequential)."""
-    raw = os.environ.get("SEMICONTRACT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def config_digest(raw: dict) -> str:
@@ -63,44 +52,25 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             seed: int = 0) -> dict:
     """Invariance -> classification -> condition checks -> constants ->
     per-subspace and family bounds -> decay constants."""
-    system = bundle.system
-    subspaces = {
-        spec.name: orthonormalize(spec.span, ambient=system.dimension)
-        for spec in bundle.subspaces
-    }
-    if not subspaces:
+    if not bundle.subspaces:
         raise InfeasibleError("configuration declares no subspaces")
-
-    verdicts: list[dict] = []
     cert_specs = {spec.subspace: spec for spec in bundle.certificates}
-    missing = sorted(set(subspaces) - set(cert_specs))
+    missing = sorted({spec.name for spec in bundle.subspaces} - set(cert_specs))
     if missing and not search_weights:
         raise InfeasibleError(
             f"no certificates for subspaces {missing}; supply P matrices or use weight search"
         )
+    system = bundle.system
+    certs = certificates_from_report(bundle, samples, search_weights)
+    verdicts: list[dict] = []
 
-    def analyze_subspace(name: str):
-        # verdicts are collected locally and merged in name order so that
-        # threaded runs produce byte-identical reports
-        local_verdicts: list[dict] = []
+    def record(check: str, ok: bool) -> bool:
+        verdicts.append({"name": check, "ok": bool(ok)})
+        return ok
 
-        def record(check: str, ok: bool) -> bool:
-            local_verdicts.append({"name": check, "ok": bool(ok)})
-            return ok
-
-        s = subspaces[name]
-        spec = cert_specs.get(name)
-        constants = dict(
-            beta_stable=spec.beta_stable if spec else None,
-            beta_unstable=spec.beta_unstable if spec else None,
-            eta_stable=spec.eta_stable if spec else None,
-            eta_unstable=spec.eta_unstable if spec else None,
-        )
-        if search_weights or spec is None or not spec.weights:
-            cert = search_scalar_weights(system, s, samples, **constants)
-        else:
-            cert = build_certificate(system, s, spec.weights, samples, **constants)
-
+    sections = []
+    for name, cert in certs.items():
+        s = cert.subspace
         section: dict = {
             "name": name,
             "dimension": s.dim,
@@ -188,25 +158,9 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             "margin": margin,
             "boundary": "open" if margin == 0.0 else "closed-usable",
         }
-        return section, cert, local_verdicts
+        sections.append(section)
 
-    names = sorted(subspaces)
-    workers = worker_count()
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyze_subspace, names))
-    else:
-        results = [analyze_subspace(name) for name in names]
-    sections = {name: section for name, (section, _, _) in zip(names, results)}
-    certs = {name: cert for name, (_, cert, _) in zip(names, results)}
-    for _, _, local in results:
-        verdicts.extend(local)
-
-    def record(check: str, ok: bool) -> bool:
-        verdicts.append({"name": check, "ok": bool(ok)})
-        return ok
-
-    separating = check_separating([projector(subspaces[n]) for n in names])
+    separating = check_separating([projector(c.subspace) for c in certs.values()])
     record("family:separating", separating)
     family: dict = {
         "separating": separating,
@@ -228,8 +182,8 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
         if lowers and uppers and max(lowers) < min(uppers):
             reference = 0.5 * (max(lowers) + min(uppers))
             decay = {}
-            for name in names:
-                dc = decay_constants(certs[name], reference, reference)
+            for name, cert in certs.items():
+                dc = decay_constants(cert, reference, reference)
                 decay[name] = {
                     "value_rate": dc.value_rate,
                     "value_prefactor": dc.value_prefactor,
@@ -254,11 +208,12 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             "tolerance": tol,
             "margin": margin,
             "sample_scheme": dict(samples.scheme),
-            "threads": worker_count(),
+            "semicontract": __version__,
+            "numpy": np.__version__,
             "search_weights": search_weights,
             "note": SAMPLED_EVIDENCE_NOTE,
         },
-        "subspaces": [sections[n] for n in names],
+        "subspaces": sections,
         "family": family,
         "verdicts": verdicts,
         "all_pass": all(v["ok"] for v in verdicts),
@@ -267,11 +222,13 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
 
 def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
                              search_weights: bool = False):
-    """Rebuild the certificate objects the analysis used (for simulation)."""
+    """Build each subspace's certificate, in subspace name order: from the
+    configured P matrices, or by scalar-weight search when search_weights is
+    set or a subspace has none. This is the analysis' own certificate source."""
     system = bundle.system
     certs = {}
     cert_specs = {spec.subspace: spec for spec in bundle.certificates}
-    for spec in bundle.subspaces:
+    for spec in sorted(bundle.subspaces, key=lambda spec: spec.name):
         s = orthonormalize(spec.span, ambient=system.dimension)
         cspec = cert_specs.get(spec.name)
         constants = dict(

@@ -137,19 +137,26 @@ def weighted_seminorm_eval(w: WeightedSeminorm, v) -> float:
     return float(np.sqrt(max(quad, 0.0)))
 
 
-def log_seminorm(w: WeightedSeminorm, a) -> float:
+def log_seminorm(w: WeightedSeminorm, a):
     """Growth rate of the weighted seminorm along y' = A y: the smallest b with
-    R A11 + A11^T R <= 2 b R on the reduced block R."""
+    R A11 + A11^T R <= 2 b R on the reduced block R.
+
+    A is one (n, n) matrix (returns a float) or a stack (m, n, n) (returns an
+    (m,) array); a stack shares one factorization of R.
+    """
     a = np.asarray(a, dtype=float)
     n = w.subspace.ambient
-    if a.shape != (n, n):
-        raise ValueError(f"expected {n}x{n} matrix, got {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
+        raise ValueError(f"expected {n}x{n} matrix or a stack of them, got {a.shape}")
     basis = w.subspace.basis
-    a11 = basis.T @ a @ basis
-    lhs = w.reduced @ a11 + a11.T @ w.reduced
+    a11 = np.einsum("ia,...ij,jb->...ab", basis, a, basis)
     if w.reduced.shape == (1, 1):
-        return float(lhs[0, 0] / (2.0 * w.reduced[0, 0]))
-    return float(gen_sym_eig(lhs, 2.0 * w.reduced)[-1])
+        values = a11[..., 0, 0]
+    else:
+        r = w.reduced
+        lhs = r @ a11 + np.swapaxes(a11, -1, -2) @ r
+        values = gen_sym_eig(lhs, 2.0 * r)[..., -1]
+    return float(values) if a.ndim == 2 else values
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,16 +2,97 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicontract.linalg import (
-    NotConvergedError,
     NotPositiveDefiniteError,
+    SymEigResult,
+    as_square_symmetric,
     cholesky,
     frobenius,
     gen_sym_eig,
     psd_check,
     sym_eig,
 )
+from semicontract.subspaces import log_seminorm, orthonormalize, reduce_weight
+
+# Reference eigensolver: cyclic Jacobi rotations, unconditionally stable for
+# symmetric input and independent of LAPACK. The package's LAPACK-backed
+# routines are checked against it.
+
+# Relative off-diagonal Frobenius mass at which Jacobi is converged.
+JACOBI_TOL = 1e-13
+# Hard cap on full Jacobi sweeps.
+MAX_SWEEPS = 50
+
+
+class NotConvergedError(RuntimeError):
+    """The Jacobi iteration did not reach the off-diagonal threshold."""
+
+
+def _normalize_column_signs(q: np.ndarray) -> np.ndarray:
+    # Fix each eigenvector's sign by its largest-magnitude entry (first on
+    # ties) so results are deterministic across runs.
+    q = q.copy()
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0:
+            q[:, j] = -col
+    return q
+
+
+def jacobi_sym_eig(a) -> SymEigResult:
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations."""
+    a = as_square_symmetric(a, "sym_eig input")
+    n = a.shape[0]
+    scale = frobenius(a)
+    q = np.eye(n)
+    if n == 1 or scale == 0.0:
+        w = np.diag(a).copy()
+        order = np.argsort(w, kind="stable")
+        return SymEigResult(w[order], _normalize_column_signs(q[:, order]))
+
+    a = a.copy()
+    threshold = JACOBI_TOL * scale
+    for _ in range(MAX_SWEEPS):
+        off = frobenius(a - np.diag(np.diag(a)))
+        if off < threshold:
+            break
+        for p in range(n - 1):
+            for r in range(p + 1, n):
+                apr = a[p, r]
+                if abs(apr) <= 0.0:
+                    continue
+                # Classic two-sided rotation choosing the smaller angle.
+                tau = (a[r, r] - a[p, p]) / (2.0 * apr)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                rot_p = c * a[:, p] - s * a[:, r]
+                rot_r = s * a[:, p] + c * a[:, r]
+                a[:, p], a[:, r] = rot_p, rot_r
+                rot_p = c * a[p, :] - s * a[r, :]
+                rot_r = s * a[p, :] + c * a[r, :]
+                a[p, :], a[r, :] = rot_p, rot_r
+                # Zero the target pair explicitly to cut round-off drift.
+                a[p, r] = a[r, p] = 0.0
+                rot_p = c * q[:, p] - s * q[:, r]
+                rot_r = s * q[:, p] + c * q[:, r]
+                q[:, p], q[:, r] = rot_p, rot_r
+    else:
+        raise NotConvergedError(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
+
+    w = np.diag(a).copy()
+    order = np.argsort(w, kind="stable")
+    return SymEigResult(w[order], _normalize_column_signs(q[:, order]))
+
+
+def jacobi_inverse_sqrt(p) -> np.ndarray:
+    res = jacobi_sym_eig(p)
+    q = res.eigenvectors
+    return q @ np.diag(1.0 / np.sqrt(res.eigenvalues)) @ q.T
 
 
 def random_symmetric(rng, n):
@@ -43,11 +124,14 @@ def test_sym_eig_saddle_linear_part():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_sym_eig_matches_numpy(n):
+    # numpy's LAPACK solver behind sym_eig against the Jacobi reference
     rng = np.random.default_rng(2024 + n)
     for _ in range(50):
         a = random_symmetric(rng, n)
-        res = sym_eig(a)
-        assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(a), atol=1e-10)
+        res, ref = sym_eig(a), jacobi_sym_eig(a)
+        assert np.allclose(res.eigenvalues, ref.eigenvalues, atol=1e-10)
+        # distinct eigenvalues: the sign-normalized eigenvectors agree too
+        assert np.allclose(res.eigenvectors, ref.eigenvectors, atol=1e-8)
 
 
 def test_sym_eig_reconstruction_and_orthogonality_bounds():
@@ -104,10 +188,51 @@ def test_gen_sym_eig_matches_inverse_sqrt_form():
         s = random_symmetric(rng, n)
         b = rng.standard_normal((n, n))
         p = b @ b.T + n * np.eye(n)
-        w, v = np.linalg.eigh(p)
-        p_inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
-        expected = np.linalg.eigvalsh(p_inv_sqrt @ s @ p_inv_sqrt)
+        p_inv_sqrt = jacobi_inverse_sqrt(p)
+        m = p_inv_sqrt @ s @ p_inv_sqrt
+        expected = jacobi_sym_eig((m + m.T) / 2.0).eigenvalues
         assert np.allclose(gen_sym_eig(s, p), expected, atol=1e-8)
+
+
+def random_spd(rng, n):
+    b = rng.standard_normal((n, n))
+    return b @ b.T + n * np.eye(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_gen_sym_eig_stack_equals_each_matrix_alone(h, m, seed):
+    rng = np.random.default_rng(seed)
+    p = random_spd(rng, h)
+    stack = np.stack([random_symmetric(rng, h) for _ in range(m)])
+    batched = gen_sym_eig(stack, p)
+    assert batched.shape == (m, h)
+    for k in range(m):
+        assert np.array_equal(batched[k], gen_sym_eig(stack[k], p))
+
+
+def jacobi_log_seminorm(w, a) -> float:
+    # Per-matrix reference: top eigenvalue of R^-1/2 (R A11 + A11^T R) R^-1/2 / 2.
+    a11 = w.subspace.basis.T @ a @ w.subspace.basis
+    lhs = w.reduced @ a11 + a11.T @ w.reduced
+    r_inv_sqrt = jacobi_inverse_sqrt(w.reduced)
+    m = r_inv_sqrt @ lhs @ r_inv_sqrt / 2.0
+    return float(jacobi_sym_eig((m + m.T) / 2.0).eigenvalues[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_log_seminorm_stack_matches_jacobi_reduction(h, extra, m, seed):
+    n = min(h + extra, 6)
+    rng = np.random.default_rng(seed)
+    s = orthonormalize(rng.standard_normal((h, n)), ambient=n)
+    w = reduce_weight(s.basis @ random_spd(rng, h) @ s.basis.T, s)
+    stack = rng.uniform(-10.0, 10.0, (m, n, n))
+    values = log_seminorm(w, stack)
+    assert values.shape == (m,)
+    for k in range(m):
+        expected = jacobi_log_seminorm(w, stack[k])
+        assert abs(values[k] - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_gen_sym_eig_rejects_indefinite_weight():
@@ -156,8 +281,3 @@ def test_cholesky_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         cholesky([[1.0, 2.0], [2.0, 1.0]])
 
-
-def test_jacobi_convergence_error_is_defined():
-    # 50 sweeps is far more than small dense matrices ever need; the error
-    # path exists for contract completeness.
-    assert issubclass(NotConvergedError, RuntimeError)
