@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError
-from .ioutil import atomic_write_json, atomic_write_text
+from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError, dwell_bounds_family
+from .ioutil import atomic_write_json
 from .linalg import PSD_TOL
 from .report import analyze, certificates_from_report, config_digest, make_samples
+from .reproduce import run_reproduction
 from .signals import (
     SwitchingSignal,
     generate_periodic,
@@ -25,14 +26,7 @@ from .signals import (
     verify_per_activation,
     write_signal_csv,
 )
-from .sim import (
-    DivergenceError,
-    distance_trace,
-    fit_rate,
-    integrate,
-    step_halving_agreement,
-)
-from .subspaces import orthonormalize, projector
+from .sim import run_simulation, write_traces
 from .system import ConfigError, load_config
 from .testdata import bundled_config_path
 
@@ -75,13 +69,6 @@ def _emit_report(report: dict, args, name: str) -> None:
         sys.stdout.write("\n")
 
 
-def _write_csv(path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def cmd_analyze(args) -> int:
     try:
         bundle = _load(args)
@@ -107,117 +94,14 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def _family_bounds(bundle, samples, search_weights: bool, margin: float) -> DwellBounds:
-    from .certificates import dwell_bounds_family
-
-    certs = certificates_from_report(bundle, samples, search_weights)
-    return dwell_bounds_family(certs.values(), margin=margin)
-
-
-def _simulation_signal(args, bundle, samples) -> SwitchingSignal:
-    mode_ids = [m.id for m in bundle.system.modes]
+def _simulation_signal(args, mode_ids, bounds: DwellBounds | None) -> SwitchingSignal:
     if args.signal:
         return read_signal_csv(args.signal, horizon=args.horizon)
     if args.random_signal:
-        bounds = _family_bounds(bundle, samples, args.search_weights, _margin(args))
+        if bounds is None:
+            raise InfeasibleError("a random compliant signal needs the certified bounds")
         return generate_random(mode_ids, bounds, 0.0, args.horizon, seed=args.seed)
     return generate_periodic(mode_ids, args.periodic, 0.0, args.horizon)
-
-
-def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
-                   bounds: DwellBounds | None, fit_window=None) -> dict:
-    """Integrate a trajectory pair, validate by step halving, and measure
-    distance and per-subspace projected distances."""
-    system = bundle.system
-    result: dict = {"verdicts": []}
-
-    def record(name, ok):
-        result["verdicts"].append({"name": name, "ok": bool(ok)})
-
-    agreement = max(
-        step_halving_agreement(system, sig, x_a0, step),
-        step_halving_agreement(system, sig, x_b0, step),
-    )
-    result["step_halving"] = {"worst_difference": agreement, "bound": 1e-6}
-    record("step_halving_agreement", agreement < 1e-6)
-    try:
-        traj_a = integrate(system, sig, x_a0, step)
-        traj_b = integrate(system, sig, x_b0, step)
-    except DivergenceError as exc:
-        result["divergence_time"] = exc.time
-        record("finite_trajectories", False)
-        return result
-    record("finite_trajectories", True)
-    distance = distance_trace(traj_a, traj_b)
-    result["initial_distance"] = float(distance[0])
-    result["terminal_distance"] = float(distance[-1])
-    result["distance_ratio"] = float(distance[-1] / distance[0])
-    boundary_times = [sig.start_time, *sig.switch_times, float(traj_a.times[-1])]
-    envelope = []
-    for t in boundary_times:
-        idx = int(np.searchsorted(traj_a.times, t - 1e-12))
-        envelope.append(float(distance[min(idx, len(distance) - 1)]))
-    result["envelope_at_switches"] = envelope
-    result["envelope_monotone"] = bool(
-        all(b <= a * (1 + 1e-9) for a, b in zip(envelope, envelope[1:]))
-    )
-    if fit_window is None:
-        span = float(traj_a.times[-1])
-        fit_window = (0.2 * span, span)
-    fit = fit_rate(traj_a.times, distance, fit_window)
-    result["rate_fit"] = {
-        "rate": fit.rate,
-        "prefactor": fit.prefactor,
-        "rmse": fit.rmse,
-        "window": list(fit.window),
-        "floored_points": fit.floored_points,
-    }
-    if bounds is not None:
-        check = verify_per_activation(sig, bounds)
-        result["signal_within_bounds"] = {
-            "ok": check.ok,
-            "detail": check.reason if check.ok else (
-                f"bounds violated by signal: mode {check.mode} activation "
-                f"{check.activation_index} lasts {check.length:.6g}"
-            ),
-        }
-        record("signal_within_bounds", check.ok)
-    projections = {}
-    for name, spec in subspace_specs.items():
-        s = orthonormalize(spec, ambient=system.dimension)
-        pi = projector(s).matrix
-        projections[name] = np.linalg.norm((traj_a.states - traj_b.states) @ pi.T, axis=1)
-    result["_traces"] = {
-        "times": traj_a.times,
-        "a": traj_a.states,
-        "b": traj_b.states,
-        "distance": distance,
-        "projections": projections,
-    }
-    return result
-
-
-def _write_traces(out_dir: Path, sig, traces, plot: bool, title: str) -> None:
-    times = traces["times"]
-    n = traces["a"].shape[1]
-    state_header = "time," + ",".join(f"x{i + 1}" for i in range(n))
-    _write_csv(out_dir / "trajectory_a.csv", state_header,
-               np.column_stack([times, traces["a"]]))
-    _write_csv(out_dir / "trajectory_b.csv", state_header,
-               np.column_stack([times, traces["b"]]))
-    proj_names = sorted(traces["projections"])
-    header = "time,norm_full" + "".join(f",norm_{name}" for name in proj_names)
-    columns = [times, traces["distance"]] + [traces["projections"][p] for p in proj_names]
-    _write_csv(out_dir / "distance.csv", header, np.column_stack(columns))
-    write_signal_csv(sig, out_dir / "signal.csv")
-    if plot:
-        from .svgplot import write_line_plot
-
-        series = [("|x_a - x_b|", times, traces["distance"])]
-        for name in proj_names:
-            series.append((f"projected onto {name}", times, traces["projections"][name]))
-        write_line_plot(out_dir / "distance.svg", series, vlines=sig.switch_times,
-                        title=title, y_label="distance (log scale)")
 
 
 def cmd_simulate(args) -> int:
@@ -227,14 +111,19 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
     samples = make_samples(bundle, args.grid, args.samples, args.seed)
-    sig = _simulation_signal(args, bundle, samples)
-    x_a0 = _parse_vector(args.initial[0])
-    x_b0 = _parse_vector(args.initial[1])
     try:
-        bounds = _family_bounds(bundle, samples, args.search_weights, _margin(args))
+        certs = certificates_from_report(bundle, samples, args.search_weights)
+        bounds = dwell_bounds_family(certs.values(), margin=_margin(args))
     except (InfeasibleError, ValueError) as exc:
         print(f"certificate unavailable, skipping bounds check: {exc}", file=sys.stderr)
         bounds = None
+    try:
+        sig = _simulation_signal(args, [m.id for m in bundle.system.modes], bounds)
+    except (InfeasibleError, ValueError) as exc:
+        print(f"no signal to simulate: {exc}", file=sys.stderr)
+        return VERDICT_EXIT
+    x_a0 = _parse_vector(args.initial[0])
+    x_b0 = _parse_vector(args.initial[1])
     subspace_specs = {spec.name: spec.span for spec in bundle.subspaces}
     result = run_simulation(bundle, sig, x_a0, x_b0, args.step, subspace_specs, bounds)
     traces = result.pop("_traces", None)
@@ -251,7 +140,7 @@ def cmd_simulate(args) -> int:
     }
     out_dir = Path(args.out) if args.out else Path.cwd()
     if traces is not None:
-        _write_traces(out_dir, sig, traces, args.plot, "trajectory pair distance")
+        write_traces(out_dir, sig, traces, args.plot, "trajectory pair distance")
     atomic_write_json(out_dir / "simulation.json", report)
     failed = [v["name"] for v in report["verdicts"] if not v["ok"]]
     if failed:
@@ -327,8 +216,6 @@ def cmd_signal(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from .reproduce import run_reproduction
-
     out_dir = Path(args.out) if args.out else Path("reproduction")
     return run_reproduction(out_dir, seed=args.seed, step=args.step,
                             grid=args.grid or 41, tol=args.tol,

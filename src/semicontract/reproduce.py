@@ -12,7 +12,7 @@ from .certificates import decay_constants, dwell_bounds_family
 from .ioutil import atomic_write_json
 from .report import analyze, certificates_from_report, make_samples
 from .signals import generate_periodic, generate_random, verify_per_activation
-from .sim import integrate, integrate_variational
+from .sim import integrate, integrate_variational, run_simulation, write_traces
 from .system import load_config
 from .testdata import bundled_config_path
 
@@ -56,8 +56,6 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
                      grid: int = 41, tol: float = 1e-9, margin: float = 1e-6,
                      strict: bool = False, plot: bool = True,
                      example: str = "saddle2d") -> int:
-    from .cli import run_simulation, _write_traces
-
     t_start = time.monotonic()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -118,7 +116,7 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
     traces = res1.pop("_traces")
     exp1_dir = out_dir / "periodic"
     exp1_dir.mkdir(exist_ok=True)
-    _write_traces(exp1_dir, sig1, traces, plot, "periodic switching, dwell 0.35")
+    write_traces(exp1_dir, sig1, traces, plot, "periodic switching, dwell 0.35")
     atomic_write_json(exp1_dir / "simulation.json", res1)
     check_flag("periodic_step_halving",
                res1["step_halving"]["worst_difference"] < 1e-6,
@@ -138,7 +136,7 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
     traces2 = res2.pop("_traces")
     exp2_dir = out_dir / "random"
     exp2_dir.mkdir(exist_ok=True)
-    _write_traces(exp2_dir, sig2, traces2, plot, f"random compliant switching, seed {seed}")
+    write_traces(exp2_dir, sig2, traces2, plot, f"random compliant switching, seed {seed}")
     atomic_write_json(exp2_dir / "simulation.json", res2)
     check_flag("random_distance_ratio", res2["distance_ratio"] < 1e-2,
                f"terminal/initial = {res2['distance_ratio']:.3e}")

@@ -125,13 +125,48 @@ def _grid_times(sig: SwitchingSignal):
     return unique
 
 
+def _windows(sig: SwitchingSignal, mode: int):
+    """Yield (t_a, t_b, count, total) of dwell_stats for every switching-time
+    window, in (start, end) order. Per start, each activation is added once the
+    end passes it: dwell_stats' own additions in its order, at O(K) per start."""
+    if mode not in sig.modes:
+        raise KeyError(f"mode {mode} never appears in the signal")
+    times = _grid_times(sig)
+    spans = [(act.start, act.end) for act in sig.activations() if act.mode == mode]
+    for i, t_a in enumerate(times[:-1]):
+        count, total, k = 0, 0.0, 0
+        for t_b in times[i + 1:]:
+            while k < len(spans) and spans[k][1] <= t_b:
+                overlap = spans[k][1] - max(spans[k][0], t_a)
+                if overlap > TIME_EPS:
+                    count += 1
+                    total += overlap
+                k += 1
+            # the activation running through t_b adds its part up to t_b
+            overlap = t_b - max(spans[k][0], t_a) if k < len(spans) else 0.0
+            partial = overlap > TIME_EPS
+            yield t_a, t_b, count + partial, (total + overlap) if partial else total
+
+
+def _worst_window(sig, mode, violation) -> WindowCheck:
+    # violation(n, t) > 0 means the window violates; worst = first max violation
+    times = _grid_times(sig)
+    worst, worst_window, checked = -math.inf, (times[0], times[-1]), 0
+    for t_a, t_b, n, t in _windows(sig, mode):
+        value = violation(n, t)
+        checked += 1
+        if value > worst:
+            worst, worst_window = value, (t_a, t_b)
+    return WindowCheck(bool(worst <= 1e-12), worst, worst_window, checked)
+
+
 def verify_mdadt(sig: SwitchingSignal, mode: int, tau_lower: float,
                  n_lower: float) -> WindowCheck:
     """Average dwell time: N(t_a,t_b) <= n_lower + T(t_a,t_b)/tau_lower over all
     windows with switching-time endpoints (statistics change only there)."""
     if tau_lower <= 0 or n_lower <= 0:
         raise ValueError("tau_lower and n_lower must be positive")
-    return _scan_windows(sig, mode, lambda n, t: n - n_lower - t / tau_lower, sense=+1)
+    return _worst_window(sig, mode, lambda n, t: n - n_lower - t / tau_lower)
 
 
 def verify_mdalt(sig: SwitchingSignal, mode: int, tau_upper: float,
@@ -140,46 +175,17 @@ def verify_mdalt(sig: SwitchingSignal, mode: int, tau_upper: float,
     switching-time windows. n_upper may be any real (see tightest_mdalt_offset)."""
     if tau_upper <= 0:
         raise ValueError("tau_upper must be positive")
-    return _scan_windows(sig, mode, lambda n, t: n_upper + t / tau_upper - n, sense=+1)
-
-
-def _scan_windows(sig, mode, violation, sense):
-    # violation(n, t) > 0 means the window violates; worst = max violation
-    times = _grid_times(sig)
-    worst = -math.inf
-    worst_window = (times[0], times[-1])
-    checked = 0
-    for i in range(len(times) - 1):
-        for j in range(i + 1, len(times)):
-            stats = dwell_stats(sig, mode, times[i], times[j])
-            value = sense * violation(stats.count, stats.total_time)
-            checked += 1
-            if value > worst:
-                worst = value
-                worst_window = (times[i], times[j])
-    return WindowCheck(bool(worst <= 1e-12), worst, worst_window, checked)
+    return _worst_window(sig, mode, lambda n, t: n_upper + t / tau_upper - n)
 
 
 def tightest_mdadt_offset(sig: SwitchingSignal, mode: int, tau_lower: float) -> float:
     """Smallest n_lower making verify_mdadt pass for the given tau_lower."""
-    times = _grid_times(sig)
-    worst = 0.0
-    for i in range(len(times) - 1):
-        for j in range(i + 1, len(times)):
-            stats = dwell_stats(sig, mode, times[i], times[j])
-            worst = max(worst, stats.count - stats.total_time / tau_lower)
-    return worst
+    return max(0.0, max((n - t / tau_lower for _, _, n, t in _windows(sig, mode)), default=0.0))
 
 
 def tightest_mdalt_offset(sig: SwitchingSignal, mode: int, tau_upper: float) -> float:
     """Largest n_upper making verify_mdalt pass for the given tau_upper."""
-    times = _grid_times(sig)
-    best = math.inf
-    for i in range(len(times) - 1):
-        for j in range(i + 1, len(times)):
-            stats = dwell_stats(sig, mode, times[i], times[j])
-            best = min(best, stats.count - stats.total_time / tau_upper)
-    return best
+    return min((n - t / tau_upper for _, _, n, t in _windows(sig, mode)), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -298,7 +304,8 @@ def read_signal_csv(path, horizon: float | None = None) -> SwitchingSignal:
     import csv
     from pathlib import Path
 
-    rows = list(csv.DictReader(Path(path).open(encoding="utf-8")))
+    with Path(path).open(encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
     if not rows:
         raise ValueError(f"empty signal file {path}")
     events = tuple((float(r["time"]), int(r["mode"])) for r in rows)

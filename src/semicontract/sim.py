@@ -1,5 +1,6 @@
 """Hybrid integration of the switched flow and its variational system,
-projected seminorm traces, and exponential rate fits.
+projected seminorm traces, exponential rate fits, and the trajectory-pair
+experiment with its trace files.
 
 Fixed-step RK4 with switch-aligned substeps: deterministic, reproducible, and
 the convergence order is trivially testable. The last step of every
@@ -10,11 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .signals import SwitchingSignal
-from .subspaces import Projector
+from .certificates import DwellBounds
+from .ioutil import atomic_write_text
+from .signals import SwitchingSignal, verify_per_activation, write_signal_csv
+from .subspaces import Projector, orthonormalize, projector
+from .svgplot import write_line_plot
 from .system import SwitchedSystem, compiled_field, compiled_jacobian
 
 
@@ -181,12 +186,9 @@ def fit_rate(times, values, window: tuple) -> RateFit:
     return RateFit(-slope, math.exp(intercept), rmse, (float(t_a), float(t_b)), floored)
 
 
-def step_halving_agreement(system: SwitchedSystem, sig: SwitchingSignal, x0,
-                           step: float, t_end: float | None = None) -> float:
-    """Worst state difference at segment boundaries between runs at `step` and
-    `step/2` - the validation oracle behind every reported simulation."""
-    coarse = integrate(system, sig, x0, step, t_end)
-    fine = integrate(system, sig, x0, step / 2.0, t_end)
+def _halving_difference(sig: SwitchingSignal, coarse: Trajectory, fine: Trajectory) -> float:
+    # worst state difference at segment boundaries between a run and its
+    # half-step rerun
     checkpoints = [sig.start_time, *sig.switch_times, float(coarse.times[-1])]
     worst = 0.0
     for t in checkpoints:
@@ -196,3 +198,107 @@ def step_halving_agreement(system: SwitchedSystem, sig: SwitchingSignal, x0,
         xb = fine.state_at_index_of(t)
         worst = max(worst, float(np.max(np.abs(xa - xb))))
     return worst
+
+
+def step_halving_agreement(system: SwitchedSystem, sig: SwitchingSignal, x0,
+                           step: float, t_end: float | None = None) -> float:
+    """Worst state difference at segment boundaries between runs at `step` and
+    `step/2` - the validation oracle behind every reported simulation."""
+    coarse = integrate(system, sig, x0, step, t_end)
+    return _halving_difference(sig, coarse, integrate(system, sig, x0, step / 2.0, t_end))
+
+
+def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
+                   bounds: DwellBounds | None, fit_window=None) -> dict:
+    """Integrate a trajectory pair, validate it by step halving, and measure
+    distance and per-subspace projected distances."""
+    system = bundle.system
+    try:
+        traj_a = integrate(system, sig, x_a0, step)
+        traj_b = integrate(system, sig, x_b0, step)
+        agreement = max(
+            _halving_difference(sig, traj_a, integrate(system, sig, x_a0, step / 2.0)),
+            _halving_difference(sig, traj_b, integrate(system, sig, x_b0, step / 2.0)),
+        )
+    except DivergenceError as exc:
+        return {"verdicts": [{"name": "finite_trajectories", "ok": False}],
+                "divergence_time": exc.time}
+    result: dict = {
+        "verdicts": [{"name": "step_halving_agreement", "ok": bool(agreement < 1e-6)},
+                     {"name": "finite_trajectories", "ok": True}],
+        "step_halving": {"worst_difference": agreement, "bound": 1e-6},
+    }
+    distance = distance_trace(traj_a, traj_b)
+    result["initial_distance"] = float(distance[0])
+    result["terminal_distance"] = float(distance[-1])
+    result["distance_ratio"] = float(distance[-1] / distance[0])
+    boundary_times = np.array([sig.start_time, *sig.switch_times, traj_a.times[-1]])
+    idx = np.minimum(np.searchsorted(traj_a.times, boundary_times - 1e-12), len(distance) - 1)
+    envelope = result["envelope_at_switches"] = distance[idx].tolist()
+    result["envelope_monotone"] = bool(
+        all(b <= a * (1 + 1e-9) for a, b in zip(envelope, envelope[1:]))
+    )
+    if fit_window is None:
+        span = float(traj_a.times[-1])
+        fit_window = (0.2 * span, span)
+    fit = fit_rate(traj_a.times, distance, fit_window)
+    result["rate_fit"] = {
+        "rate": fit.rate,
+        "prefactor": fit.prefactor,
+        "rmse": fit.rmse,
+        "window": list(fit.window),
+        "floored_points": fit.floored_points,
+    }
+    if bounds is not None:
+        check = verify_per_activation(sig, bounds)
+        result["signal_within_bounds"] = {
+            "ok": check.ok,
+            "detail": check.reason if check.ok else (
+                f"bounds violated by signal: mode {check.mode} activation "
+                f"{check.activation_index} lasts {check.length:.6g}"
+            ),
+        }
+        result["verdicts"].append({"name": "signal_within_bounds", "ok": bool(check.ok)})
+    projections = {}
+    for name, spec in subspace_specs.items():
+        s = orthonormalize(spec, ambient=system.dimension)
+        pi = projector(s).matrix
+        projections[name] = np.linalg.norm((traj_a.states - traj_b.states) @ pi.T, axis=1)
+    result["_traces"] = {
+        "times": traj_a.times,
+        "a": traj_a.states,
+        "b": traj_b.states,
+        "distance": distance,
+        "projections": projections,
+    }
+    return result
+
+
+def _write_csv(path, header: str, rows) -> None:
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_traces(out_dir: Path, sig, traces, plot: bool, title: str) -> None:
+    """Write the trajectory pair, distance and signal CSVs of a run_simulation
+    result, and with `plot` its distance SVG."""
+    times = traces["times"]
+    n = traces["a"].shape[1]
+    state_header = "time," + ",".join(f"x{i + 1}" for i in range(n))
+    _write_csv(out_dir / "trajectory_a.csv", state_header,
+               np.column_stack([times, traces["a"]]))
+    _write_csv(out_dir / "trajectory_b.csv", state_header,
+               np.column_stack([times, traces["b"]]))
+    proj_names = sorted(traces["projections"])
+    header = "time,norm_full" + "".join(f",norm_{name}" for name in proj_names)
+    columns = [times, traces["distance"]] + [traces["projections"][p] for p in proj_names]
+    _write_csv(out_dir / "distance.csv", header, np.column_stack(columns))
+    write_signal_csv(sig, out_dir / "signal.csv")
+    if plot:
+        series = [("|x_a - x_b|", times, traces["distance"])]
+        for name in proj_names:
+            series.append((f"projected onto {name}", times, traces["projections"][name]))
+        write_line_plot(out_dir / "distance.svg", series, vlines=sig.switch_times,
+                        title=title, y_label="distance (log scale)")

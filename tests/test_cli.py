@@ -128,6 +128,35 @@ def test_simulate_random_signal_compliant(tmp_path):
     assert report["distance_ratio"] < 1.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_simulate_divergence_is_reported_not_raised(tmp_path, capsys):
+    config = tmp_path / "blowup.json"
+    config.write_text(json.dumps({
+        "dimension": 1, "domain": [[-10, 10]],
+        "modes": [{"id": 1, "field": ["x1^2"]}, {"id": 2, "field": ["x1^2"]}],
+    }))
+    code = main(["simulate", "--config", str(config), "--initial", "1", "0.5",
+                 "--horizon", "5", "--periodic", "1.0", "--out", str(tmp_path)])
+    assert code == 1
+    assert "finite_trajectories" in capsys.readouterr().err
+    report = json.loads((tmp_path / "simulation.json").read_text())
+    assert report["verdicts"] == [{"name": "finite_trajectories", "ok": False}]
+    assert 1.0 < report["divergence_time"] < 5.0
+
+
+def test_simulate_random_signal_without_certified_bounds_exits_1(tmp_path, capsys):
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    doc["subspaces"] = doc["subspaces"][:1]
+    doc["certificates"] = doc["certificates"][:1]
+    config = tmp_path / "single.json"
+    config.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(config), "--random-signal", "--grid", "11",
+                 "--horizon", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert "no signal to simulate" in capsys.readouterr().err
+    assert not (tmp_path / "simulation.json").exists()
+
+
 def test_signal_gen_counts_switches(tmp_path, capsys):
     out = tmp_path / "sig.csv"
     code = main(["signal", "gen", "--periodic", "0.35", "--horizon", "10",

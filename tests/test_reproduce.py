@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 from semicontract.cli import main
 
@@ -41,3 +44,12 @@ def test_analysis_section_is_seed_independent(tmp_path):
     a = strip_volatile((tmp_path / "a" / "report.json").read_text())
     b = strip_volatile((tmp_path / "b" / "report.json").read_text())
     assert a == b
+
+
+def test_reproduce_does_not_import_the_cli():
+    # the reproduction sits below the command-line front end
+    code = ("import sys, semicontract.reproduce as r; "
+            "assert 'semicontract.cli' not in sys.modules; "
+            "assert r.run_simulation.__module__ == 'semicontract.sim'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

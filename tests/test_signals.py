@@ -1,9 +1,16 @@
+import gc
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicontract.certificates import DwellBounds
 from semicontract.signals import (
     SwitchingSignal,
+    WindowCheck,
     dwell_stats,
     generate_periodic,
     generate_random,
@@ -31,6 +38,64 @@ def brute_force_stats(sig, mode, t_a, t_b):
             count += 1
             total += hi - lo
     return count, total
+
+
+# Reference window scans: one dwell_stats call per switching-time window,
+# O(K^3) overall. The scans in semicontract.signals must agree with these
+# exactly (==), including which window is reported worst.
+
+def _grid_times(sig):
+    times = [sig.start_time, *sig.switch_times, sig.horizon]
+    unique = []
+    for t in times:
+        if not unique or t - unique[-1] > 1e-12:
+            unique.append(t)
+    return unique
+
+
+def reference_verify_mdadt(sig, mode, tau_lower, n_lower):
+    return _reference_scan_windows(sig, mode, lambda n, t: n - n_lower - t / tau_lower, sense=+1)
+
+
+def reference_verify_mdalt(sig, mode, tau_upper, n_upper):
+    return _reference_scan_windows(sig, mode, lambda n, t: n_upper + t / tau_upper - n, sense=+1)
+
+
+def _reference_scan_windows(sig, mode, violation, sense):
+    # violation(n, t) > 0 means the window violates; worst = max violation
+    times = _grid_times(sig)
+    worst = -math.inf
+    worst_window = (times[0], times[-1])
+    checked = 0
+    for i in range(len(times) - 1):
+        for j in range(i + 1, len(times)):
+            stats = dwell_stats(sig, mode, times[i], times[j])
+            value = sense * violation(stats.count, stats.total_time)
+            checked += 1
+            if value > worst:
+                worst = value
+                worst_window = (times[i], times[j])
+    return WindowCheck(bool(worst <= 1e-12), worst, worst_window, checked)
+
+
+def reference_tightest_mdadt_offset(sig, mode, tau_lower):
+    times = _grid_times(sig)
+    worst = 0.0
+    for i in range(len(times) - 1):
+        for j in range(i + 1, len(times)):
+            stats = dwell_stats(sig, mode, times[i], times[j])
+            worst = max(worst, stats.count - stats.total_time / tau_lower)
+    return worst
+
+
+def reference_tightest_mdalt_offset(sig, mode, tau_upper):
+    times = _grid_times(sig)
+    best = math.inf
+    for i in range(len(times) - 1):
+        for j in range(i + 1, len(times)):
+            stats = dwell_stats(sig, mode, times[i], times[j])
+            best = min(best, stats.count - stats.total_time / tau_upper)
+    return best
 
 
 def random_signal(rng, n_modes=3, horizon=8.0):
@@ -184,6 +249,39 @@ def test_verify_enumeration_matches_brute_force_grid_windows():
             assert res_alt.worst_value == pytest.approx(worst_alt, abs=1e-9)
 
 
+def assert_scans_match_reference(sig, tau):
+    for q in sig.modes:
+        assert verify_mdadt(sig, q, tau, 1.0) == reference_verify_mdadt(sig, q, tau, 1.0)
+        assert verify_mdalt(sig, q, tau, 0.0) == reference_verify_mdalt(sig, q, tau, 0.0)
+        assert tightest_mdadt_offset(sig, q, tau) == reference_tightest_mdadt_offset(sig, q, tau)
+        assert tightest_mdalt_offset(sig, q, tau) == reference_tightest_mdalt_offset(sig, q, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.floats(0.05, 2.0))
+def test_window_scans_equal_the_reference_on_random_signals(seed, n_modes, tau):
+    sig = random_signal(np.random.default_rng(seed), n_modes=n_modes, horizon=5.0)
+    assert_scans_match_reference(sig, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([0.1, 0.25, 0.35, 0.5, 0.7, 1.0]),
+       st.sampled_from([0.7, 1.4, 2.1, 3.0]), st.sampled_from([0.1, 0.35, 0.5, 0.7]))
+def test_window_scans_equal_the_reference_on_periodic_signals(n_modes, dwell, horizon, tau):
+    # equal dwells make many windows tie for the worst value
+    sig = generate_periodic(list(range(1, n_modes + 1)), dwell, 0.0, horizon)
+    assert_scans_match_reference(sig, tau)
+
+
+def test_window_scans_reject_a_mode_that_never_appears():
+    sig = generate_periodic([1, 2], 0.35, 0.0, 2.0)
+    for scan in (lambda: verify_mdadt(sig, 3, 0.5, 1.0), lambda: verify_mdalt(sig, 3, 0.5, 0.0),
+                 lambda: tightest_mdadt_offset(sig, 3, 0.5),
+                 lambda: tightest_mdalt_offset(sig, 3, 0.5)):
+        with pytest.raises(KeyError):
+            scan()
+
+
 def test_tightest_offsets_are_feasible_boundaries():
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -276,6 +374,10 @@ def test_signal_csv_round_trip(tmp_path):
     write_signal_csv(sig, path)
     text = path.read_text()
     assert text.splitlines()[0] == "time,mode"
-    back = read_signal_csv(path, horizon=3.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        back = read_signal_csv(path, horizon=3.0)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert back.events == sig.events
     assert back.horizon == sig.horizon

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semicontract import sim
 from semicontract.certificates import DwellBounds
 from semicontract.signals import SwitchingSignal, generate_periodic, generate_random, \
     verify_per_activation
@@ -14,6 +15,7 @@ from semicontract.sim import (
     integrate,
     integrate_variational,
     projected_trace,
+    run_simulation,
     step_halving_agreement,
 )
 from semicontract.subspaces import orthonormalize, projector
@@ -254,3 +256,22 @@ def test_random_compliant_signal_contracts(bundle):
     tb = integrate(bundle.system, sig, [-2.0, 1.0], step=1e-3)
     d = distance_trace(ta, tb)
     assert d[-1] < 1e-2 * d[0]
+
+
+def test_run_simulation_checks_step_halving_on_its_own_runs(bundle, monkeypatch):
+    sig = generate_periodic([1, 2], 0.35, 0.0, 2.0)
+    x_a0, x_b0 = np.array([2.0, -1.0]), np.array([-2.0, 1.0])
+    steps = []
+    original = sim.integrate
+
+    def counting(system, signal, x0, step, t_end=None):
+        steps.append(step)
+        return original(system, signal, x0, step, t_end)
+
+    monkeypatch.setattr(sim, "integrate", counting)
+    result = run_simulation(bundle, sig, x_a0, x_b0, 2e-3, {}, None)
+    assert sorted(steps) == [1e-3, 1e-3, 2e-3, 2e-3]  # one run and its half-step rerun each
+    assert result["step_halving"]["worst_difference"] == max(
+        step_halving_agreement(bundle.system, sig, x_a0, 2e-3),
+        step_halving_agreement(bundle.system, sig, x_b0, 2e-3),
+    )
