@@ -57,6 +57,11 @@ def _load(args):
     return load_config(path)
 
 
+def _config_error(exc) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return CONFIG_EXIT
+
+
 def _margin(args) -> float:
     return 0.0 if args.strict else args.margin
 
@@ -73,8 +78,7 @@ def cmd_analyze(args) -> int:
     try:
         bundle = _load(args)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
+        return _config_error(exc)
     samples = make_samples(bundle, args.grid, args.samples, args.seed)
     try:
         report = analyze(bundle, samples, tol=args.tol, margin=_margin(args),
@@ -108,8 +112,7 @@ def cmd_simulate(args) -> int:
     try:
         bundle = _load(args)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
+        return _config_error(exc)
     samples = make_samples(bundle, args.grid, args.samples, args.seed)
     try:
         certs = certificates_from_report(bundle, samples, args.search_weights)
@@ -119,6 +122,8 @@ def cmd_simulate(args) -> int:
         bounds = None
     try:
         sig = _simulation_signal(args, [m.id for m in bundle.system.modes], bounds)
+    except (ConfigError, OSError) as exc:
+        return _config_error(exc)
     except (InfeasibleError, ValueError) as exc:
         print(f"no signal to simulate: {exc}", file=sys.stderr)
         return VERDICT_EXIT
@@ -145,9 +150,13 @@ def cmd_simulate(args) -> int:
     failed = [v["name"] for v in report["verdicts"] if not v["ok"]]
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
-        detail = report.get("signal_within_bounds", {}).get("detail")
-        if detail:
-            print(detail, file=sys.stderr)
+        domain_exit = report.get("domain_exit")
+        if domain_exit:
+            print(f"trajectory {domain_exit['trajectory']} leaves the domain box at "
+                  f"t = {domain_exit['time']:.6g}", file=sys.stderr)
+        signal_check = report.get("signal_within_bounds")
+        if signal_check and not signal_check["ok"]:
+            print(signal_check["detail"], file=sys.stderr)
         return VERDICT_EXIT
     return 0
 
@@ -184,7 +193,12 @@ def cmd_signal(args) -> int:
               f"[{sig.start_time}, {sig.horizon}]")
         return 0
 
-    sig = read_signal_csv(args.signal, horizon=args.horizon)
+    if not args.signal:
+        return _config_error("signal check needs --signal")
+    try:
+        sig = read_signal_csv(args.signal, horizon=args.horizon)
+    except (ConfigError, OSError) as exc:
+        return _config_error(exc)
     modes = list(sig.modes)
     bounds = _bounds_from_args(args, modes)
     check = verify_per_activation(sig, bounds)

@@ -443,14 +443,15 @@ def evaluate_checked(e: Expr, x):
     return value
 
 
-def to_python_source(e: Expr, var: str = "x") -> str:
-    """Render an expression as scalar Python source over var[0]..var[n-1],
-    using the math module for the function set. Used to compile hot evaluation
-    paths (integrators); the AST evaluator remains the reference."""
+def to_python_source(e: Expr, var: str = "x[{}]") -> str:
+    """Render an expression as scalar Python source, using the math module for
+    the function set; variable x{i} becomes var.format(i - 1) (x[0].. by
+    default, locals x0.. with "x{}"). Used to compile hot evaluation paths
+    (integrators); the AST evaluator remains the reference."""
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
-        return f"{var}[{e.index - 1}]"
+        return var.format(e.index - 1)
     if isinstance(e, Add):
         return f"({to_python_source(e.left, var)} + {to_python_source(e.right, var)})"
     if isinstance(e, Sub):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DwellBounds
+from .system import ConfigError
 
 TIME_EPS = 1e-12
 
@@ -301,14 +302,23 @@ def write_signal_csv(sig: SwitchingSignal, path) -> None:
 
 
 def read_signal_csv(path, horizon: float | None = None) -> SwitchingSignal:
+    """Read a `time,mode` signal CSV; a file that does not hold a valid signal
+    raises ConfigError."""
     import csv
     from pathlib import Path
 
     with Path(path).open(encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        rows = list(reader)
     if not rows:
-        raise ValueError(f"empty signal file {path}")
-    events = tuple((float(r["time"]), int(r["mode"])) for r in rows)
+        raise ConfigError(f"empty signal file {path}")
+    for column in ("time", "mode"):
+        if column not in reader.fieldnames:
+            raise ConfigError(f"signal file {path} has no {column!r} column")
+    try:
+        events = tuple((float(r["time"]), int(r["mode"])) for r in rows)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad signal file {path}: {exc}") from None
     t0 = events[0][0]
     if horizon is None:
         # without an explicit horizon, extend past the last switch by the
@@ -318,4 +328,7 @@ def read_signal_csv(path, horizon: float | None = None) -> SwitchingSignal:
             horizon = events[-1][0] + float(np.median(dwells))
         else:
             horizon = t0 + 1.0
-    return SwitchingSignal(t0, events, horizon)
+    try:
+        return SwitchingSignal(t0, events, horizon)
+    except ValueError as exc:
+        raise ConfigError(f"bad signal file {path}: {exc}") from None

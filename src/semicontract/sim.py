@@ -4,23 +4,27 @@ experiment with its trace files.
 
 Fixed-step RK4 with switch-aligned substeps: deterministic, reproducible, and
 the convergence order is trivially testable. The last step of every
-constant-mode segment is shortened to land exactly on the switch time.
+constant-mode segment is shortened to land exactly on the switch time. The
+flow steps through one RK4 kernel per mode, generated from its field and run
+on Python floats; the variational system steps with the ndarray `_rk4_step`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .certificates import DwellBounds
+from .expr import to_python_source
 from .ioutil import atomic_write_text
 from .signals import SwitchingSignal, verify_per_activation, write_signal_csv
 from .subspaces import Projector, orthonormalize, projector
 from .svgplot import write_line_plot
-from .system import SwitchedSystem, compiled_field, compiled_jacobian
+from .system import Mode, SwitchedSystem, compiled_jacobian
 
 
 class DivergenceError(RuntimeError):
@@ -82,33 +86,92 @@ def _rk4_step(f, t, x, h):
     return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _ieee_step(step, x, h, t_next):
+    # Python floats raise where numpy float64 scalars give inf or nan (x/0.0,
+    # 0.0**-1, float ** overflow); redo the step on numpy scalars, which a
+    # saturating function (tanh, exp(-.)) can bring back to a finite state.
+    # An error that numpy scalars raise too (math.exp overflow) is divergence.
+    with np.errstate(all="ignore"):
+        try:
+            return tuple(map(float, step(*map(np.float64, x), h)))
+        except (OverflowError, ZeroDivisionError):
+            raise DivergenceError(t_next) from None
+
+
+@lru_cache(maxsize=64)
+def _rk4_kernel(mode: Mode):
+    """RK4 over one constant-mode segment, generated from the mode's field:
+    kernel(x, times) steps the state tuple x from times[0] through times[1:]
+    on Python floats and returns the state tuple at each of times[1:].
+
+    The stages keep _rk4_step's operation order, and Python floats round like
+    numpy float64 scalars, so the states are bit-identical to stepping ndarrays.
+    A step that raises on Python floats is redone on numpy scalars
+    (_ieee_step), as the ndarray path computed it. A non-finite state raises
+    DivergenceError at the step's end time."""
+    n = mode.dimension
+
+    def each(line):
+        return [line.format(i=i) for i in range(n)]
+
+    def field(k, var):
+        return [f"{k}{i} = {to_python_source(e, var + '{}')}"
+                for i, e in enumerate(mode.field_exprs)]
+
+    state = "".join(each("x{i}, "))
+    update = "".join(each("x{i} + h / 6.0 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i}), "))
+    # x is only reassigned once all four stages have been evaluated
+    step = [*field("a", "x"), *each("y{i} = x{i} + h / 2.0 * a{i}"),
+            *field("b", "y"), *each("y{i} = x{i} + h / 2.0 * b{i}"),
+            *field("c", "y"), *each("y{i} = x{i} + h * c{i}"),
+            *field("d", "y"),
+            f"{state}= {update}"]
+    source = "\n".join([
+        f"def step({state}h):",
+        *("    " + line for line in step),
+        f"    return {state}",
+        "def kernel(x, times):",
+        f"    {state}= x",
+        "    out = []",
+        "    t_prev = times[0]",
+        "    for t_next in times[1:]:",
+        "        h = t_next - t_prev",
+        "        try:",
+        *("            " + line for line in step),
+        "        except (OverflowError, ZeroDivisionError):",
+        f"            {state}= ieee_step(step, ({state}), h, t_next)",
+        f"        if not ({' and '.join(each('isfinite(x{i})'))}):",
+        "            raise DivergenceError(t_next)",
+        f"        out.append(({state}))",
+        "        t_prev = t_next",
+        "    return out",
+    ])
+    namespace = {"math": math, "isfinite": math.isfinite, "ieee_step": _ieee_step,
+                 "DivergenceError": DivergenceError}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
 def integrate(system: SwitchedSystem, sig: SwitchingSignal, x0, step: float,
               t_end: float | None = None) -> Trajectory:
     """Integrate the switched flow; state is continuous across switches."""
     if step <= 0:
         raise ValueError("step must be positive")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dimension,):
+        raise ValueError(f"initial state has shape {x0.shape}, expected ({system.dimension},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
     t_end = sig.horizon if t_end is None else t_end
     if t_end > sig.horizon + 1e-12:
         raise ValueError("signal does not cover the requested span")
+    kernels = {m: _rk4_kernel(system.mode(m)) for m in sig.modes}
     times = [sig.start_time]
-    states = [x0]
-    x = x0
+    states = [tuple(x0.tolist())]
     for seg_start, seg_end, mode_id in _segments(sig, t_end):
-        field = compiled_field(system.mode(mode_id))
-
-        def f(_t, state, field=field):
-            return field(state)
-
         seg_times = _segment_steps(seg_start, seg_end, step)
-        for t_prev, t_next in zip(seg_times, seg_times[1:]):
-            x = _rk4_step(f, t_prev, x, t_next - t_prev)
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(t_next)
-            times.append(t_next)
-            states.append(x)
+        states += kernels[mode_id](states[-1], seg_times)
+        times += seg_times[1:]
     return Trajectory(np.array(times), np.array(states), sig)
 
 
@@ -125,11 +188,12 @@ def integrate_variational(system: SwitchedSystem, sig: SwitchingSignal,
     out = [y0]
     mode_of = {t: m for t, m in sig.events}
     current = sig.events[0][1]
+    jacobians = {m: compiled_jacobian(system.mode(m)) for m in sig.modes}
     for k in range(len(times) - 1):
         t0, t1 = float(times[k]), float(times[k + 1])
         if t0 in mode_of:
             current = mode_of[t0]
-        jac = compiled_jacobian(system.mode(current))
+        jac = jacobians[current]
         x_a, x_b = states[k], states[k + 1]
         h = t1 - t0
 
@@ -210,8 +274,8 @@ def step_halving_agreement(system: SwitchedSystem, sig: SwitchingSignal, x0,
 
 def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
                    bounds: DwellBounds | None, fit_window=None) -> dict:
-    """Integrate a trajectory pair, validate it by step halving, and measure
-    distance and per-subspace projected distances."""
+    """Integrate a trajectory pair, validate it by step halving and against the
+    domain box, and measure distance and per-subspace projected distances."""
     system = bundle.system
     try:
         traj_a = integrate(system, sig, x_a0, step)
@@ -223,11 +287,19 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
     except DivergenceError as exc:
         return {"verdicts": [{"name": "finite_trajectories", "ok": False}],
                 "divergence_time": exc.time}
+    exits = [(float(traj.times[k]), label)
+             for label, traj in (("a", traj_a), ("b", traj_b))
+             if (k := system.domain.first_outside(traj.states)) is not None]
     result: dict = {
         "verdicts": [{"name": "step_halving_agreement", "ok": bool(agreement < 1e-6)},
-                     {"name": "finite_trajectories", "ok": True}],
+                     {"name": "finite_trajectories", "ok": True},
+                     {"name": "trajectories_within_domain", "ok": not exits}],
         "step_halving": {"worst_difference": agreement, "bound": 1e-6},
     }
+    if exits:
+        # the certificate only holds on the domain box: report the first exit
+        t_exit, label = min(exits)
+        result["domain_exit"] = {"trajectory": label, "time": t_exit}
     distance = distance_trace(traj_a, traj_b)
     result["initial_distance"] = float(distance[0])
     result["terminal_distance"] = float(distance[-1])

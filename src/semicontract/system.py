@@ -80,18 +80,6 @@ def _check_point(x, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def compiled_field(mode: Mode):
-    """Fast scalar evaluator x -> ndarray(n,) for the mode's vector field.
-    Generated from the symbolic field; equality with eval_field is under test."""
-    import math  # noqa: F401 - bound into the compiled namespace
-
-    n = mode.dimension
-    body = ", ".join(to_python_source(e) for e in mode.field_exprs)
-    fn = eval(f"lambda x: ({body}{',' if n == 1 else ''})", {"math": math})
-    return lambda x: np.array(fn(x))
-
-
-@lru_cache(maxsize=64)
 def compiled_jacobian(mode: Mode):
     """Fast scalar evaluator x -> ndarray(n, n) for the mode's Jacobian."""
     n = mode.dimension
@@ -122,10 +110,16 @@ class Box:
         return len(self.lows)
 
     def contains(self, points, slack: float = 1e-12) -> bool:
+        return self.first_outside(points, slack) is None
+
+    def first_outside(self, points, slack: float = 1e-12) -> int | None:
+        """Index of the first point (row) outside the box widened by `slack`,
+        or None; a non-finite coordinate counts as outside."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         lo = np.asarray(self.lows) - slack
         hi = np.asarray(self.highs) + slack
-        return bool(np.all(points >= lo) and np.all(points <= hi))
+        outside = ~np.all((points >= lo) & (points <= hi), axis=1)
+        return int(np.argmax(outside)) if outside.any() else None
 
 
 @dataclass(frozen=True)

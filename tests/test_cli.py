@@ -144,6 +144,18 @@ def test_simulate_divergence_is_reported_not_raised(tmp_path, capsys):
     assert 1.0 < report["divergence_time"] < 5.0
 
 
+def test_simulate_reports_leaving_the_domain(tmp_path, capsys):
+    code = main(["simulate", "--initial", "4.5,-4.5", " -2,1", "--horizon", "1",
+                 "--step", "2e-3", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("failed: trajectories_within_domain\n"
+                   "trajectory a leaves the domain box at t = 0.24\n")
+    report = json.loads((tmp_path / "simulation.json").read_text())
+    assert {"name": "trajectories_within_domain", "ok": False} in report["verdicts"]
+    assert report["domain_exit"] == {"trajectory": "a", "time": pytest.approx(0.24)}
+
+
 def test_simulate_random_signal_without_certified_bounds_exits_1(tmp_path, capsys):
     doc = json.loads(bundled_config_path("saddle2d").read_text())
     doc["subspaces"] = doc["subspaces"][:1]
@@ -192,6 +204,47 @@ def test_signal_check_dwell_1_names_offender(tmp_path, capsys):
     report = json.loads(captured.out)
     assert report["per_activation"]["ok"] is False
     assert "activation" in captured.err
+
+
+BAD_SIGNAL_FILES = {
+    "no_mode_column": ("time,mod\n0.0,1\n", "'mode'"),
+    "non_numeric_cell": ("time,mode\n0.0,one\n", "one"),
+    "missing_file": (None, "No such file"),
+}
+
+
+def write_bad_signal(tmp_path, case):
+    text, _ = BAD_SIGNAL_FILES[case]
+    path = tmp_path / "signal.csv"
+    if text is not None:
+        path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIGNAL_FILES))
+def test_signal_check_bad_signal_file_is_a_config_error(tmp_path, capsys, case):
+    path = write_bad_signal(tmp_path, case)
+    code = main(["signal", "check", "--signal", str(path), "--tau-lower", "0.1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert BAD_SIGNAL_FILES[case][1] in err
+
+
+def test_signal_check_without_signal_is_a_config_error(capsys):
+    assert main(["signal", "check", "--tau-lower", "0.1"]) == 2
+    assert capsys.readouterr().err == "config error: signal check needs --signal\n"
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIGNAL_FILES))
+def test_simulate_bad_signal_file_is_a_config_error(tmp_path, capsys, case):
+    path = write_bad_signal(tmp_path, case)
+    code = main(["simulate", "--signal", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert BAD_SIGNAL_FILES[case][1] in err
+    assert not (tmp_path / "simulation.json").exists()
 
 
 def test_signal_gen_infeasible_bounds(tmp_path, capsys):

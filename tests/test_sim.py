@@ -1,7 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicontract import sim
 from semicontract.certificates import DwellBounds
@@ -18,9 +21,9 @@ from semicontract.sim import (
     run_simulation,
     step_halving_agreement,
 )
+from semicontract.expr import to_python_source
 from semicontract.subspaces import orthonormalize, projector
-from semicontract.system import compiled_field, compiled_jacobian, eval_field, \
-    eval_jacobian, load_config
+from semicontract.system import compiled_jacobian, eval_field, eval_jacobian, load_config
 from semicontract.testdata import bundled_config_path
 
 
@@ -51,19 +54,137 @@ def zero_system():
     ).system
 
 
+# Every DSL node: sin, cos, exp, tanh, division, negation, integer and
+# negative powers; dissipative, so trajectories stay bounded.
+ALL_NODES_3D = {
+    "dimension": 3,
+    "domain": [[-3, 3], [-3, 3], [-3, 3]],
+    "modes": [
+        {"id": 1, "field": [
+            "-x1 + sin(x2)*tanh(x3)/(2 + cos(x1))",
+            "-x2^3 + exp(-x1^2) - 0.5*x2",
+            "-x3 + cos(x1 - x2)^2 - x1*x2*(1 + x1^2 + x2^2)^-1",
+        ]},
+        {"id": 2, "field": [
+            "-2*x1 + 0.3*x2*x3/(1 + x3^2)",
+            "-(x2 - tanh(x1)) + 0.2*sin(x3)",
+            "-x3^3 - x3 + exp(-(x1 + x2)^2)*cos(x1)",
+        ]},
+    ],
+}
+
+ALL_NODES_1D = {
+    "dimension": 1,
+    "domain": [[-3, 3]],
+    "modes": [
+        {"id": 1, "field": ["-x1^3 + sin(x1)/(2 + cos(x1)) - 0.5*tanh(x1)"]},
+        {"id": 2, "field": ["-(x1 - 1)*exp(-x1^2) - x1*(1 + x1^2)^-2 - x1"]},
+    ],
+}
+
+
 def single_mode_signal(horizon):
     return SwitchingSignal(0.0, ((0.0, 1),), horizon)
 
 
+# The numpy per-step integrator that the generated kernels replaced, kept
+# verbatim (renamed) as the oracle: the kernels must give the same trajectory
+# bit for bit.
+def _reference_rk4_step(f, t, x, h):
+    k1 = f(t, x)
+    k2 = f(t + h / 2.0, x + h / 2.0 * k1)
+    k3 = f(t + h / 2.0, x + h / 2.0 * k2)
+    k4 = f(t + h, x + h * k3)
+    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@lru_cache(maxsize=64)
+def reference_compiled_field(mode):
+    n = mode.dimension
+    body = ", ".join(to_python_source(e) for e in mode.field_exprs)
+    fn = eval(f"lambda x: ({body}{',' if n == 1 else ''})", {"math": math})
+    return lambda x: np.array(fn(x))
+
+
+def reference_integrate(system, sig, x0, step, t_end=None):
+    if step <= 0:
+        raise ValueError("step must be positive")
+    x0 = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial state must be finite")
+    t_end = sig.horizon if t_end is None else t_end
+    if t_end > sig.horizon + 1e-12:
+        raise ValueError("signal does not cover the requested span")
+    times = [sig.start_time]
+    states = [x0]
+    x = x0
+    for seg_start, seg_end, mode_id in sim._segments(sig, t_end):
+        field = reference_compiled_field(system.mode(mode_id))
+
+        def f(_t, state, field=field):
+            return field(state)
+
+        seg_times = sim._segment_steps(seg_start, seg_end, step)
+        for t_prev, t_next in zip(seg_times, seg_times[1:]):
+            x = _reference_rk4_step(f, t_prev, x, t_next - t_prev)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(t_next)
+            times.append(t_next)
+            states.append(x)
+    return sim.Trajectory(np.array(times), np.array(states), sig)
+
+
+def assert_same_as_reference(system, sig, x0, step, t_end=None):
+    fast = integrate(system, sig, x0, step, t_end)
+    ref = reference_integrate(system, sig, x0, step, t_end)
+    assert np.array_equal(fast.times, ref.times)
+    assert np.array_equal(fast.states, ref.states)
+
+
 def test_compiled_evaluators_match_ast(bundle):
+    # the kernels render each field component over locals x0.. ("x{}"); points
+    # are drawn from each system's whole domain box
     rng = np.random.default_rng(4)
-    for mode in bundle.system.modes:
-        fast_f = compiled_field(mode)
-        fast_j = compiled_jacobian(mode)
-        for _ in range(50):
-            x = rng.uniform(-5, 5, size=2)
-            assert np.allclose(fast_f(x), eval_field(mode, x), atol=1e-14)
-            assert np.allclose(fast_j(x), eval_jacobian(mode, x), atol=1e-14)
+    for system in (bundle.system, load_config(ALL_NODES_3D).system,
+                   load_config(ALL_NODES_1D).system):
+        n = system.dimension
+        for mode in system.modes:
+            fast_f = [compile(to_python_source(e, "x{}"), "<field>", "eval")
+                      for e in mode.field_exprs]
+            fast_j = compiled_jacobian(mode)
+            for _ in range(50):
+                x = rng.uniform(system.domain.lows, system.domain.highs)
+                local = {f"x{i}": float(v) for i, v in enumerate(x)}
+                value = [eval(code, {"math": math}, local) for code in fast_f]
+                assert np.allclose(value, eval_field(mode, x), atol=1e-14)
+                assert np.allclose(fast_j(x), eval_jacobian(mode, x), atol=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.1, 1.0), st.floats(0.5, 3.0), st.floats(0.3, 1.0), st.floats(1e-3, 1e-2),
+       st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2))
+def test_kernel_equals_reference_on_periodic_signals(bundle, dwell, horizon, cut, step, x0):
+    sig = generate_periodic([1, 2], dwell, 0.0, horizon)
+    assert_same_as_reference(bundle.system, sig, x0, step, t_end=cut * horizon)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.5, 3.0), st.floats(1e-3, 1e-2),
+       st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2))
+def test_kernel_equals_reference_on_random_compliant_signals(bundle, seed, horizon, step, x0):
+    bounds = DwellBounds({1: 0.1584, 2: 0.1584}, {1: 0.3960, 2: 0.3960}, "test", 0.0)
+    sig = generate_random([1, 2], bounds, 0.0, horizon, seed=seed)
+    assert_same_as_reference(bundle.system, sig, x0, step)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([ALL_NODES_1D, ALL_NODES_3D]), st.floats(0.05, 0.8),
+       st.floats(1e-3, 1e-2), st.integers(0, 2**32 - 1))
+def test_kernel_equals_reference_on_every_dsl_node(doc, dwell, step, seed):
+    system = load_config(doc).system
+    x0 = np.random.default_rng(seed).uniform(-3, 3, size=system.dimension)
+    sig = generate_periodic([1, 2], dwell, 0.0, 2.0)
+    assert_same_as_reference(system, sig, x0, step)
 
 
 def test_integrate_scalar_linear_ode(decay_system):
@@ -112,6 +233,60 @@ def test_divergence_reported_with_time():
     with pytest.raises(DivergenceError) as err:
         integrate(system, single_mode_signal(5.0), [1.0], step=1e-3)
     assert 0.0 < err.value.time <= 5.0
+
+
+def test_division_by_a_state_reaching_zero_is_divergence():
+    # x1 = 1 - t lands on 0 exactly at t = 1 with a power-of-two step
+    system = load_config(
+        {
+            "dimension": 2,
+            "domain": [[-10, 10], [-10, 10]],
+            "modes": [{"id": 1, "field": ["-1", "1/x1"]}],
+        }
+    ).system
+    with pytest.raises(DivergenceError) as err:
+        integrate(system, single_mode_signal(2.0), [1.0, 0.0], step=2.0**-7)
+    assert 0.0 < err.value.time <= 2.0
+
+
+# 1/x1 and x1^-1 raise ZeroDivisionError on the Python float 0.0 but give inf
+# on numpy scalars, and tanh or exp(-.) brings that back to a finite value
+SATURATED_POLES = {
+    "dimension": 2,
+    "domain": [[-3, 3], [-3, 3]],
+    "modes": [
+        {"id": 1, "field": ["tanh(1/x1)", "-x2"]},
+        {"id": 2, "field": ["-x1 + exp(-1/x1^2)", "-x2 + x2*tanh(x1^-1)"]},
+    ],
+}
+
+
+@pytest.mark.parametrize("x0", [[0.0, 1.0], [-0.0, 0.0]])
+@pytest.mark.parametrize("first_mode", [1, 2])
+def test_saturated_pole_at_a_zero_state_is_integrated_like_the_reference(x0, first_mode):
+    system = load_config(SATURATED_POLES).system
+    sig = generate_periodic([first_mode, 3 - first_mode], 0.25, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert_same_as_reference(system, sig, x0, 1e-2)
+    assert np.all(np.isfinite(integrate(system, sig, x0, 1e-2).states))
+
+
+def test_exp_overflow_is_divergence():
+    system = load_config(
+        {
+            "dimension": 1,
+            "domain": [[-10, 10]],
+            "modes": [{"id": 1, "field": ["exp(x1)"]}],
+        }
+    ).system
+    with pytest.raises(DivergenceError) as err:
+        integrate(system, single_mode_signal(1.0), [700.0], step=1e-3)
+    assert 0.0 < err.value.time <= 1.0
+
+
+def test_integrate_rejects_a_state_of_the_wrong_dimension(bundle):
+    with pytest.raises(ValueError):
+        integrate(bundle.system, single_mode_signal(1.0), [1.0, 2.0, 3.0], step=1e-2)
 
 
 def test_convergence_order_is_fourth(bundle):
@@ -275,3 +450,23 @@ def test_run_simulation_checks_step_halving_on_its_own_runs(bundle, monkeypatch)
         step_halving_agreement(bundle.system, sig, x_a0, 2e-3),
         step_halving_agreement(bundle.system, sig, x_b0, 2e-3),
     )
+
+
+def test_run_simulation_reports_the_first_domain_exit(bundle):
+    # a compliant periodic run from (4.5, -4.5) leaves the certified box
+    # [-5, 5]^2 (peak |x| = 5.25) before it contracts
+    sig = generate_periodic([1, 2], 0.35, 0.0, 2.0)
+    result = run_simulation(bundle, sig, np.array([-2.0, 1.0]), np.array([4.5, -4.5]),
+                            1e-3, {}, None)
+    assert {"name": "trajectories_within_domain", "ok": False} in result["verdicts"]
+    exit_ = result["domain_exit"]
+    assert exit_["trajectory"] == "b"
+    assert 0.0 < exit_["time"] < 0.35
+    traj = result["_traces"]["b"]
+    k = int(np.searchsorted(result["_traces"]["times"], exit_["time"]))
+    assert bundle.system.domain.contains(traj[:k])
+    assert not bundle.system.domain.contains(traj[k])
+    inside = run_simulation(bundle, sig, np.array([2.0, -1.0]), np.array([-2.0, 1.0]),
+                            1e-3, {}, None)
+    assert {"name": "trajectories_within_domain", "ok": True} in inside["verdicts"]
+    assert "domain_exit" not in inside

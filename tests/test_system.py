@@ -105,6 +105,15 @@ def test_random_sampling_reproducible(bundle):
     assert bundle.system.domain.contains(a.points)
 
 
+def test_box_first_outside_finds_the_first_point_out(bundle):
+    box = bundle.system.domain
+    points = np.array([[0.0, 0.0], [5.0, -5.0], [5.1, 0.0], [0.0, np.nan], [9.0, 9.0]])
+    assert box.first_outside(points) == 2
+    assert box.first_outside(points[[0, 1, 3]]) == 2  # nan is outside
+    assert box.first_outside(points[:2]) is None and box.contains(points[:2])
+    assert box.first_outside(points[2:3], slack=0.2) is None
+
+
 def test_empty_sampling_request_rejected(bundle):
     with pytest.raises(ValueError):
         sample_domain(bundle.system, grid_per_axis=1, random_count=0)
