@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -421,13 +422,15 @@ def differentiate(e: Expr, index: int) -> Expr:
     return e.diff(index)
 
 
+def _children(e: Expr) -> list:
+    return [c for c in (getattr(e, f) for f in e.__dataclass_fields__) if isinstance(c, Expr)]
+
+
 def _find_nonfinite(e: Expr, x) -> Expr:
-    for child in getattr(e, "__dataclass_fields__", {}):
-        sub_e = getattr(e, child)
-        if isinstance(sub_e, Expr):
-            found = _find_nonfinite(sub_e, x)
-            if found is not None:
-                return found
+    for sub_e in _children(e):
+        found = _find_nonfinite(sub_e, x)
+        if found is not None:
+            return found
     value = e.evaluate(x)
     if not np.all(np.isfinite(value)):
         return e
@@ -443,27 +446,68 @@ def evaluate_checked(e: Expr, x):
     return value
 
 
-def to_python_source(e: Expr, var: str = "x[{}]") -> str:
+def to_python_source(e: Expr, var: str = "x[{}]", names=None) -> str:
     """Render an expression as scalar Python source, using the math module for
     the function set; variable x{i} becomes var.format(i - 1) (x[0].. by
-    default, locals x0.. with "x{}"). Used to compile hot evaluation paths
-    (integrators); the AST evaluator remains the reference."""
+    default, locals x0.. with "x{}"), and a subexpression whose plain source
+    is a key of `names` the local named by its value. Used to compile hot
+    evaluation paths (integrators); the AST evaluator remains the reference."""
+    if names and (name := names.get(to_python_source(e, var))):
+        return name
+    r = partial(to_python_source, var=var, names=names)
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return var.format(e.index - 1)
     if isinstance(e, Add):
-        return f"({to_python_source(e.left, var)} + {to_python_source(e.right, var)})"
+        return f"({r(e.left)} + {r(e.right)})"
     if isinstance(e, Sub):
-        return f"({to_python_source(e.left, var)} - {to_python_source(e.right, var)})"
+        return f"({r(e.left)} - {r(e.right)})"
     if isinstance(e, Mul):
-        return f"({to_python_source(e.left, var)} * {to_python_source(e.right, var)})"
+        return f"({r(e.left)} * {r(e.right)})"
     if isinstance(e, Div):
-        return f"({to_python_source(e.left, var)} / {to_python_source(e.right, var)})"
+        return f"({r(e.left)} / {r(e.right)})"
     if isinstance(e, Neg):
-        return f"(-{to_python_source(e.arg, var)})"
+        return f"(-{r(e.arg)})"
     if isinstance(e, Pow):
-        return f"({to_python_source(e.base, var)} ** {e.exponent})"
+        return f"({r(e.base)} ** {e.exponent})"
     if isinstance(e, Call):
-        return f"math.{e.func}({to_python_source(e.arg, var)})"
+        return f"math.{e.func}({r(e.arg)})"
     raise TypeError(f"unknown expression node {type(e).__name__}")
+
+
+def to_python_statements(exprs, targets, var: str = "x[{}]") -> list[str]:
+    """Render `target = expr` for each pair as straight-line Python statements
+    (`var` as in to_python_source). A non-constant subexpression that occurs
+    more than once (not counting repeats inside a repeat) is computed once,
+    into a local _s0, _s1, .. Constant-only subtrees stay inline for CPython to
+    fold. A subexpression is named by its plain source, so the operations and
+    every target's value are those of to_python_source's rendering."""
+    counts: dict = {}
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var) or "@" not in to_python_source(e, "@{}"):
+            continue  # a variable, or a subtree without variables
+        key = to_python_source(e, var)
+        counts[key] = counts.get(key, 0) + 1
+        if counts[key] == 1:
+            stack += _children(e)
+    names: dict = {}
+    lines = []
+    for target, e in zip(targets, exprs):
+        # post-order, so a shared subexpression is named after those inside it
+        stack = [(e, False)]
+        while stack:
+            node, expanded = stack.pop()
+            key = to_python_source(node, var)
+            if key in names:
+                continue
+            if not expanded:
+                stack += [(node, True)] + [(c, False) for c in reversed(_children(node))]
+            elif counts.get(key, 0) > 1:
+                name = f"_s{len(names)}"
+                lines.append(f"{name} = {to_python_source(node, var, names)}")
+                names[key] = name
+        lines.append(f"{target} = {to_python_source(e, var, names)}")
+    return lines

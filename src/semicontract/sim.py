@@ -5,8 +5,9 @@ experiment with its trace files.
 Fixed-step RK4 with switch-aligned substeps: deterministic, reproducible, and
 the convergence order is trivially testable. The last step of every
 constant-mode segment is shortened to land exactly on the switch time. The
-flow steps through one RK4 kernel per mode, generated from its field and run
-on Python floats; the variational system steps with the ndarray `_rk4_step`.
+flow and the variational system step through RK4 kernels generated per mode
+from one stage template, with shared subexpressions of the field or the
+Jacobian computed once, and run on Python floats.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import DwellBounds
-from .expr import to_python_source
+from .expr import to_python_statements
 from .ioutil import atomic_write_text
 from .signals import SwitchingSignal, verify_per_activation, write_signal_csv
 from .subspaces import Projector, orthonormalize, projector
 from .svgplot import write_line_plot
-from .system import Mode, SwitchedSystem, compiled_jacobian
+from .system import Mode, SwitchedSystem
 
 
 class DivergenceError(RuntimeError):
@@ -78,35 +79,36 @@ def _segment_steps(t0: float, t1: float, step: float):
     return times
 
 
-def _rk4_step(f, t, x, h):
-    k1 = f(t, x)
-    k2 = f(t + h / 2.0, x + h / 2.0 * k1)
-    k3 = f(t + h / 2.0, x + h / 2.0 * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _ieee_step(step, x, h, t_next):
+def _ieee_step(step, args, t_next):
     # Python floats raise where numpy float64 scalars give inf or nan (x/0.0,
     # 0.0**-1, float ** overflow); redo the step on numpy scalars, which a
     # saturating function (tanh, exp(-.)) can bring back to a finite state.
     # An error that numpy scalars raise too (math.exp overflow) is divergence.
     with np.errstate(all="ignore"):
         try:
-            return tuple(map(float, step(*map(np.float64, x), h)))
+            return tuple(map(float, step(*map(np.float64, args))))
         except (OverflowError, ZeroDivisionError):
             raise DivergenceError(t_next) from None
 
 
-@lru_cache(maxsize=64)
-def _rk4_kernel(mode: Mode):
-    """RK4 over one constant-mode segment, generated from the mode's field:
-    kernel(x, times) steps the state tuple x from times[0] through times[1:]
-    on Python floats and returns the state tuple at each of times[1:].
+def _jacobian_statements(mode: Mode) -> list[str]:
+    # j{r}_{c} = d f_r / d x_c at the point p0..
+    n = mode.dimension
+    return to_python_statements([e for row in mode.jacobian_exprs for e in row],
+                                [f"j{r}_{c}" for r in range(n) for c in range(n)], "p{}")
 
-    The stages keep _rk4_step's operation order, and Python floats round like
-    numpy float64 scalars, so the states are bit-identical to stepping ndarrays.
-    A step that raises on Python floats is redone on numpy scalars
+
+def _rk4_source(mode: Mode, variational: bool = False) -> str:
+    """Source of kernel(x, times): RK4 on Python floats over one constant-mode
+    segment, stepping the state x from times[0] through times[1:] and
+    returning the states at times[1:] as one flat list. The variational
+    kernel(x, times, points) steps y' = J(p(t)) y instead, with
+    p = (1.0 - w) * pa + w * pb, w = (t - t_prev) / h, between the stored
+    trajectory points pa, pb at the ends of the step, and J(p) y summed left
+    to right. Shared subexpressions of the field or the Jacobian are computed
+    once. The stages keep the operation order of the ndarray RK4 step (the
+    tests' oracle), and Python floats round like numpy float64 scalars. A
+    step that raises on Python floats is redone on numpy scalars
     (_ieee_step), as the ndarray path computed it. A non-finite state raises
     DivergenceError at the step's end time."""
     n = mode.dimension
@@ -114,41 +116,59 @@ def _rk4_kernel(mode: Mode):
     def each(line):
         return [line.format(i=i) for i in range(n)]
 
-    def field(k, var):
-        return [f"{k}{i} = {to_python_source(e, var + '{}')}"
-                for i, e in enumerate(mode.field_exprs)]
+    if variational:
+        jacobian = _jacobian_statements(mode)
+
+        def stage(k, var, t):
+            # p and J(p) change with the stage time only (t is None when it repeats)
+            point = [f"w = 0.0 if h == 0 else ({t} - t_prev) / h",
+                     *each("p{i} = (1.0 - w) * pa{i} + w * pb{i}"), *jacobian] if t else []
+            return point + [f"{k}{r} = " + " + ".join(f"j{r}_{c} * {var.format(c)}"
+                                                      for c in range(n)) for r in range(n)]
+    else:
+        def stage(k, var, t):
+            return to_python_statements(mode.field_exprs, each(k + "{i}"), var)
 
     state = "".join(each("x{i}, "))
-    update = "".join(each("x{i} + h / 6.0 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i}), "))
+    pa, pb = "".join(each("pa{i}, ")), "".join(each("pb{i}, "))
+    args = state + (pa + pb if variational else "") + "t_prev, h"
+    update = "".join(each("x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i}), "))
     # x is only reassigned once all four stages have been evaluated
-    step = [*field("a", "x"), *each("y{i} = x{i} + h / 2.0 * a{i}"),
-            *field("b", "y"), *each("y{i} = x{i} + h / 2.0 * b{i}"),
-            *field("c", "y"), *each("y{i} = x{i} + h * c{i}"),
-            *field("d", "y"),
+    step = ["h2 = h / 2.0", "h6 = h / 6.0",
+            *stage("a", "x{}", "t_prev"), *each("y{i} = x{i} + h2 * a{i}"),
+            *stage("b", "y{}", "t_prev + h2"), *each("y{i} = x{i} + h2 * b{i}"),
+            *stage("c", "y{}", None), *each("y{i} = x{i} + h * c{i}"),
+            *stage("d", "y{}", "t_prev + h"),
             f"{state}= {update}"]
-    source = "\n".join([
-        f"def step({state}h):",
+    return "\n".join([
+        f"def step({args}):",
         *("    " + line for line in step),
         f"    return {state}",
-        "def kernel(x, times):",
+        f"def kernel(x, times{', points' if variational else ''}):",
         f"    {state}= x",
         "    out = []",
         "    t_prev = times[0]",
-        "    for t_next in times[1:]:",
+        f"    for t_next, ({pa}), ({pb}) in zip(times[1:], points, points[1:]):"
+        if variational else "    for t_next in times[1:]:",
         "        h = t_next - t_prev",
         "        try:",
         *("            " + line for line in step),
         "        except (OverflowError, ZeroDivisionError):",
-        f"            {state}= ieee_step(step, ({state}), h, t_next)",
+        f"            {state}= ieee_step(step, ({args}), t_next)",
         f"        if not ({' and '.join(each('isfinite(x{i})'))}):",
         "            raise DivergenceError(t_next)",
-        f"        out.append(({state}))",
+        f"        out += {state}",
         "        t_prev = t_next",
         "    return out",
     ])
+
+
+@lru_cache(maxsize=128)
+def _rk4_kernel(mode: Mode, variational: bool = False):
+    """The compiled kernel of _rk4_source."""
     namespace = {"math": math, "isfinite": math.isfinite, "ieee_step": _ieee_step,
                  "DivergenceError": DivergenceError}
-    exec(source, namespace)
+    exec(_rk4_source(mode, variational), namespace)
     return namespace["kernel"]
 
 
@@ -157,9 +177,10 @@ def integrate(system: SwitchedSystem, sig: SwitchingSignal, x0, step: float,
     """Integrate the switched flow; state is continuous across switches."""
     if step <= 0:
         raise ValueError("step must be positive")
+    n = system.dimension
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dimension,):
-        raise ValueError(f"initial state has shape {x0.shape}, expected ({system.dimension},)")
+    if x0.shape != (n,):
+        raise ValueError(f"initial state has shape {x0.shape}, expected ({n},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
     t_end = sig.horizon if t_end is None else t_end
@@ -167,46 +188,36 @@ def integrate(system: SwitchedSystem, sig: SwitchingSignal, x0, step: float,
         raise ValueError("signal does not cover the requested span")
     kernels = {m: _rk4_kernel(system.mode(m)) for m in sig.modes}
     times = [sig.start_time]
-    states = [tuple(x0.tolist())]
+    states = x0.tolist()
     for seg_start, seg_end, mode_id in _segments(sig, t_end):
         seg_times = _segment_steps(seg_start, seg_end, step)
-        states += kernels[mode_id](states[-1], seg_times)
+        states += kernels[mode_id](states[-n:], seg_times)
         times += seg_times[1:]
-    return Trajectory(np.array(times), np.array(states), sig)
+    return Trajectory(np.array(times), np.array(states).reshape(-1, n), sig)
 
 
 def integrate_variational(system: SwitchedSystem, sig: SwitchingSignal,
                           x_traj: Trajectory, y0) -> VariationalTrace:
     """Co-integrate the perturbation dynamics y' = A(x(t)) y along a stored
     trajectory, interpolating x linearly inside each step."""
+    n = system.dimension
     y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (n,):
+        raise ValueError(f"initial perturbation has shape {y0.shape}, expected ({n},)")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial perturbation must be finite")
-    times = x_traj.times
-    states = x_traj.states
-    y = y0
-    out = [y0]
-    mode_of = {t: m for t, m in sig.events}
-    current = sig.events[0][1]
-    jacobians = {m: compiled_jacobian(system.mode(m)) for m in sig.modes}
-    for k in range(len(times) - 1):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        if t0 in mode_of:
-            current = mode_of[t0]
-        jac = jacobians[current]
-        x_a, x_b = states[k], states[k + 1]
-        h = t1 - t0
-
-        def f(t, yy, jac=jac, t0=t0, h=h, x_a=x_a, x_b=x_b):
-            w = 0.0 if h == 0 else (t - t0) / h
-            x_t = (1.0 - w) * x_a + w * x_b
-            return jac(x_t) @ yy
-
-        y = _rk4_step(f, t0, y, h)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(t1)
-        out.append(y)
-    return VariationalTrace(times.copy(), np.array(out))
+    times = x_traj.times.tolist()
+    points = x_traj.states.tolist()
+    mode_of = dict(sig.events)
+    # the mode changes at a step that starts on an event time
+    cuts = [0, *(k for k in range(1, len(times) - 1) if times[k] in mode_of), len(times) - 1]
+    mode_id = sig.events[0][1]
+    states = y0.tolist()
+    for k0, k1 in zip(cuts, cuts[1:]):
+        mode_id = mode_of.get(times[k0], mode_id)
+        kernel = _rk4_kernel(system.mode(mode_id), True)
+        states += kernel(states[-n:], times[k0:k1 + 1], points[k0:k1 + 1])
+    return VariationalTrace(x_traj.times.copy(), np.array(states).reshape(-1, n))
 
 
 def projected_trace(trace: VariationalTrace, proj: Projector) -> np.ndarray:
@@ -347,10 +358,10 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
 
 
 def _write_csv(path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    # one % over Python floats (never numpy scalars, whose repr differs)
+    n, m = rows.shape
+    row = ",".join(["%r"] * m) + "\n"
+    atomic_write_text(path, header + "\n" + row * n % tuple(rows.ravel().tolist()))
 
 
 def write_traces(out_dir: Path, sig, traces, plot: bool, title: str) -> None:

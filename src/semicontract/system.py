@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,6 @@ from .expr import (
     differentiate,
     evaluate_checked,
     parse_expr,
-    to_python_source,
 )
 
 
@@ -77,18 +74,6 @@ def _check_point(x, n: int) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise EvaluationError("evaluation point is not finite")
     return x
-
-
-@lru_cache(maxsize=64)
-def compiled_jacobian(mode: Mode):
-    """Fast scalar evaluator x -> ndarray(n, n) for the mode's Jacobian."""
-    n = mode.dimension
-    rows = ", ".join(
-        "(" + ", ".join(to_python_source(e) for e in row) + ("," if n == 1 else "") + ")"
-        for row in mode.jacobian_exprs
-    )
-    fn = eval(f"lambda x: ({rows}{',' if n == 1 else ''})", {"math": math})
-    return lambda x: np.array(fn(x))
 
 
 @dataclass(frozen=True)

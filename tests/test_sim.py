@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semicontract import sim
 from semicontract.certificates import DwellBounds
@@ -23,7 +24,7 @@ from semicontract.sim import (
 )
 from semicontract.expr import to_python_source
 from semicontract.subspaces import orthonormalize, projector
-from semicontract.system import compiled_jacobian, eval_field, eval_jacobian, load_config
+from semicontract.system import eval_field, eval_jacobian, load_config
 from semicontract.testdata import bundled_config_path
 
 
@@ -134,6 +135,52 @@ def reference_integrate(system, sig, x0, step, t_end=None):
     return sim.Trajectory(np.array(times), np.array(states), sig)
 
 
+# The ndarray variational integrator that the generated variational kernel
+# replaced, kept verbatim (renamed) with its Jacobian evaluator as the oracle;
+# the kernel sums J(x) y left to right where numpy's matmul may fuse
+# multiply-adds, so the two agree to rounding, not bit for bit.
+@lru_cache(maxsize=64)
+def reference_compiled_jacobian(mode):
+    n = mode.dimension
+    rows = ", ".join(
+        "(" + ", ".join(to_python_source(e) for e in row) + ("," if n == 1 else "") + ")"
+        for row in mode.jacobian_exprs
+    )
+    fn = eval(f"lambda x: ({rows}{',' if n == 1 else ''})", {"math": math})
+    return lambda x: np.array(fn(x))
+
+
+def reference_integrate_variational(system, sig, x_traj, y0):
+    y0 = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("initial perturbation must be finite")
+    times = x_traj.times
+    states = x_traj.states
+    y = y0
+    out = [y0]
+    mode_of = {t: m for t, m in sig.events}
+    current = sig.events[0][1]
+    jacobians = {m: reference_compiled_jacobian(system.mode(m)) for m in sig.modes}
+    for k in range(len(times) - 1):
+        t0, t1 = float(times[k]), float(times[k + 1])
+        if t0 in mode_of:
+            current = mode_of[t0]
+        jac = jacobians[current]
+        x_a, x_b = states[k], states[k + 1]
+        h = t1 - t0
+
+        def f(t, yy, jac=jac, t0=t0, h=h, x_a=x_a, x_b=x_b):
+            w = 0.0 if h == 0 else (t - t0) / h
+            x_t = (1.0 - w) * x_a + w * x_b
+            return jac(x_t) @ yy
+
+        y = _reference_rk4_step(f, t0, y, h)
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(t1)
+        out.append(y)
+    return sim.VariationalTrace(times.copy(), np.array(out))
+
+
 def assert_same_as_reference(system, sig, x0, step, t_end=None):
     fast = integrate(system, sig, x0, step, t_end)
     ref = reference_integrate(system, sig, x0, step, t_end)
@@ -142,8 +189,9 @@ def assert_same_as_reference(system, sig, x0, step, t_end=None):
 
 
 def test_compiled_evaluators_match_ast(bundle):
-    # the kernels render each field component over locals x0.. ("x{}"); points
-    # are drawn from each system's whole domain box
+    # the kernels render each field component over locals x0.. ("x{}") and
+    # the Jacobian as the variational kernel's statements over locals p0..;
+    # points are drawn from each system's whole domain box
     rng = np.random.default_rng(4)
     for system in (bundle.system, load_config(ALL_NODES_3D).system,
                    load_config(ALL_NODES_1D).system):
@@ -151,13 +199,34 @@ def test_compiled_evaluators_match_ast(bundle):
         for mode in system.modes:
             fast_f = [compile(to_python_source(e, "x{}"), "<field>", "eval")
                       for e in mode.field_exprs]
-            fast_j = compiled_jacobian(mode)
+            fast_j = compile("\n".join(sim._jacobian_statements(mode)), "<jacobian>", "exec")
             for _ in range(50):
                 x = rng.uniform(system.domain.lows, system.domain.highs)
                 local = {f"x{i}": float(v) for i, v in enumerate(x)}
                 value = [eval(code, {"math": math}, local) for code in fast_f]
                 assert np.allclose(value, eval_field(mode, x), atol=1e-14)
-                assert np.allclose(fast_j(x), eval_jacobian(mode, x), atol=1e-14)
+                local = {f"p{i}": float(v) for i, v in enumerate(x)}
+                exec(fast_j, {"math": math}, local)
+                jac = [[local[f"j{r}_{c}"] for c in range(n)] for r in range(n)]
+                assert np.allclose(jac, eval_jacobian(mode, x), atol=1e-14)
+
+
+def test_kernels_compute_shared_subexpressions_once(bundle):
+    # saddle2d's two field components share both cosine terms, and its four
+    # Jacobian entries share the two sines
+    mode = bundle.system.mode(1)
+    step = sim._rk4_source(mode).split("def kernel")[0]
+    assert step.count("cos(") == 8  # 2 per stage
+    step = sim._rk4_source(mode, True).split("def kernel")[0]
+    assert step.count("sin(") == 6  # 2 per stage time; stages b and c share one
+    jacobian = sim._jacobian_statements(mode)
+    rhs = [line.split(" = ", 1)[1] for line in jacobian]
+    assert len(set(rhs)) == len(rhs)
+    for line in jacobian:
+        # each named subexpression is used at least twice
+        name = line.split(" = ", 1)[0]
+        if name.startswith("_s"):
+            assert sum(r.count(name) for r in rhs) >= 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -185,6 +254,67 @@ def test_kernel_equals_reference_on_every_dsl_node(doc, dwell, step, seed):
     x0 = np.random.default_rng(seed).uniform(-3, 3, size=system.dimension)
     sig = generate_periodic([1, 2], dwell, 0.0, 2.0)
     assert_same_as_reference(system, sig, x0, step)
+
+
+def assert_variational_close_to_reference(system, sig, x0, y0, step):
+    x_traj = integrate(system, sig, x0, step)
+    fast = integrate_variational(system, sig, x_traj, y0)
+    ref = reference_integrate_variational(system, sig, x_traj, y0)
+    assert np.array_equal(fast.times, ref.times)
+    np.testing.assert_allclose(fast.states, ref.states, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref.states)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.1, 1.0), st.floats(0.5, 3.0), st.floats(1e-3, 1e-2),
+       st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
+def test_variational_kernel_matches_reference_on_periodic_signals(bundle, dwell, horizon,
+                                                                   step, xy):
+    sig = generate_periodic([1, 2], dwell, 0.0, horizon)
+    assert_variational_close_to_reference(bundle.system, sig, xy[:2], xy[2:], step)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.5, 3.0), st.floats(1e-3, 1e-2),
+       st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
+def test_variational_kernel_matches_reference_on_random_signals(bundle, seed, horizon, step, xy):
+    bounds = DwellBounds({1: 0.1584, 2: 0.1584}, {1: 0.3960, 2: 0.3960}, "test", 0.0)
+    sig = generate_random([1, 2], bounds, 0.0, horizon, seed=seed)
+    assert_variational_close_to_reference(bundle.system, sig, xy[:2], xy[2:], step)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([ALL_NODES_1D, ALL_NODES_3D]), st.floats(0.05, 0.8),
+       st.floats(1e-3, 1e-2), st.integers(0, 2**32 - 1))
+def test_variational_kernel_matches_reference_on_every_dsl_node(doc, dwell, step, seed):
+    system = load_config(doc).system
+    x0, y0 = np.random.default_rng(seed).uniform(-3, 3, size=(2, system.dimension))
+    sig = generate_periodic([1, 2], dwell, 0.0, 2.0)
+    assert_variational_close_to_reference(system, sig, x0, y0, step)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_variational_divergence_reported_at_the_reference_time():
+    # y' = 400 y along a constant stored trajectory overflows near t = 1.77
+    flat = load_config({"dimension": 1, "domain": [[-2, 2]],
+                        "modes": [{"id": 1, "field": ["0"]}]}).system
+    fast_growth = load_config({"dimension": 1, "domain": [[-2, 2]],
+                               "modes": [{"id": 1, "field": ["400*x1"]}]}).system
+    sig = single_mode_signal(2.0)
+    x_traj = integrate(flat, sig, [1.0], step=1e-3)
+    with pytest.raises(DivergenceError) as err:
+        integrate_variational(fast_growth, sig, x_traj, [1.0])
+    with pytest.raises(DivergenceError) as ref_err:
+        reference_integrate_variational(fast_growth, sig, x_traj, [1.0])
+    assert err.value.time == ref_err.value.time
+    assert 1.7 < err.value.time < 1.8
+
+
+def test_variational_rejects_a_perturbation_of_the_wrong_shape(bundle):
+    sig = single_mode_signal(1.0)
+    x_traj = integrate(bundle.system, sig, [1.0, 1.0], step=1e-2)
+    with pytest.raises(ValueError, match=r"\(3,\).*\(2,\)"):
+        integrate_variational(bundle.system, sig, x_traj, [1.0, 0.0, 0.0])
 
 
 def test_integrate_scalar_linear_ode(decay_system):
@@ -470,3 +600,31 @@ def test_run_simulation_reports_the_first_domain_exit(bundle):
                             1e-3, {}, None)
     assert {"name": "trajectories_within_domain", "ok": True} in inside["verdicts"]
     assert "domain_exit" not in inside
+
+
+# The per-row trace CSV writer that the single-format writer replaced, kept as
+# the oracle: the files must be the same strings.
+def reference_csv_text(header, rows):
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+CSV_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 3.0, -7.0, 1e22,
+     math.inf, -math.inf, math.nan])
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "trace.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 6)),
+                  elements=CSV_FLOATS))
+def test_csv_writer_matches_the_per_row_reference(csv_path, rows):
+    header = ",".join(f"c{j}" for j in range(rows.shape[1]))
+    sim._write_csv(csv_path, header, rows)
+    assert csv_path.read_text() == reference_csv_text(header, rows)
