@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PSD_TOL, frobenius, gen_sym_eig, psd_check, sym_eig
-from .subspaces import Subspace, WeightedSeminorm, check_invariance, check_separating, \
-    log_seminorm, projector, reduce_weight
+from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, check_invariance, \
+    check_separating, log_seminorm, projector, reduce_weight
 from .system import Mode, SampleSet, SwitchedSystem, eval_jacobian
 
 # Jump-factor comparisons default to the granularity of 4-decimal published
@@ -21,6 +21,12 @@ COUPLING_TOL = 1e-4
 # Multiplicative safety margin applied when dwell bounds are derived from
 # tightest (raw) constants.
 DEFAULT_MARGIN = 1e-6
+# Relative residual up to which a certificate accepts the complement as
+# invariant under a mode.
+INVARIANCE_TOL = 1e-9
+# Weight ratio the scalar-weight search gives an expanding mode when no jump
+# factor is configured.
+ESCALATION = math.e
 
 STABLE = "S"
 UNSTABLE = "U"
@@ -43,7 +49,7 @@ def classify_mode(mode: Mode, w: WeightedSeminorm, samples: SampleSet):
     Returns (tag, sup growth). S iff the growth rate is negative at every
     sample; the verdict is sampled evidence over the domain, not a proof.
     """
-    sup = float(np.max(growth_values(mode, w, samples)))
+    sup = tightest_eta(mode, w, samples)
     return (STABLE if sup < 0.0 else UNSTABLE), sup
 
 
@@ -76,22 +82,19 @@ def check_rate(mode: Mode, w: WeightedSeminorm, eta: float, stable: bool,
     bound = -eta if stable else eta
     slack = tol * max(1.0, abs(bound))
     ok = sup <= bound + slack
-    _cross_check_full_form(mode, w, eta, stable, samples, values, tol)
+    _cross_check_full_form(mode, w, bound, samples, values, tol)
     return RateCheck(bool(ok), sup, bound, bound + slack - sup, tol,
                      samples.points[worst])
 
 
-def _cross_check_full_form(mode, w, eta, stable, samples, reduced_values, tol):
-    # The n x n form and the reduced form are congruent, so their verdicts must
-    # agree away from the tolerance boundary.
+def _cross_check_full_form(mode, w, bound, samples, reduced_values, tol):
+    # The n x n form P A Pi + Pi A^T P <= 2 bound P and the reduced form are
+    # congruent, so their verdicts must agree away from the tolerance boundary.
     pi = w.subspace.basis @ w.subspace.basis.T
     p = w.weight
-    factor = -2.0 * eta if stable else 2.0 * eta
-    bound = -eta if stable else eta
     indices = np.unique(np.linspace(0, len(samples) - 1, min(10, len(samples))).astype(int))
-    for k in indices:
-        a = eval_jacobian(mode, samples.points[k])
-        m = factor * p - (p @ a @ pi + pi @ a.T @ p)
+    for k, a in zip(indices, eval_jacobian(mode, samples.points[indices])):
+        m = 2.0 * bound * p - (p @ a @ pi + pi @ a.T @ p)
         full_ok = psd_check((m + m.T) / 2.0, tol)
         reduced_ok = reduced_values[k] <= bound + tol * max(1.0, abs(bound))
         if full_ok != reduced_ok and abs(reduced_values[k] - bound) > 1e-6 * max(1.0, abs(bound)):
@@ -129,7 +132,11 @@ class CouplingCheck:
 def check_switch_coupling(w_from: WeightedSeminorm, w_to: WeightedSeminorm,
                           beta: float, tol: float = COUPLING_TOL) -> CouplingCheck:
     """Verify R_to <= beta R_from within a relative tolerance."""
-    ratio = tightest_beta(w_from, w_to)
+    return coupling_check(tightest_beta(w_from, w_to), beta, tol)
+
+
+def coupling_check(ratio: float, beta: float, tol: float = COUPLING_TOL) -> CouplingCheck:
+    """Compare a tightest jump ratio with the requested factor beta."""
     slack = tol * max(1.0, abs(beta))
     return CouplingCheck(bool(ratio <= beta + slack), ratio, beta,
                          beta + slack - ratio, tol)
@@ -159,6 +166,8 @@ class SubspaceCertificate:
     m_lower: float
     m_upper: float
     sample_scheme: dict
+    invariance: dict         # mode id -> InvarianceResult of the complement hypothesis
+    jump_ratios: dict        # (q, r) -> tightest_beta(weights[q], weights[r]), q != r
 
     def __post_init__(self):
         if self.beta_stable is not None and self.beta_stable < 1.0:
@@ -312,44 +321,52 @@ def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
     return DecayConstants(rate, prefactor, norm_prefactor, rate / 2.0)
 
 
+def _invariance(mode: Mode, s: Subspace, samples: SampleSet,
+                with_point: bool) -> InvarianceResult:
+    """The hypothesis that the complement of s is invariant under the mode, at
+    INVARIANCE_TOL; raises InfeasibleError when a sample violates it."""
+    inv = check_invariance(mode, s, samples, tol=INVARIANCE_TOL)
+    if not inv.ok:
+        where = f" at {inv.worst_point}" if with_point else ""
+        raise InfeasibleError(
+            f"complement is not invariant under mode {mode.id} "
+            f"(residual {inv.worst_residual:.3e}{where})"
+        )
+    return inv
+
+
 def build_certificate(system: SwitchedSystem, s: Subspace, weights_by_mode: dict,
                       samples: SampleSet, beta_stable: float | None = None,
                       beta_unstable: float | None = None,
                       eta_stable: float | None = None,
-                      eta_unstable: float | None = None,
-                      invariance_tol: float = 1e-9) -> SubspaceCertificate:
+                      eta_unstable: float | None = None) -> SubspaceCertificate:
     """Assemble a certificate from explicit weights, deriving any constants not
     supplied from the tightest feasible values."""
-    weights = {}
+    weights, invariance = {}, {}
     for mode in system.modes:
         if mode.id not in weights_by_mode:
             raise ValueError(f"missing weight for mode {mode.id}")
-        inv = check_invariance(mode, s, samples, tol=invariance_tol)
-        if not inv.ok:
-            raise InfeasibleError(
-                f"complement is not invariant under mode {mode.id} "
-                f"(residual {inv.worst_residual:.3e} at {inv.worst_point})"
-            )
+        invariance[mode.id] = _invariance(mode, s, samples, with_point=True)
         p = weights_by_mode[mode.id]
         weights[mode.id] = p if isinstance(p, WeightedSeminorm) else reduce_weight(p, s)
-    tags = {}
-    sups = {}
+    return _certificate(system, s, weights, invariance, samples, beta_stable,
+                        beta_unstable, eta_stable, eta_unstable)
+
+
+def _certificate(system, s, weights, invariance, samples, beta_stable, beta_unstable,
+                 eta_stable, eta_unstable) -> SubspaceCertificate:
+    # weights and checked invariance results of every mode, in system order
+    tags, sups = {}, {}
     for mode in system.modes:
-        tag, sup = classify_mode(mode, weights[mode.id], samples)
-        tags[mode.id], sups[mode.id] = tag, sup
+        tags[mode.id], sups[mode.id] = classify_mode(mode, weights[mode.id], samples)
     stable = [q for q, t in tags.items() if t == STABLE]
     unstable = [q for q, t in tags.items() if t == UNSTABLE]
-    mode_ids = [m.id for m in system.modes]
-    if beta_stable is None and stable and len(mode_ids) > 1:
-        beta_stable = max(
-            tightest_beta(weights[q], weights[r])
-            for q in stable for r in mode_ids if r != q
-        )
-    if beta_unstable is None and unstable and len(mode_ids) > 1:
-        beta_unstable = max(
-            tightest_beta(weights[q], weights[r])
-            for q in unstable for r in mode_ids if r != q
-        )
+    ratios = {(q, r): tightest_beta(weights[q], weights[r])
+              for q in weights for r in weights if r != q}
+    if beta_stable is None and stable and len(weights) > 1:
+        beta_stable = max(v for (q, _), v in ratios.items() if q in stable)
+    if beta_unstable is None and unstable and len(weights) > 1:
+        beta_unstable = max(v for (q, _), v in ratios.items() if q in unstable)
         if beta_unstable >= 1.0:
             raise InfeasibleError(
                 "some switch out of an expanding mode does not drop the weight "
@@ -365,7 +382,7 @@ def build_certificate(system: SwitchedSystem, s: Subspace, weights_by_mode: dict
         beta_stable=beta_stable, beta_unstable=beta_unstable,
         eta_stable=eta_stable, eta_unstable=eta_unstable,
         m_lower=min(m_lowers), m_upper=max(m_uppers),
-        sample_scheme=dict(samples.scheme),
+        sample_scheme=dict(samples.scheme), invariance=invariance, jump_ratios=ratios,
     )
 
 
@@ -373,8 +390,7 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
                           beta_stable: float | None = None,
                           beta_unstable: float | None = None,
                           eta_stable: float | None = None,
-                          eta_unstable: float | None = None,
-                          escalation: float = math.e) -> SubspaceCertificate:
+                          eta_unstable: float | None = None) -> SubspaceCertificate:
     """Search scalar weights p_q * Pi over the given subspace.
 
     Classification and rates are weight-independent for scalar weights, so the
@@ -384,19 +400,14 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
     be strictly smaller). Semi-contracting modes share weight 1 and the
     expanding mode, if present, gets the escalation ratio: the stable jump
     factor when one is supplied (so configured constants are reproduced
-    exactly), the reciprocal of a supplied unstable jump factor, otherwise the
-    default ratio e.
+    exactly), the reciprocal of a supplied unstable jump factor, otherwise
+    ESCALATION.
     """
     pi = projector(s).matrix
     unit = reduce_weight(pi, s)
-    sups = {}
+    invariance, sups = {}, {}
     for mode in system.modes:
-        inv = check_invariance(mode, s, samples)
-        if not inv.ok:
-            raise InfeasibleError(
-                f"complement is not invariant under mode {mode.id} "
-                f"(residual {inv.worst_residual:.3e})"
-            )
+        invariance[mode.id] = _invariance(mode, s, samples, with_point=False)
         sups[mode.id] = tightest_eta(mode, unit, samples)
     stable = [q for q, v in sups.items() if v < 0.0]
     unstable = [q for q, v in sups.items() if v >= 0.0]
@@ -410,21 +421,17 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
             "two expanding modes each require the other's weight to be strictly "
             "smaller; scalar weights are infeasible"
         )
+    ratio = 1.0
     if unstable:
         if beta_stable is not None:
             ratio = beta_stable
         elif beta_unstable is not None:
             ratio = 1.0 / beta_unstable
         else:
-            ratio = escalation
+            ratio = ESCALATION
         if ratio <= 1.0:
             raise InfeasibleError("escalation ratio must exceed 1 for a strict drop")
-    scales = {q: 1.0 for q in stable}
-    for q in unstable:
-        scales[q] = ratio
-    weights = {q: scales[q] * pi for q in scales}
-    return build_certificate(
-        system, s, weights, samples,
-        beta_stable=beta_stable, beta_unstable=beta_unstable,
-        eta_stable=eta_stable, eta_unstable=eta_unstable,
-    )
+    weights = {m.id: reduce_weight((ratio if m.id in unstable else 1.0) * pi, s)
+               for m in system.modes}
+    return _certificate(system, s, weights, invariance, samples, beta_stable,
+                        beta_unstable, eta_stable, eta_unstable)

@@ -34,27 +34,32 @@ CONFIG_EXIT = 2
 VERDICT_EXIT = 1
 
 
-def _add_common(parser):
-    parser.add_argument("--config", default=None, help="system configuration JSON")
-    parser.add_argument("--out", default=None, help="output directory (default: stdout/cwd)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--step", type=float, default=1e-3, help="integration step [s]")
-    parser.add_argument("--grid", type=int, default=None, help="grid points per axis")
-    parser.add_argument("--samples", type=int, default=None, help="random sample count")
-    parser.add_argument("--tol", type=float, default=PSD_TOL,
-                        help="relative tolerance for semidefinite checks")
-    parser.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
-                        help="multiplicative margin on derived constants")
-    parser.add_argument("--strict", action="store_true",
-                        help="margin 0: report bounds as open inequalities")
-    parser.add_argument("--plot", action="store_true", help="emit SVG plots")
-    parser.add_argument("--search-weights", action="store_true",
-                        help="search scalar weights instead of reading P matrices")
+# Options shared by analyze, simulate and reproduce; each subcommand registers
+# only those it reads.
+OPTIONS = {
+    "--config": dict(default=None, help="system configuration JSON"),
+    "--out": dict(default=None, help="output directory (default: stdout/cwd)"),
+    "--seed": dict(type=int, default=0),
+    "--step": dict(type=float, default=1e-3, help="integration step [s]"),
+    "--grid": dict(type=int, default=None, help="grid points per axis"),
+    "--samples": dict(type=int, default=None, help="random sample count"),
+    "--tol": dict(type=float, default=PSD_TOL, help="relative tolerance for semidefinite checks"),
+    "--margin": dict(type=float, default=DEFAULT_MARGIN,
+                     help="multiplicative margin on derived constants"),
+    "--strict": dict(action="store_true", help="margin 0: report bounds as open inequalities"),
+    "--plot": dict(action="store_true", help="emit SVG plots"),
+    "--search-weights": dict(action="store_true",
+                             help="search scalar weights instead of reading P matrices"),
+}
+
+
+def _add_options(parser, *names):
+    for name in names:
+        parser.add_argument(name, **OPTIONS[name])
 
 
 def _load(args):
-    path = args.config if args.config else bundled_config_path("saddle2d")
-    return load_config(path)
+    return load_config(args.config or bundled_config_path("saddle2d"))
 
 
 def _config_error(exc) -> int:
@@ -233,8 +238,7 @@ def cmd_reproduce(args) -> int:
     out_dir = Path(args.out) if args.out else Path("reproduction")
     return run_reproduction(out_dir, seed=args.seed, step=args.step,
                             grid=args.grid or 41, tol=args.tol,
-                            margin=_margin(args), strict=args.strict,
-                            plot=True, example=args.example)
+                            margin=_margin(args), strict=args.strict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,11 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="run the certificate analysis")
-    _add_common(p_analyze)
+    _add_options(p_analyze, "--config", "--out", "--seed", "--grid", "--samples", "--tol",
+                 "--margin", "--strict", "--search-weights")
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="integrate a trajectory pair under a signal")
-    _add_common(p_sim)
+    _add_options(p_sim, "--config", "--out", "--seed", "--step", "--grid", "--samples",
+                 "--margin", "--strict", "--plot", "--search-weights")
     p_sim.add_argument("--horizon", type=float, default=10.0)
     p_sim.add_argument("--periodic", type=float, default=0.35,
                        help="periodic dwell time per mode [s]")
@@ -280,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_signal.set_defaults(fn=cmd_signal)
 
     p_rep = sub.add_parser("reproduce", help="run the bundled example end to end")
-    _add_common(p_rep)
-    p_rep.add_argument("--example", default="saddle2d")
+    _add_options(p_rep, "--out", "--seed", "--step", "--grid", "--tol", "--margin", "--strict")
     # default seed gives a random experiment whose switch-boundary envelope is
     # monotone; boundary-level monotonicity is realization-dependent
     p_rep.set_defaults(fn=cmd_reproduce, seed=19)

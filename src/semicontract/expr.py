@@ -11,6 +11,7 @@ Grammar:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -456,6 +457,11 @@ def to_python_source(e: Expr, var: str = "x[{}]", names=None) -> str:
         return name
     r = partial(to_python_source, var=var, names=names)
     if isinstance(e, Const):
+        # the generated kernels see only the math module, not inf or nan
+        if math.isnan(e.value):
+            return "math.nan"
+        if math.isinf(e.value):
+            return "math.inf" if e.value > 0 else "(-math.inf)"
         return repr(e.value)
     if isinstance(e, Var):
         return var.format(e.index - 1)

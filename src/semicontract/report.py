@@ -12,19 +12,19 @@ import numpy as np
 from . import __version__
 from .certificates import (
     DEFAULT_MARGIN,
+    DwellBounds,
     InfeasibleError,
     build_certificate,
     check_rate,
-    check_switch_coupling,
+    coupling_check,
     decay_constants,
     dwell_bounds_family,
     dwell_bounds_subspace,
     search_scalar_weights,
-    tightest_beta,
     tightest_eta,
 )
 from .linalg import PSD_TOL
-from .subspaces import check_invariance, check_separating, orthonormalize, projector
+from .subspaces import check_separating, orthonormalize, projector
 from .system import ConfigBundle, SampleSet, default_samples, sample_domain
 
 SCHEMA_VERSION = 1
@@ -49,24 +49,25 @@ def make_samples(bundle: ConfigBundle, grid: int | None, random_count: int | Non
 
 def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             margin: float = DEFAULT_MARGIN, search_weights: bool = False,
-            seed: int = 0) -> dict:
+            seed: int = 0, certs: dict | None = None) -> dict:
     """Invariance -> classification -> condition checks -> constants ->
-    per-subspace and family bounds -> decay constants."""
+    per-subspace and family bounds -> decay constants. certs, if given, must be
+    certificates_from_report(bundle, samples, search_weights)."""
     if not bundle.subspaces:
         raise InfeasibleError("configuration declares no subspaces")
-    cert_specs = {spec.subspace: spec for spec in bundle.certificates}
-    missing = sorted({spec.name for spec in bundle.subspaces} - set(cert_specs))
+    missing = sorted({spec.name for spec in bundle.subspaces}
+                     - {spec.subspace for spec in bundle.certificates})
     if missing and not search_weights:
         raise InfeasibleError(
             f"no certificates for subspaces {missing}; supply P matrices or use weight search"
         )
     system = bundle.system
-    certs = certificates_from_report(bundle, samples, search_weights)
+    if certs is None:
+        certs = certificates_from_report(bundle, samples, search_weights)
     verdicts: list[dict] = []
 
-    def record(check: str, ok: bool) -> bool:
+    def record(check: str, ok: bool) -> None:
         verdicts.append({"name": check, "ok": bool(ok)})
-        return ok
 
     sections = []
     for name, cert in certs.items():
@@ -82,10 +83,11 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             "dwell_bounds": {},
         }
         for mode in system.modes:
-            inv = check_invariance(mode, s, samples, tol=max(tol, 1e-9))
-            record(f"{name}:invariance:mode{mode.id}", inv.ok)
+            inv = cert.invariance[mode.id]
+            ok = inv.worst_residual <= max(tol, 1e-9)
+            record(f"{name}:invariance:mode{mode.id}", ok)
             section["invariance"][str(mode.id)] = {
-                "ok": inv.ok,
+                "ok": ok,
                 "worst_residual": inv.worst_residual,
                 "worst_point": inv.worst_point.tolist(),
                 "tolerance": max(tol, 1e-9),
@@ -111,24 +113,21 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
                     "worst_point": rate.worst_point.tolist(),
                 },
             }
-        for q in [m.id for m in system.modes]:
-            for r in [m.id for m in system.modes]:
-                if q == r:
-                    continue
-                tag = cert.tags[q]
-                beta = cert.beta_stable if tag == "S" else cert.beta_unstable
-                if beta is None:
-                    continue
-                coupling = check_switch_coupling(cert.weights[q], cert.weights[r], beta)
-                record(f"{name}:coupling:{q}->{r}", coupling.ok)
-                section["coupling"][f"{q}->{r}"] = {
-                    "ok": coupling.ok,
-                    "exited_tag": tag,
-                    "ratio": coupling.ratio,
-                    "bound": coupling.bound,
-                    "margin": coupling.margin,
-                    "tolerance": coupling.tolerance,
-                }
+        for (q, r), ratio in cert.jump_ratios.items():
+            tag = cert.tags[q]
+            beta = cert.beta_stable if tag == "S" else cert.beta_unstable
+            if beta is None:
+                continue
+            coupling = coupling_check(ratio, beta)
+            record(f"{name}:coupling:{q}->{r}", coupling.ok)
+            section["coupling"][f"{q}->{r}"] = {
+                "ok": coupling.ok,
+                "exited_tag": tag,
+                "ratio": coupling.ratio,
+                "bound": coupling.bound,
+                "margin": coupling.margin,
+                "tolerance": coupling.tolerance,
+            }
         stable_ids = cert.stable_modes
         unstable_ids = cert.unstable_modes
         section["constants"] = {
@@ -139,25 +138,13 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             "m_lower": cert.m_lower,
             "m_upper": cert.m_upper,
             "tightest_beta_stable": max(
-                (tightest_beta(cert.weights[q], cert.weights[r])
-                 for q in stable_ids for r in cert.weights if r != q),
-                default=None,
-            ),
+                (v for (q, _), v in cert.jump_ratios.items() if q in stable_ids), default=None),
             "tightest_beta_unstable": max(
-                (tightest_beta(cert.weights[q], cert.weights[r])
-                 for q in unstable_ids for r in cert.weights if r != q),
-                default=None,
-            ),
+                (v for (q, _), v in cert.jump_ratios.items() if q in unstable_ids), default=None),
             "tightest_eta_stable": min((-tightest[q] for q in stable_ids), default=None),
             "tightest_eta_unstable": max((tightest[q] for q in unstable_ids), default=None),
         }
-        bounds = dwell_bounds_subspace(cert, margin=margin)
-        section["dwell_bounds"] = {
-            "lower": {str(q): v for q, v in sorted(bounds.lower.items())},
-            "upper": {str(q): v for q, v in sorted(bounds.upper.items())},
-            "margin": margin,
-            "boundary": "open" if margin == 0.0 else "closed-usable",
-        }
+        section["dwell_bounds"] = _bounds_section(dwell_bounds_subspace(cert, margin=margin))
         sections.append(section)
 
     separating = check_separating([projector(c.subspace) for c in certs.values()])
@@ -171,12 +158,7 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
     }
     if separating:
         bounds = dwell_bounds_family(certs.values(), margin=margin)
-        family["dwell_bounds"] = {
-            "lower": {str(q): v for q, v in sorted(bounds.lower.items())},
-            "upper": {str(q): v for q, v in sorted(bounds.upper.items())},
-            "margin": margin,
-            "boundary": "open" if margin == 0.0 else "closed-usable",
-        }
+        family["dwell_bounds"] = _bounds_section(bounds)
         lowers = list(bounds.lower.values())
         uppers = list(bounds.upper.values())
         if lowers and uppers and max(lowers) < min(uppers):
@@ -220,6 +202,15 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
     }
 
 
+def _bounds_section(bounds: DwellBounds) -> dict:
+    return {
+        "lower": {str(q): v for q, v in sorted(bounds.lower.items())},
+        "upper": {str(q): v for q, v in sorted(bounds.upper.items())},
+        "margin": bounds.margin,
+        "boundary": "open" if bounds.margin == 0.0 else "closed-usable",
+    }
+
+
 def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
                              search_weights: bool = False):
     """Build each subspace's certificate, in subspace name order: from the
@@ -231,12 +222,8 @@ def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
     for spec in sorted(bundle.subspaces, key=lambda spec: spec.name):
         s = orthonormalize(spec.span, ambient=system.dimension)
         cspec = cert_specs.get(spec.name)
-        constants = dict(
-            beta_stable=cspec.beta_stable if cspec else None,
-            beta_unstable=cspec.beta_unstable if cspec else None,
-            eta_stable=cspec.eta_stable if cspec else None,
-            eta_unstable=cspec.eta_unstable if cspec else None,
-        )
+        constants = {key: getattr(cspec, key, None)
+                     for key in ("beta_stable", "beta_unstable", "eta_stable", "eta_unstable")}
         if search_weights or cspec is None or not cspec.weights:
             certs[spec.name] = search_scalar_weights(system, s, samples, **constants)
         else:

@@ -54,12 +54,11 @@ DOCUMENTED_MISMATCHES = {
 
 def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
                      grid: int = 41, tol: float = 1e-9, margin: float = 1e-6,
-                     strict: bool = False, plot: bool = True,
-                     example: str = "saddle2d") -> int:
+                     strict: bool = False) -> int:
     t_start = time.monotonic()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = load_config(bundled_config_path(example))
+    bundle = load_config(bundled_config_path("saddle2d"))
     samples = make_samples(bundle, grid, None, seed)
     checks: list[dict] = []
 
@@ -83,7 +82,8 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
         })
 
     # certificate analysis
-    report = analyze(bundle, samples, tol=tol, margin=margin, seed=seed)
+    certs = certificates_from_report(bundle, samples)
+    report = analyze(bundle, samples, tol=tol, margin=margin, seed=seed, certs=certs)
     atomic_write_json(out_dir / "report.json", report)
     check_flag("analysis_all_conditions", report["all_pass"],
                "every invariance/rate/coupling/separating verdict")
@@ -100,7 +100,6 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
         check(f"tau_upper_mode{q}", family["dwell_bounds"]["upper"][q], *EXPECTED["tau_upper"])
     check_flag("separating_family", family["separating"])
 
-    certs = certificates_from_report(bundle, samples)
     bounds = dwell_bounds_family(certs.values(), margin=margin)
     decay = decay_constants(certs["diag"], 0.35, 0.35)
     check("norm_rate_at_0.35", decay.norm_rate, *EXPECTED["norm_rate_at_0.35"])
@@ -116,7 +115,7 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
     traces = res1.pop("_traces")
     exp1_dir = out_dir / "periodic"
     exp1_dir.mkdir(exist_ok=True)
-    write_traces(exp1_dir, sig1, traces, plot, "periodic switching, dwell 0.35")
+    write_traces(exp1_dir, sig1, traces, True, "periodic switching, dwell 0.35")
     atomic_write_json(exp1_dir / "simulation.json", res1)
     check_flag("periodic_step_halving",
                res1["step_halving"]["worst_difference"] < 1e-6,
@@ -136,7 +135,7 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
     traces2 = res2.pop("_traces")
     exp2_dir = out_dir / "random"
     exp2_dir.mkdir(exist_ok=True)
-    write_traces(exp2_dir, sig2, traces2, plot, f"random compliant switching, seed {seed}")
+    write_traces(exp2_dir, sig2, traces2, True, f"random compliant switching, seed {seed}")
     atomic_write_json(exp2_dir / "simulation.json", res2)
     check_flag("random_distance_ratio", res2["distance_ratio"] < 1e-2,
                f"terminal/initial = {res2['distance_ratio']:.3e}")
@@ -175,7 +174,7 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
         }
 
     summary = {
-        "example": example,
+        "example": "saddle2d",
         "elapsed_seconds": time.monotonic() - t_start,
         "provenance": {"seed": seed, "step": step, "grid": grid,
                        "tol": tol, "margin": margin, "strict": strict,

@@ -12,6 +12,11 @@ from .certificates import DwellBounds
 from .system import ConfigError
 
 TIME_EPS = 1e-12
+# generate_random draws each activation length at least this far inside the
+# mode's strict dwell bounds, and at most MAX_DWELL for a mode without an upper
+# bound.
+DWELL_MARGIN = 1e-6
+MAX_DWELL = 10.0
 
 
 @dataclass(frozen=True)
@@ -256,8 +261,7 @@ def generate_periodic(mode_order, dwell, t0: float, horizon: float) -> Switching
 
 
 def generate_random(modes, bounds: DwellBounds, t0: float, horizon: float,
-                    seed: int, margin: float = 1e-6,
-                    max_dwell: float = 10.0) -> SwitchingSignal:
+                    seed: int) -> SwitchingSignal:
     """Seeded random compliant signal: every activation length is drawn
     uniformly from the mode's admissible interval and the next mode is a seeded
     uniform choice among the other modes, so verify_per_activation passes by
@@ -269,8 +273,8 @@ def generate_random(modes, bounds: DwellBounds, t0: float, horizon: float,
     for mode in modes:
         low = bounds.lower.get(mode)
         high = bounds.upper.get(mode)
-        lo = (low + margin) if low is not None else margin
-        hi = (high - margin) if high is not None else max_dwell
+        lo = (low + DWELL_MARGIN) if low is not None else DWELL_MARGIN
+        hi = (high - DWELL_MARGIN) if high is not None else MAX_DWELL
         if lo >= hi:
             raise ValueError(
                 f"mode {mode} has an empty admissible dwell interval "

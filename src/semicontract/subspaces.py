@@ -167,20 +167,16 @@ class InvarianceResult:
 
 
 def check_invariance(mode: Mode, s: Subspace, samples: SampleSet,
-                     tol: float = 1e-9, of_complement: bool = True) -> InvarianceResult:
-    """Check that the Jacobian leaves a subspace invariant at every sample.
-
-    With of_complement=True (the certificate hypothesis) the complement must be
-    invariant: || Pi_V A(x) Pi_Vperp ||_F <= tol * max(1, ||A(x)||_F).
-    With of_complement=False the subspace itself is checked instead.
+                     tol: float = 1e-9) -> InvarianceResult:
+    """Check the certificate hypothesis that the Jacobian leaves the complement
+    of a subspace invariant at every sample:
+    || Pi_V A(x) Pi_Vperp ||_F <= tol * max(1, ||A(x)||_F).
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
     pi = s.basis @ s.basis.T
-    pi_perp = np.eye(s.ambient) - pi
-    left, right = (pi, pi_perp) if of_complement else (pi_perp, pi)
     jacs = eval_jacobian(mode, samples.points)  # (m, n, n)
-    residuals = np.linalg.norm(left @ jacs @ right, axis=(1, 2))
+    residuals = np.linalg.norm(pi @ jacs @ (np.eye(s.ambient) - pi), axis=(1, 2))
     scales = np.maximum(1.0, np.linalg.norm(jacs, axis=(1, 2)))
     ratios = residuals / scales
     worst = int(np.argmax(ratios))

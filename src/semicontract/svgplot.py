@@ -6,8 +6,6 @@ inputs give byte-identical plots (no renderer ids or timestamps).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .ioutil import atomic_write_text
@@ -128,7 +126,3 @@ def write_line_plot(path, series, vlines=(), title: str = "", x_label: str = "ti
         )
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")
-
-
-def log_ticks(lo: float, hi: float):
-    return [10.0**k for k in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)]

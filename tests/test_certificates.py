@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from semicontract import certificates
 from semicontract.certificates import (
     InfeasibleError,
+    _cross_check_full_form,
     build_certificate,
     check_rate,
     check_switch_coupling,
@@ -19,7 +21,7 @@ from semicontract.certificates import (
 )
 from semicontract.expr import parse_expr
 from semicontract.linalg import gen_sym_eig, psd_check
-from semicontract.subspaces import orthonormalize, projector, reduce_weight
+from semicontract.subspaces import log_seminorm, orthonormalize, projector, reduce_weight
 from semicontract.system import load_config, make_mode, sample_domain
 from semicontract.testdata import bundled_config_path
 
@@ -118,6 +120,31 @@ def test_check_rate_unstable_side(bundle, grid41, weights):
     res_tight = check_rate(bundle.system.mode(1), weights["anti"][1], eta=0.5, stable=False,
                            samples=grid41)
     assert not res_tight.ok
+
+
+def test_check_rate_raises_when_the_reduced_form_disagrees_with_the_full_form(
+        bundle, grid41, weights, monkeypatch):
+    # mode 1 decays at rate ~2 on diag; reduced values shifted up by 3 fail the
+    # stable bound -1.5 at the first spot-checked sample, where the full form holds
+    monkeypatch.setattr(certificates, "log_seminorm", lambda w, a: log_seminorm(w, a) + 3.0)
+    with pytest.raises(RuntimeError, match="disagree at sample 0: full=True, reduced=False"):
+        check_rate(bundle.system.mode(1), weights["diag"][1], eta=1.5, stable=True,
+                   samples=grid41)
+
+
+@pytest.mark.parametrize("offset, raises", [(1e-7, False), (1e-5, True), (3.0, True)])
+def test_cross_check_exempts_only_disagreements_at_the_boundary(bundle, grid41, weights,
+                                                                offset, raises):
+    # the full form holds everywhere for bound -1.5; every reduced value is put
+    # offset above the bound, past its tolerance 1.5e-9 but within 1.5e-6 of
+    # the bound for the smallest offset
+    mode, w = bundle.system.mode(1), weights["diag"][1]
+    values = np.full(len(grid41), -1.5 + offset)
+    if raises:
+        with pytest.raises(RuntimeError, match="disagree"):
+            _cross_check_full_form(mode, w, -1.5, grid41, values, 1e-9)
+    else:
+        _cross_check_full_form(mode, w, -1.5, grid41, values, 1e-9)
 
 
 def test_reduced_full_equivalence_random_instances():

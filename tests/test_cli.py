@@ -1,9 +1,10 @@
+import argparse
 import json
 import re
 
 import pytest
 
-from semicontract.cli import main
+from semicontract.cli import build_parser, main
 from semicontract.testdata import bundled_config_path
 
 
@@ -261,3 +262,43 @@ def test_simulate_deterministic_csv(tmp_path):
                      "--step", "2e-3", "--out", str(out)]) == 0
     assert (a_dir / "distance.csv").read_bytes() == (b_dir / "distance.csv").read_bytes()
     assert (a_dir / "trajectory_a.csv").read_bytes() == (b_dir / "trajectory_a.csv").read_bytes()
+
+
+HELP = {"-h", "--help"}
+SUBCOMMAND_OPTIONS = {
+    "analyze": {"--config", "--out", "--seed", "--grid", "--samples", "--tol", "--margin",
+                "--strict", "--search-weights"},
+    "simulate": {"--config", "--out", "--seed", "--step", "--grid", "--samples", "--margin",
+                 "--strict", "--plot", "--search-weights", "--horizon", "--periodic",
+                 "--random-signal", "--signal", "--initial"},
+    "signal": {"--modes", "--periodic", "--t0", "--horizon", "--seed", "--signal",
+               "--tau-lower", "--tau-upper", "--bounds-from", "--out-file"},
+    "reproduce": {"--out", "--seed", "--step", "--grid", "--tol", "--margin", "--strict"},
+}
+
+
+def test_each_subcommand_registers_exactly_its_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, subparser in sub.choices.items():
+        options = {s for action in subparser._actions for s in action.option_strings}
+        assert options == SUBCOMMAND_OPTIONS[name] | HELP, name
+
+
+# flags each subcommand used to accept and ignore
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--step", "1e-2"],
+    ["analyze", "--plot"],
+    ["simulate", "--tol", "1e-6"],
+    ["reproduce", "--config", "other.json"],
+    ["reproduce", "--samples", "10"],
+    ["reproduce", "--plot"],
+    ["reproduce", "--search-weights"],
+    ["reproduce", "--example", "saddle2d"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

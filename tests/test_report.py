@@ -1,13 +1,15 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from semicontract import __version__
+from semicontract import __version__, certificates
 from semicontract.cli import main
 from semicontract.report import analyze, make_samples
 from semicontract.signals import generate_periodic, write_signal_csv
+from semicontract.subspaces import check_invariance, orthonormalize
 from semicontract.system import load_config
 from semicontract.testdata import bundled_config_path
 
@@ -51,3 +53,63 @@ def test_report_carries_provenance_and_note(bundle):
     assert "not a proof" in prov["note"]
     assert prov["semicontract"] == __version__
     assert prov["numpy"] == np.__version__
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name in every package namespace that binds it; returns the
+    list the wrapper appends each call's positional arguments to."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "semicontract" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def bundle_without(*keys):
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    for cert in doc["certificates"]:
+        for key in keys:
+            del cert[key]
+    return load_config(doc)
+
+
+# configured P matrices and constants; searched weights with the configured
+# constants; searched weights with every constant derived from the ratios
+@pytest.mark.parametrize("dropped, search_weights", [
+    ((), False), (("P",), True), (("P", "beta_S", "beta_U", "eta_S", "eta_U"), True),
+])
+def test_analyze_checks_each_hypothesis_once(monkeypatch, dropped, search_weights):
+    source = bundle_without(*dropped)
+    samples = make_samples(source, 11, None, 0)
+    invariance = count_calls(monkeypatch, certificates, "check_invariance")
+    ratios = count_calls(monkeypatch, certificates, "tightest_beta")
+    report = analyze(source, samples, search_weights=search_weights)
+    assert report["all_pass"] is True
+    # 2 subspaces x 2 modes, and 2 ordered mode pairs per subspace
+    checked = [(mode.id, s.basis.tobytes()) for mode, s, _ in invariance]
+    assert len(checked) == len(set(checked)) == 4
+    pairs = [(id(w_from), id(w_to)) for w_from, w_to in ratios]
+    assert len(pairs) == len(set(pairs)) == 4
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_invariance_section_matches_a_direct_check(bundle, tol):
+    samples = make_samples(bundle, 11, None, 0)
+    report = analyze(bundle, samples, tol=tol)
+    spans = {spec.name: spec.span for spec in bundle.subspaces}
+    for section in report["subspaces"]:
+        s = orthonormalize(spans[section["name"]], ambient=bundle.system.dimension)
+        for mode in bundle.system.modes:
+            inv = check_invariance(mode, s, samples, tol=max(tol, 1e-9))
+            assert section["invariance"][str(mode.id)] == {
+                "ok": inv.ok,
+                "worst_residual": inv.worst_residual,
+                "worst_point": inv.worst_point.tolist(),
+                "tolerance": max(tol, 1e-9),
+            }

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+from semicontract import report, reproduce
 from semicontract.cli import main
 
 
@@ -53,3 +54,18 @@ def test_reproduce_does_not_import_the_cli():
             "assert r.run_simulation.__module__ == 'semicontract.sim'")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_reproduction_builds_its_certificates_once(tmp_path, monkeypatch, capsys):
+    built = []
+    original = report.certificates_from_report
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(report, "certificates_from_report", counting)
+    monkeypatch.setattr(reproduce, "certificates_from_report", counting)
+    assert reproduce.run_reproduction(tmp_path, step=1e-2, grid=5) == 0
+    assert "all_pass=True" in capsys.readouterr().out
+    assert len(built) == 1

@@ -22,7 +22,7 @@ from semicontract.sim import (
     run_simulation,
     step_halving_agreement,
 )
-from semicontract.expr import to_python_source
+from semicontract.expr import Const, to_python_source
 from semicontract.subspaces import orthonormalize, projector
 from semicontract.system import eval_field, eval_jacobian, load_config
 from semicontract.testdata import bundled_config_path
@@ -412,6 +412,31 @@ def test_exp_overflow_is_divergence():
     with pytest.raises(DivergenceError) as err:
         integrate(system, single_mode_signal(1.0), [700.0], step=1e-3)
     assert 0.0 < err.value.time <= 1.0
+
+
+# 1e999 parses to Const(inf); the second field also holds inf*0 = nan and its
+# Jacobian a Const(nan)
+@pytest.mark.parametrize("field", ["-1e999*x1^2 + 0*x1", "1e999*0*x1 - x1"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_constants_integrate_like_the_reference(field):
+    system = load_config(
+        {"dimension": 1, "domain": [[-2, 2]], "modes": [{"id": 1, "field": [field]}]}
+    ).system
+    outcomes = []
+    for run in (integrate, reference_integrate):
+        try:
+            trajectory = run(system, single_mode_signal(1.0), [1.0], 1e-2)
+            outcomes.append((trajectory.times.tolist(), trajectory.states.tolist()))
+        except DivergenceError as err:
+            outcomes.append(err.time)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_non_finite_constants_render_through_the_math_module():
+    sources = [to_python_source(Const(v)) for v in (math.inf, -math.inf, math.nan)]
+    assert sources == ["math.inf", "(-math.inf)", "math.nan"]
+    values = [eval(source, {"math": math}) for source in sources]
+    assert values[:2] == [math.inf, -math.inf] and math.isnan(values[2])
 
 
 def test_integrate_rejects_a_state_of_the_wrong_dimension(bundle):
