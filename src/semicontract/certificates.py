@@ -284,10 +284,10 @@ class DecayConstants:
 
 
 def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
-                    tau_upper: float | None, n_lower: float = 1.0,
-                    n_upper: float = 1.0) -> DecayConstants:
+                    tau_upper: float | None) -> DecayConstants:
     """Decay rate and prefactors for average dwell times satisfying the bounds
-    strictly: tau_lower above the stable bound, tau_upper below the unstable one."""
+    strictly: tau_lower above the stable bound, tau_upper below the unstable one.
+    The chatter bounds of both average-dwell conditions are 1."""
     terms = []
     log_sum = 0.0
     if cert.stable_modes:
@@ -300,7 +300,7 @@ def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
         if term >= 0:
             raise InfeasibleError("average dwell time violates the stable bound")
         terms.append(abs(term))
-        log_sum += len(cert.stable_modes) * n_lower * math.log(beta)
+        log_sum += len(cert.stable_modes) * math.log(beta)
     if cert.unstable_modes:
         beta = cert.beta_unstable
         eta = cert.eta_unstable
@@ -312,7 +312,7 @@ def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
         if term >= 0:
             raise InfeasibleError("average leave time violates the unstable bound")
         terms.append(abs(term))
-        log_sum += len(cert.unstable_modes) * n_upper * math.log(beta)
+        log_sum += len(cert.unstable_modes) * math.log(beta)
     if not terms:
         raise ValueError("certificate classifies no modes")
     rate = min(terms)
@@ -321,16 +321,14 @@ def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
     return DecayConstants(rate, prefactor, norm_prefactor, rate / 2.0)
 
 
-def _invariance(mode: Mode, s: Subspace, samples: SampleSet,
-                with_point: bool) -> InvarianceResult:
+def _invariance(mode: Mode, s: Subspace, samples: SampleSet) -> InvarianceResult:
     """The hypothesis that the complement of s is invariant under the mode, at
     INVARIANCE_TOL; raises InfeasibleError when a sample violates it."""
     inv = check_invariance(mode, s, samples, tol=INVARIANCE_TOL)
     if not inv.ok:
-        where = f" at {inv.worst_point}" if with_point else ""
         raise InfeasibleError(
             f"complement is not invariant under mode {mode.id} "
-            f"(residual {inv.worst_residual:.3e}{where})"
+            f"(residual {inv.worst_residual:.3e} at {inv.worst_point})"
         )
     return inv
 
@@ -346,7 +344,7 @@ def build_certificate(system: SwitchedSystem, s: Subspace, weights_by_mode: dict
     for mode in system.modes:
         if mode.id not in weights_by_mode:
             raise ValueError(f"missing weight for mode {mode.id}")
-        invariance[mode.id] = _invariance(mode, s, samples, with_point=True)
+        invariance[mode.id] = _invariance(mode, s, samples)
         p = weights_by_mode[mode.id]
         weights[mode.id] = p if isinstance(p, WeightedSeminorm) else reduce_weight(p, s)
     return _certificate(system, s, weights, invariance, samples, beta_stable,
@@ -407,7 +405,7 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
     unit = reduce_weight(pi, s)
     invariance, sups = {}, {}
     for mode in system.modes:
-        invariance[mode.id] = _invariance(mode, s, samples, with_point=False)
+        invariance[mode.id] = _invariance(mode, s, samples)
         sups[mode.id] = tightest_eta(mode, unit, samples)
     stable = [q for q, v in sups.items() if v < 0.0]
     unstable = [q for q, v in sups.items() if v >= 0.0]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import numpy as np
 from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError, dwell_bounds_family
 from .ioutil import atomic_write_json
 from .linalg import PSD_TOL
-from .report import analyze, certificates_from_report, config_digest, make_samples
+from .report import analyze, bounds_from_report, certificates_from_report, config_digest, \
+    make_samples
 from .reproduce import run_reproduction
 from .signals import (
     SwitchingSignal,
@@ -34,15 +37,36 @@ CONFIG_EXIT = 2
 VERDICT_EXIT = 1
 
 
+def _flag_type(kind, ok, rule: str):
+    """An argparse type: text that kind() turns into a value with ok(value);
+    other text is a usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+    return parse
+
+
+POSITIVE = _flag_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+GRID = _flag_type(int, lambda v: v >= 2, "an integer >= 2")
+COUNT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+MODES = _flag_type(lambda text: [int(m) for m in text.split(",")],
+                   lambda v: min(v) >= 1 and len(set(v)) == len(v),
+                   "comma-separated distinct positive integers")
+
 # Options shared by analyze, simulate and reproduce; each subcommand registers
 # only those it reads.
 OPTIONS = {
     "--config": dict(default=None, help="system configuration JSON"),
     "--out": dict(default=None, help="output directory (default: stdout/cwd)"),
     "--seed": dict(type=int, default=0),
-    "--step": dict(type=float, default=1e-3, help="integration step [s]"),
-    "--grid": dict(type=int, default=None, help="grid points per axis"),
-    "--samples": dict(type=int, default=None, help="random sample count"),
+    "--step": dict(type=POSITIVE, default=1e-3, help="integration step [s]"),
+    "--grid": dict(type=GRID, default=None, help="grid points per axis"),
+    "--samples": dict(type=COUNT, default=None, help="random sample count"),
     "--tol": dict(type=float, default=PSD_TOL, help="relative tolerance for semidefinite checks"),
     "--margin": dict(type=float, default=DEFAULT_MARGIN,
                      help="multiplicative margin on derived constants"),
@@ -99,8 +123,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+def _initial_state(text: str, dimension: int) -> np.ndarray:
+    try:
+        x = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        x = np.array([])
+    if x.shape != (dimension,) or not np.all(np.isfinite(x)):
+        raise ConfigError(f"initial state {text!r} is not {dimension} comma-separated numbers")
+    return x
 
 
 def _simulation_signal(args, mode_ids, bounds: DwellBounds | None) -> SwitchingSignal:
@@ -116,6 +146,7 @@ def _simulation_signal(args, mode_ids, bounds: DwellBounds | None) -> SwitchingS
 def cmd_simulate(args) -> int:
     try:
         bundle = _load(args)
+        x_a0, x_b0 = (_initial_state(text, bundle.system.dimension) for text in args.initial)
     except (ConfigError, OSError) as exc:
         return _config_error(exc)
     samples = make_samples(bundle, args.grid, args.samples, args.seed)
@@ -132,11 +163,7 @@ def cmd_simulate(args) -> int:
     except (InfeasibleError, ValueError) as exc:
         print(f"no signal to simulate: {exc}", file=sys.stderr)
         return VERDICT_EXIT
-    x_a0 = _parse_vector(args.initial[0])
-    x_b0 = _parse_vector(args.initial[1])
-    subspace_specs = {spec.name: spec.span for spec in bundle.subspaces}
-    result = run_simulation(bundle, sig, x_a0, x_b0, args.step, subspace_specs, bounds)
-    traces = result.pop("_traces", None)
+    result, traces = run_simulation(bundle, sig, x_a0, x_b0, args.step, bounds)
     report = {
         "schema_version": 1,
         "provenance": {
@@ -168,27 +195,26 @@ def cmd_simulate(args) -> int:
 
 def _bounds_from_args(args, modes) -> DwellBounds:
     if args.bounds_from:
-        doc = json.loads(Path(args.bounds_from).read_text(encoding="utf-8"))
-        section = doc["family"]["dwell_bounds"]
-        return DwellBounds(
-            {int(q): v for q, v in section["lower"].items()},
-            {int(q): v for q, v in section["upper"].items()},
-            "report", section.get("margin", 0.0),
-        )
-    lower = {q: args.tau_lower for q in modes} if args.tau_lower else {}
-    upper = {q: args.tau_upper for q in modes} if args.tau_upper else {}
+        try:
+            doc = json.loads(Path(args.bounds_from).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read report {args.bounds_from}: {exc}") from None
+        return bounds_from_report(doc)
+    lower = {q: args.tau_lower for q in modes} if args.tau_lower is not None else {}
+    upper = {q: args.tau_upper for q in modes} if args.tau_upper is not None else {}
     return DwellBounds(lower, upper, "flags", 0.0)
 
 
 def cmd_signal(args) -> int:
     if args.action == "gen":
-        modes = [int(m) for m in args.modes.split(",")]
         if args.periodic:
-            sig = generate_periodic(modes, args.periodic, args.t0, args.horizon)
+            sig = generate_periodic(args.modes, args.periodic, args.t0, args.horizon)
         else:
-            bounds = _bounds_from_args(args, modes)
             try:
-                sig = generate_random(modes, bounds, args.t0, args.horizon, seed=args.seed)
+                bounds = _bounds_from_args(args, args.modes)
+                sig = generate_random(args.modes, bounds, args.t0, args.horizon, seed=args.seed)
+            except ConfigError as exc:
+                return _config_error(exc)
             except ValueError as exc:
                 print(f"infeasible bounds: {exc}", file=sys.stderr)
                 return VERDICT_EXIT
@@ -202,19 +228,17 @@ def cmd_signal(args) -> int:
         return _config_error("signal check needs --signal")
     try:
         sig = read_signal_csv(args.signal, horizon=args.horizon)
+        modes = list(sig.modes)
+        bounds = _bounds_from_args(args, modes)
     except (ConfigError, OSError) as exc:
         return _config_error(exc)
-    modes = list(sig.modes)
-    bounds = _bounds_from_args(args, modes)
     check = verify_per_activation(sig, bounds)
     report = {"per_activation": {"ok": check.ok, "detail": check.reason}}
     ok = check.ok
     for q in modes:
-        entry = {}
         lengths = [a.length for a in sig.activations() if a.mode == q]
-        entry["activations"] = len(lengths)
-        entry["min_dwell"] = min(lengths)
-        entry["max_dwell"] = max(lengths)
+        entry = {"activations": len(lengths), "min_dwell": min(lengths),
+                 "max_dwell": max(lengths)}
         if q in bounds.lower:
             res = verify_mdadt(sig, q, bounds.lower[q], n_lower=1.0)
             entry["mdadt"] = {"ok": res.ok, "tau": bounds.lower[q],
@@ -241,8 +265,17 @@ def cmd_reproduce(args) -> int:
                             margin=_margin(args), strict=args.strict)
 
 
+class _Parser(argparse.ArgumentParser):
+    # no flag starts with a minus and a digit, so a token such as -2,1 or
+    # -1e-3 is a value (argparse alone reads only -2 and -0.5 as values)
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semicontract",
         description=(
             "Certify contraction of switched systems whose modes are each "
@@ -260,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate a trajectory pair under a signal")
     _add_options(p_sim, "--config", "--out", "--seed", "--step", "--grid", "--samples",
                  "--margin", "--strict", "--plot", "--search-weights")
-    p_sim.add_argument("--horizon", type=float, default=10.0)
-    p_sim.add_argument("--periodic", type=float, default=0.35,
+    p_sim.add_argument("--horizon", type=POSITIVE, default=10.0)
+    p_sim.add_argument("--periodic", type=POSITIVE, default=0.35,
                        help="periodic dwell time per mode [s]")
     p_sim.add_argument("--random-signal", action="store_true",
                        help="seeded random signal satisfying the certified bounds")
@@ -272,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_signal = sub.add_parser("signal", help="generate or check switching signals")
     p_signal.add_argument("action", choices=["gen", "check"])
-    p_signal.add_argument("--modes", default="1,2")
-    p_signal.add_argument("--periodic", type=float, default=None)
+    p_signal.add_argument("--modes", type=MODES, default="1,2")
+    p_signal.add_argument("--periodic", type=POSITIVE, default=None)
     p_signal.add_argument("--t0", type=float, default=0.0)
-    p_signal.add_argument("--horizon", type=float, default=10.0)
+    p_signal.add_argument("--horizon", type=POSITIVE, default=10.0)
     p_signal.add_argument("--seed", type=int, default=0)
     p_signal.add_argument("--signal", default=None, help="signal CSV to check")
-    p_signal.add_argument("--tau-lower", type=float, default=None)
-    p_signal.add_argument("--tau-upper", type=float, default=None)
+    p_signal.add_argument("--tau-lower", type=POSITIVE, default=None)
+    p_signal.add_argument("--tau-upper", type=POSITIVE, default=None)
     p_signal.add_argument("--bounds-from", default=None,
                           help="analysis report JSON supplying family bounds")
     p_signal.add_argument("--out-file", default=None)

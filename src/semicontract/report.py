@@ -25,7 +25,7 @@ from .certificates import (
 )
 from .linalg import PSD_TOL
 from .subspaces import check_separating, orthonormalize, projector
-from .system import ConfigBundle, SampleSet, default_samples, sample_domain
+from .system import ConfigBundle, ConfigError, SampleSet, default_samples, sample_domain
 
 SCHEMA_VERSION = 1
 SAMPLED_EVIDENCE_NOTE = (
@@ -209,6 +209,19 @@ def _bounds_section(bounds: DwellBounds) -> dict:
         "margin": bounds.margin,
         "boundary": "open" if bounds.margin == 0.0 else "closed-usable",
     }
+
+
+def bounds_from_report(report) -> DwellBounds:
+    """The family dwell bounds an analysis report records (read back as
+    written by _bounds_section); a report without them, such as one whose
+    family does not separate, raises ConfigError."""
+    try:
+        section = report["family"]["dwell_bounds"]
+        return DwellBounds({int(q): v for q, v in section["lower"].items()},
+                           {int(q): v for q, v in section["upper"].items()},
+                           "report", section.get("margin", 0.0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"report holds no family dwell bounds ({exc!r})") from None
 
 
 def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import decay_constants, dwell_bounds_family
+from .certificates import decay_constants
 from .ioutil import atomic_write_json
-from .report import analyze, certificates_from_report, make_samples
+from .report import analyze, bounds_from_report, certificates_from_report, make_samples
 from .signals import generate_periodic, generate_random, verify_per_activation
 from .sim import integrate, integrate_variational, run_simulation, write_traces
 from .system import load_config
@@ -51,6 +51,9 @@ DOCUMENTED_MISMATCHES = {
     },
 }
 
+# the result entries of each simulation that reproduction.json repeats
+SIMULATION_SUMMARY = ("terminal_distance", "distance_ratio", "rate_fit", "step_halving")
+
 
 def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
                      grid: int = 41, tol: float = 1e-9, margin: float = 1e-6,
@@ -62,13 +65,9 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
     samples = make_samples(bundle, grid, None, seed)
     checks: list[dict] = []
 
-    def check(name, value, expected, tolerance, extra=None):
-        ok = bool(abs(value - expected) <= tolerance)
-        entry = {"name": name, "value": value, "expected": expected,
-                 "tolerance": tolerance, "ok": ok}
-        if extra:
-            entry.update(extra)
-        checks.append(entry)
+    def check(name, value, expected, tolerance):
+        checks.append({"name": name, "value": value, "expected": expected,
+                       "tolerance": tolerance, "ok": bool(abs(value - expected) <= tolerance)})
 
     def check_flag(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -100,23 +99,34 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
         check(f"tau_upper_mode{q}", family["dwell_bounds"]["upper"][q], *EXPECTED["tau_upper"])
     check_flag("separating_family", family["separating"])
 
-    bounds = dwell_bounds_family(certs.values(), margin=margin)
+    bounds = bounds_from_report(report)
     decay = decay_constants(certs["diag"], 0.35, 0.35)
     check("norm_rate_at_0.35", decay.norm_rate, *EXPECTED["norm_rate_at_0.35"])
 
-    subspace_specs = {spec.name: spec.span for spec in bundle.subspaces}
     x_a0, x_b0 = np.array([2.0, -1.0]), np.array([-2.0, 1.0])
     horizon = 10.0
+    # periodic switching at dwell 0.35, a seeded random signal satisfying the
+    # certified bounds, and the negative control at dwell 1.0, which violates
+    # the certified leave bound; the control writes no trace files
+    random_signal = generate_random([1, 2], bounds, 0.0, horizon, seed=seed)
+    control_signal = generate_periodic([1, 2], 1.0, 0.0, horizon)
+    experiments = [
+        ("periodic_dwell_0.35", generate_periodic([1, 2], 0.35, 0.0, horizon),
+         out_dir / "periodic" / "simulation.json", "periodic switching, dwell 0.35"),
+        (f"random_seed_{seed}", random_signal,
+         out_dir / "random" / "simulation.json", f"random compliant switching, seed {seed}"),
+        ("control_dwell_1.0", control_signal, out_dir / "control_simulation.json", None),
+    ]
+    simulations = {}
+    for name, sig, path, title in experiments:
+        result, traces = run_simulation(bundle, sig, x_a0, x_b0, step, bounds)
+        path.parent.mkdir(exist_ok=True)
+        if title:
+            write_traces(path.parent, sig, traces, True, title)
+        atomic_write_json(path, result)
+        simulations[name] = result
+    res1, res2, res3 = simulations.values()
 
-    # experiment 1: periodic switching at dwell 0.35
-    sig1 = generate_periodic([1, 2], 0.35, 0.0, horizon)
-    res1 = run_simulation(bundle, sig1, x_a0, x_b0, step, subspace_specs, bounds,
-                          fit_window=(2.0, 10.0))
-    traces = res1.pop("_traces")
-    exp1_dir = out_dir / "periodic"
-    exp1_dir.mkdir(exist_ok=True)
-    write_traces(exp1_dir, sig1, traces, True, "periodic switching, dwell 0.35")
-    atomic_write_json(exp1_dir / "simulation.json", res1)
     check_flag("periodic_step_halving",
                res1["step_halving"]["worst_difference"] < 1e-6,
                f"worst difference {res1['step_halving']['worst_difference']:.3e}")
@@ -127,29 +137,14 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
                res1["rate_fit"]["rate"] >= 0.9 * decay.norm_rate,
                f"fit {res1['rate_fit']['rate']:.4f} vs certified floor {decay.norm_rate:.4f}")
 
-    # experiment 2: seeded random signal satisfying the certified bounds
-    sig2 = generate_random([1, 2], bounds, 0.0, horizon, seed=seed)
-    check_flag("random_signal_compliant", verify_per_activation(sig2, bounds).ok)
-    res2 = run_simulation(bundle, sig2, x_a0, x_b0, step, subspace_specs, bounds,
-                          fit_window=(2.0, 10.0))
-    traces2 = res2.pop("_traces")
-    exp2_dir = out_dir / "random"
-    exp2_dir.mkdir(exist_ok=True)
-    write_traces(exp2_dir, sig2, traces2, True, f"random compliant switching, seed {seed}")
-    atomic_write_json(exp2_dir / "simulation.json", res2)
+    check_flag("random_signal_compliant", verify_per_activation(random_signal, bounds).ok)
     check_flag("random_distance_ratio", res2["distance_ratio"] < 1e-2,
                f"terminal/initial = {res2['distance_ratio']:.3e}")
     check_flag("random_envelope_monotone", res2["envelope_monotone"],
                "distance at activation boundaries decays monotonically")
 
-    # negative control: dwell 1.0 violates the certified leave bound
-    sig3 = generate_periodic([1, 2], 1.0, 0.0, horizon)
-    control_check = verify_per_activation(sig3, bounds)
+    control_check = verify_per_activation(control_signal, bounds)
     check_flag("control_flagged_by_checker", not control_check.ok, control_check.reason)
-    res3 = run_simulation(bundle, sig3, x_a0, x_b0, step, subspace_specs, bounds,
-                          fit_window=(2.0, 10.0))
-    res3.pop("_traces")
-    atomic_write_json(out_dir / "control_simulation.json", res3)
     mismatch("negative_control_growth",
              f"distance ratio {res3['distance_ratio']:.3e} (decays)")
 
@@ -165,25 +160,14 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
     rel = float(np.max(np.linalg.norm(fd - trace.states, axis=1) / scale))
     check_flag("variational_fd_consistency", rel < 1e-4, f"max relative error {rel:.3e}")
 
-    def sim_summary(res):
-        return {
-            "terminal_distance": res["terminal_distance"],
-            "distance_ratio": res["distance_ratio"],
-            "rate_fit": res["rate_fit"],
-            "step_halving": res["step_halving"],
-        }
-
     summary = {
         "example": "saddle2d",
         "elapsed_seconds": time.monotonic() - t_start,
         "provenance": {"seed": seed, "step": step, "grid": grid,
                        "tol": tol, "margin": margin, "strict": strict,
                        "initial_states": [x_a0.tolist(), x_b0.tolist()]},
-        "simulation": {
-            "periodic_dwell_0.35": sim_summary(res1),
-            f"random_seed_{seed}": sim_summary(res2),
-            "control_dwell_1.0": sim_summary(res3),
-        },
+        "simulation": {name: {key: res[key] for key in SIMULATION_SUMMARY}
+                       for name, res in simulations.items()},
         "checks": checks,
         "all_pass": all(c["ok"] for c in checks),
         "documented_mismatches": sorted(DOCUMENTED_MISMATCHES),

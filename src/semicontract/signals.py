@@ -305,9 +305,9 @@ def write_signal_csv(sig: SwitchingSignal, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_signal_csv(path, horizon: float | None = None) -> SwitchingSignal:
-    """Read a `time,mode` signal CSV; a file that does not hold a valid signal
-    raises ConfigError."""
+def read_signal_csv(path, horizon: float) -> SwitchingSignal:
+    """Read a `time,mode` signal CSV that runs until the horizon; a file that
+    does not hold a valid signal raises ConfigError."""
     import csv
     from pathlib import Path
 
@@ -323,16 +323,7 @@ def read_signal_csv(path, horizon: float | None = None) -> SwitchingSignal:
         events = tuple((float(r["time"]), int(r["mode"])) for r in rows)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad signal file {path}: {exc}") from None
-    t0 = events[0][0]
-    if horizon is None:
-        # without an explicit horizon, extend past the last switch by the
-        # median dwell so the final activation has nonzero length
-        if len(events) > 1:
-            dwells = [b[0] - a[0] for a, b in zip(events, events[1:])]
-            horizon = events[-1][0] + float(np.median(dwells))
-        else:
-            horizon = t0 + 1.0
     try:
-        return SwitchingSignal(t0, events, horizon)
+        return SwitchingSignal(events[0][0], events, horizon)
     except ValueError as exc:
         raise ConfigError(f"bad signal file {path}: {exc}") from None

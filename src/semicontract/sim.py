@@ -13,7 +13,7 @@ Jacobian computed once, and run on Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -283,10 +283,12 @@ def step_halving_agreement(system: SwitchedSystem, sig: SwitchingSignal, x0,
     return _halving_difference(sig, coarse, integrate(system, sig, x0, step / 2.0, t_end))
 
 
-def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
-                   bounds: DwellBounds | None, fit_window=None) -> dict:
+def run_simulation(bundle, sig, x_a0, x_b0, step: float,
+                   bounds: DwellBounds | None) -> tuple[dict, dict | None]:
     """Integrate a trajectory pair, validate it by step halving and against the
-    domain box, and measure distance and per-subspace projected distances."""
+    domain box, and measure distance (rate fitted on the last 80 % of the run)
+    and projected distances on the bundle's subspaces. Returns the result and
+    the traces for write_traces, None for a diverging run."""
     system = bundle.system
     try:
         traj_a = integrate(system, sig, x_a0, step)
@@ -297,7 +299,7 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
         )
     except DivergenceError as exc:
         return {"verdicts": [{"name": "finite_trajectories", "ok": False}],
-                "divergence_time": exc.time}
+                "divergence_time": exc.time}, None
     exits = [(float(traj.times[k]), label)
              for label, traj in (("a", traj_a), ("b", traj_b))
              if (k := system.domain.first_outside(traj.states)) is not None]
@@ -321,17 +323,9 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
     result["envelope_monotone"] = bool(
         all(b <= a * (1 + 1e-9) for a, b in zip(envelope, envelope[1:]))
     )
-    if fit_window is None:
-        span = float(traj_a.times[-1])
-        fit_window = (0.2 * span, span)
-    fit = fit_rate(traj_a.times, distance, fit_window)
-    result["rate_fit"] = {
-        "rate": fit.rate,
-        "prefactor": fit.prefactor,
-        "rmse": fit.rmse,
-        "window": list(fit.window),
-        "floored_points": fit.floored_points,
-    }
+    span = float(traj_a.times[-1])
+    fit = fit_rate(traj_a.times, distance, (0.2 * span, span))
+    result["rate_fit"] = {**asdict(fit), "window": list(fit.window)}
     if bounds is not None:
         check = verify_per_activation(sig, bounds)
         result["signal_within_bounds"] = {
@@ -343,18 +337,12 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float, subspace_specs,
         }
         result["verdicts"].append({"name": "signal_within_bounds", "ok": bool(check.ok)})
     projections = {}
-    for name, spec in subspace_specs.items():
-        s = orthonormalize(spec, ambient=system.dimension)
-        pi = projector(s).matrix
-        projections[name] = np.linalg.norm((traj_a.states - traj_b.states) @ pi.T, axis=1)
-    result["_traces"] = {
-        "times": traj_a.times,
-        "a": traj_a.states,
-        "b": traj_b.states,
-        "distance": distance,
-        "projections": projections,
-    }
-    return result
+    for spec in bundle.subspaces:
+        pi = projector(orthonormalize(spec.span, ambient=system.dimension)).matrix
+        projections[spec.name] = np.linalg.norm((traj_a.states - traj_b.states) @ pi.T, axis=1)
+    traces = {"times": traj_a.times, "a": traj_a.states, "b": traj_b.states,
+              "distance": distance, "projections": projections}
+    return result, traces
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -365,8 +353,8 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def write_traces(out_dir: Path, sig, traces, plot: bool, title: str) -> None:
-    """Write the trajectory pair, distance and signal CSVs of a run_simulation
-    result, and with `plot` its distance SVG."""
+    """Write the trajectory pair, distance and signal CSVs of run_simulation's
+    traces, and with `plot` their distance SVG."""
     times = traces["times"]
     n = traces["a"].shape[1]
     state_header = "time," + ",".join(f"x{i + 1}" for i in range(n))
@@ -383,5 +371,4 @@ def write_traces(out_dir: Path, sig, traces, plot: bool, title: str) -> None:
         series = [("|x_a - x_b|", times, traces["distance"])]
         for name in proj_names:
             series.append((f"projected onto {name}", times, traces["projections"][name]))
-        write_line_plot(out_dir / "distance.svg", series, vlines=sig.switch_times,
-                        title=title, y_label="distance (log scale)")
+        write_line_plot(out_dir / "distance.svg", series, sig.switch_times, title)

@@ -32,28 +32,23 @@ def _downsample(times, values):
     return times[idx], values[idx]
 
 
-def write_line_plot(path, series, vlines=(), title: str = "", x_label: str = "time [s]",
-                    y_label: str = "", y_log: bool = True) -> None:
-    """Write a line chart. series is a list of (label, times, values); vlines
-    are x positions drawn as dashed markers (switch times)."""
+def write_line_plot(path, series, vlines, title: str) -> None:
+    """Write a chart of distances over time on a log10 axis. series is a list
+    of (label, times, values); vlines are x positions drawn as dashed markers
+    (switch times)."""
     if not series:
         raise ValueError("nothing to plot")
-    prepared = []
+    prepared = []  # (label, times, log10 values)
     for label, times, values in series:
         times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if y_log:
-            values = np.maximum(values, 1e-300)
-        prepared.append((label, *_downsample(times, values)))
+        values = np.maximum(np.asarray(values, dtype=float), 1e-300)
+        times, values = _downsample(times, values)
+        prepared.append((label, times, np.log10(values)))
 
     x_min = min(float(t[0]) for _, t, _ in prepared)
     x_max = max(float(t[-1]) for _, t, _ in prepared)
-    if y_log:
-        y_min = min(float(np.min(np.log10(v))) for _, _, v in prepared)
-        y_max = max(float(np.max(np.log10(v))) for _, _, v in prepared)
-    else:
-        y_min = min(float(np.min(v)) for _, _, v in prepared)
-        y_max = max(float(np.max(v)) for _, _, v in prepared)
+    y_min = min(float(np.min(v)) for _, _, v in prepared)
+    y_max = max(float(np.max(v)) for _, _, v in prepared)
     if y_max - y_min < 1e-12:
         y_min, y_max = y_min - 1.0, y_max + 1.0
     if x_max - x_min < 1e-12:
@@ -96,25 +91,22 @@ def write_line_plot(path, series, vlines=(), title: str = "", x_label: str = "ti
             f'font-family="sans-serif" font-size="11">{_tick_label(x)}</text>'
         )
         y = y_min + k * (y_max - y_min) / 5
-        label = f"1e{y:.1f}" if y_log else _tick_label(y)
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT - 6)}" y="{_fmt(sy(y) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
+            f'font-family="sans-serif" font-size="11">1e{y:.1f}</text>'
         )
     parts.append(
         f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12">time [s]</text>'
     )
-    if y_label:
-        y_mid = MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="16" y="{_fmt(y_mid)}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 16 {_fmt(y_mid)})">{y_label}</text>'
-        )
+    y_mid = MARGIN_TOP + plot_h / 2
+    parts.append(
+        f'<text x="16" y="{_fmt(y_mid)}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 16 {_fmt(y_mid)})">distance (log scale)</text>'
+    )
     # series
-    for k, (label, times, values) in enumerate(prepared):
+    for k, (label, times, ys) in enumerate(prepared):
         color = PALETTE[k % len(PALETTE)]
-        ys = np.log10(values) if y_log else values
         points = " ".join(f"{_fmt(sx(t))},{_fmt(sy(y))}" for t, y in zip(times, ys))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>'

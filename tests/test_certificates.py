@@ -274,7 +274,7 @@ def test_dwell_bounds_family_equal_constants_match_single(bundle, grid41, weight
 
 def test_decay_constants_published(bundle, grid41, weights):
     cert = certificate_for(bundle, grid41, weights, "diag", (1, 2))
-    dc = decay_constants(cert, tau_lower=0.35, tau_upper=0.35, n_lower=1.0, n_upper=1.0)
+    dc = decay_constants(cert, tau_lower=0.35, tau_upper=0.35)
     stable_term = abs(-2 * 1.5 + math.log(1.6084) / 0.35)
     unstable_term = abs(2 * 0.6 + math.log(0.6217) / 0.35)
     assert stable_term == pytest.approx(1.642, abs=1e-3)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -146,7 +148,7 @@ def test_simulate_divergence_is_reported_not_raised(tmp_path, capsys):
 
 
 def test_simulate_reports_leaving_the_domain(tmp_path, capsys):
-    code = main(["simulate", "--initial", "4.5,-4.5", " -2,1", "--horizon", "1",
+    code = main(["simulate", "--initial", "4.5,-4.5", "-2,1", "--horizon", "1",
                  "--step", "2e-3", "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
@@ -302,3 +304,127 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+BAD_FLAG_VALUES = [
+    (["analyze", "--grid", "1"], "--grid"),
+    (["analyze", "--grid", "2.5"], "--grid"),
+    (["analyze", "--samples", "0"], "--samples"),
+    (["simulate", "--step", "0"], "--step"),
+    (["simulate", "--horizon", "inf"], "--horizon"),
+    (["simulate", "--periodic", "nan"], "--periodic"),
+    (["reproduce", "--step", "-1e-3"], "--step"),
+    (["reproduce", "--grid", "0"], "--grid"),
+    (["signal", "gen", "--modes", "1,x"], "--modes"),
+    (["signal", "gen", "--modes", "0,1"], "--modes"),
+    (["signal", "gen", "--modes", "1,1"], "--modes"),
+    (["signal", "gen", "--periodic", "-1"], "--periodic"),
+    (["signal", "gen", "--horizon", "0"], "--horizon"),
+    (["signal", "check", "--tau-lower", "-1"], "--tau-lower"),
+    (["signal", "check", "--tau-lower", "0"], "--tau-lower"),
+    (["signal", "check", "--tau-upper", "x"], "--tau-upper"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAG_VALUES,
+                         ids=[" ".join(argv) for argv, _ in BAD_FLAG_VALUES])
+def test_a_flag_value_out_of_range_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected" in err
+    assert f"got {argv[-1]!r}" in err
+
+
+@pytest.mark.parametrize("initial", [["2,x", "2,1"], ["1,2,3", "2,1"], ["2,1", "1"],
+                                     ["2,1", "nan,1"], ["2,1", ""]])
+def test_a_bad_initial_state_is_a_config_error(tmp_path, capsys, initial):
+    code = main(["simulate", "--initial", *initial, "--horizon", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: initial state")
+    assert not (tmp_path / "simulation.json").exists()
+
+
+@pytest.mark.parametrize("initial", [["2,-1", "-2,1"], ["-.5,1", "-1e-1,-2"]])
+def test_initial_states_with_negative_coordinates_parse(initial):
+    args = build_parser().parse_args(["simulate", "--initial", *initial])
+    assert args.initial == initial
+
+
+def test_simulate_runs_from_negative_initial_states(tmp_path):
+    code = main(["simulate", "--initial", "-2,1", "2,-1", "--horizon", "1",
+                 "--step", "2e-3", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "simulation.json").read_text())
+    assert report["provenance"]["initial_states"] == [[-2.0, 1.0], [2.0, -1.0]]
+
+
+def non_separating_report(tmp_path):
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    doc["subspaces"] = doc["subspaces"][:1]
+    doc["certificates"] = doc["certificates"][:1]
+    config = tmp_path / "single.json"
+    config.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(config), "--grid", "5", "--out", str(tmp_path)]) == 1
+    return tmp_path / "report.json"
+
+
+def invalid_json_report(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    return path
+
+
+BAD_REPORTS = {
+    "missing_file": lambda tmp_path: tmp_path / "absent.json",
+    "invalid_json": invalid_json_report,
+    "not_separating": non_separating_report,
+}
+
+
+@pytest.mark.parametrize("action", ["gen", "check"])
+@pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+def test_signal_bounds_from_a_bad_report_is_a_config_error(tmp_path, capsys, case, action):
+    signal = tmp_path / "sig.csv"
+    assert main(["signal", "gen", "--periodic", "0.35", "--horizon", "2",
+                 "--out-file", str(signal)]) == 0
+    report = BAD_REPORTS[case](tmp_path)
+    capsys.readouterr()
+    argv = ["signal", action, "--bounds-from", str(report), "--horizon", "2"]
+    argv += ["--signal", str(signal)] if action == "check" else ["--out-file", str(signal)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_signal_check_reads_bounds_from_a_report(tmp_path, capsys):
+    assert main(["analyze", "--grid", "11", "--out", str(tmp_path)]) == 0
+    signal = tmp_path / "sig.csv"
+    main(["signal", "gen", "--periodic", "0.35", "--horizon", "10", "--out-file", str(signal)])
+    capsys.readouterr()
+    code = main(["signal", "check", "--signal", str(signal), "--horizon", "10",
+                 "--bounds-from", str(tmp_path / "report.json")])
+    assert code == 0
+    bounds = json.loads((tmp_path / "report.json").read_text())["family"]["dwell_bounds"]
+    checked = json.loads(capsys.readouterr().out)
+    assert checked["mode_1"]["mdadt"]["tau"] == bounds["lower"]["1"]
+    assert checked["mode_2"]["mdalt"]["tau"] == bounds["upper"]["2"]
+
+
+def readme_commands():
+    """The `semicontract ...` commands of the README's CLI block, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("semicontract ")]
+
+
+def test_the_readme_cli_block_has_examples_of_every_subcommand():
+    commands = [shlex.split(line)[1] for line in readme_commands()]
+    assert set(commands) == set(SUBCOMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_every_readme_cli_example_parses(line):
+    build_parser().parse_args(shlex.split(line)[1:])

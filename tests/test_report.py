@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from semicontract import __version__, certificates
+from semicontract.certificates import dwell_bounds_family
 from semicontract.cli import main
-from semicontract.report import analyze, make_samples
+from semicontract.report import analyze, bounds_from_report, certificates_from_report, \
+    make_samples
 from semicontract.signals import generate_periodic, write_signal_csv
 from semicontract.subspaces import check_invariance, orthonormalize
-from semicontract.system import load_config
+from semicontract.system import ConfigError, load_config
 from semicontract.testdata import bundled_config_path
 
 
@@ -113,3 +115,31 @@ def test_invariance_section_matches_a_direct_check(bundle, tol):
                 "worst_point": inv.worst_point.tolist(),
                 "tolerance": max(tol, 1e-9),
             }
+
+
+@pytest.mark.parametrize("search_weights", [False, True])
+def test_bounds_read_from_a_report_equal_the_family_bounds(bundle, search_weights):
+    samples = make_samples(bundle, 41, None, 0)
+    certs = certificates_from_report(bundle, samples, search_weights)
+    report = analyze(bundle, samples, search_weights=search_weights, certs=certs)
+    expected = dwell_bounds_family(certs.values(), margin=report["provenance"]["margin"])
+    # in memory, as reproduce reads it, and through JSON, as signal --bounds-from reads it
+    for doc in (report, json.loads(json.dumps(report))):
+        bounds = bounds_from_report(doc)
+        assert bounds.lower == expected.lower
+        assert bounds.upper == expected.upper
+        assert bounds.margin == expected.margin
+        assert list(bounds.lower) == list(expected.lower)
+        assert list(bounds.upper) == list(expected.upper)
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": {"separating": False}},
+    {"family": {"dwell_bounds": {"lower": {"one": 0.1}, "upper": {}}}},
+    {"family": {"dwell_bounds": []}},
+    {},
+    [],
+])
+def test_a_report_without_family_bounds_is_a_config_error(doc):
+    with pytest.raises(ConfigError, match="no family dwell bounds"):
+        bounds_from_report(doc)

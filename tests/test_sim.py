@@ -599,7 +599,7 @@ def test_run_simulation_checks_step_halving_on_its_own_runs(bundle, monkeypatch)
         return original(system, signal, x0, step, t_end)
 
     monkeypatch.setattr(sim, "integrate", counting)
-    result = run_simulation(bundle, sig, x_a0, x_b0, 2e-3, {}, None)
+    result, _ = run_simulation(bundle, sig, x_a0, x_b0, 2e-3, None)
     assert sorted(steps) == [1e-3, 1e-3, 2e-3, 2e-3]  # one run and its half-step rerun each
     assert result["step_halving"]["worst_difference"] == max(
         step_halving_agreement(bundle.system, sig, x_a0, 2e-3),
@@ -611,21 +611,52 @@ def test_run_simulation_reports_the_first_domain_exit(bundle):
     # a compliant periodic run from (4.5, -4.5) leaves the certified box
     # [-5, 5]^2 (peak |x| = 5.25) before it contracts
     sig = generate_periodic([1, 2], 0.35, 0.0, 2.0)
-    result = run_simulation(bundle, sig, np.array([-2.0, 1.0]), np.array([4.5, -4.5]),
-                            1e-3, {}, None)
+    result, traces = run_simulation(bundle, sig, np.array([-2.0, 1.0]),
+                                    np.array([4.5, -4.5]), 1e-3, None)
     assert {"name": "trajectories_within_domain", "ok": False} in result["verdicts"]
     exit_ = result["domain_exit"]
     assert exit_["trajectory"] == "b"
     assert 0.0 < exit_["time"] < 0.35
-    traj = result["_traces"]["b"]
-    k = int(np.searchsorted(result["_traces"]["times"], exit_["time"]))
+    traj = traces["b"]
+    k = int(np.searchsorted(traces["times"], exit_["time"]))
     assert bundle.system.domain.contains(traj[:k])
     assert not bundle.system.domain.contains(traj[k])
-    inside = run_simulation(bundle, sig, np.array([2.0, -1.0]), np.array([-2.0, 1.0]),
-                            1e-3, {}, None)
+    inside, _ = run_simulation(bundle, sig, np.array([2.0, -1.0]), np.array([-2.0, 1.0]),
+                               1e-3, None)
     assert {"name": "trajectories_within_domain", "ok": True} in inside["verdicts"]
     assert "domain_exit" not in inside
 
+
+def test_run_simulation_projects_onto_the_bundles_subspaces_in_bundle_order(bundle):
+    # saddle2d declares diag before antidiag, which is not name order
+    sig = generate_periodic([1, 2], 0.35, 0.0, 1.0)
+    _, traces = run_simulation(bundle, sig, np.array([2.0, -1.0]), np.array([-2.0, 1.0]),
+                               2e-3, None)
+    assert list(traces["projections"]) == [spec.name for spec in bundle.subspaces]
+    assert list(traces["projections"]) == ["diag", "antidiag"]
+    for spec in bundle.subspaces:
+        pi = projector(orthonormalize(spec.span, ambient=2)).matrix
+        expected = np.linalg.norm((traces["a"] - traces["b"]) @ pi.T, axis=1)
+        np.testing.assert_array_equal(traces["projections"][spec.name], expected)
+
+
+def test_run_simulation_fits_the_rate_on_the_last_80_percent(bundle):
+    sig = generate_periodic([1, 2], 0.35, 0.0, 5.0)
+    result, traces = run_simulation(bundle, sig, np.array([2.0, -1.0]),
+                                    np.array([-2.0, 1.0]), 2e-3, None)
+    assert result["rate_fit"]["window"] == [1.0, 5.0]
+    fit = fit_rate(traces["times"], traces["distance"], (1.0, 5.0))
+    assert result["rate_fit"]["rate"] == fit.rate
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_simulation_of_a_diverging_pair_has_no_traces():
+    blowup = load_config({"dimension": 1, "domain": [[-10, 10]],
+                          "modes": [{"id": 1, "field": ["x1^2"]}, {"id": 2, "field": ["x1^2"]}]})
+    sig = generate_periodic([1, 2], 1.0, 0.0, 5.0)
+    result, traces = run_simulation(blowup, sig, np.array([1.0]), np.array([0.5]), 1e-3, None)
+    assert traces is None
+    assert result["verdicts"] == [{"name": "finite_trajectories", "ok": False}]
 
 # The per-row trace CSV writer that the single-format writer replaced, kept as
 # the oracle: the files must be the same strings.
