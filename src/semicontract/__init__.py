@@ -36,7 +36,6 @@ from .signals import (
 )
 from .sim import (
     Trajectory,
-    VariationalTrace,
     distance_trace,
     fit_rate,
     integrate,

@@ -18,6 +18,7 @@ from .report import analyze, bounds_from_report, certificates_from_report, confi
     make_samples
 from .reproduce import run_reproduction
 from .signals import (
+    TIME_EPS,
     SwitchingSignal,
     generate_periodic,
     generate_random,
@@ -52,8 +53,12 @@ def _flag_type(kind, ok, rule: str):
 
 
 POSITIVE = _flag_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+NON_NEGATIVE = _flag_type(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+FINITE = _flag_type(float, math.isfinite, "a finite number")
+FRACTION = _flag_type(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 GRID = _flag_type(int, lambda v: v >= 2, "an integer >= 2")
 COUNT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+SEED = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
 MODES = _flag_type(lambda text: [int(m) for m in text.split(",")],
                    lambda v: min(v) >= 1 and len(set(v)) == len(v),
                    "comma-separated distinct positive integers")
@@ -63,12 +68,13 @@ MODES = _flag_type(lambda text: [int(m) for m in text.split(",")],
 OPTIONS = {
     "--config": dict(default=None, help="system configuration JSON"),
     "--out": dict(default=None, help="output directory (default: stdout/cwd)"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=SEED, default=0),
     "--step": dict(type=POSITIVE, default=1e-3, help="integration step [s]"),
     "--grid": dict(type=GRID, default=None, help="grid points per axis"),
     "--samples": dict(type=COUNT, default=None, help="random sample count"),
-    "--tol": dict(type=float, default=PSD_TOL, help="relative tolerance for semidefinite checks"),
-    "--margin": dict(type=float, default=DEFAULT_MARGIN,
+    "--tol": dict(type=NON_NEGATIVE, default=PSD_TOL,
+                  help="relative tolerance for semidefinite checks"),
+    "--margin": dict(type=FRACTION, default=DEFAULT_MARGIN,
                      help="multiplicative margin on derived constants"),
     "--strict": dict(action="store_true", help="margin 0: report bounds as open inequalities"),
     "--plot": dict(action="store_true", help="emit SVG plots"),
@@ -207,6 +213,8 @@ def _bounds_from_args(args, modes) -> DwellBounds:
 
 def cmd_signal(args) -> int:
     if args.action == "gen":
+        if args.horizon - args.t0 <= TIME_EPS:
+            return _config_error(f"--horizon {args.horizon} must exceed --t0 {args.t0}")
         if args.periodic:
             sig = generate_periodic(args.modes, args.periodic, args.t0, args.horizon)
         else:
@@ -307,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_signal.add_argument("action", choices=["gen", "check"])
     p_signal.add_argument("--modes", type=MODES, default="1,2")
     p_signal.add_argument("--periodic", type=POSITIVE, default=None)
-    p_signal.add_argument("--t0", type=float, default=0.0)
+    p_signal.add_argument("--t0", type=FINITE, default=0.0)
     p_signal.add_argument("--horizon", type=POSITIVE, default=10.0)
-    p_signal.add_argument("--seed", type=int, default=0)
+    p_signal.add_argument("--seed", type=SEED, default=0)
     p_signal.add_argument("--signal", default=None, help="signal CSV to check")
     p_signal.add_argument("--tau-lower", type=POSITIVE, default=None)
     p_signal.add_argument("--tau-upper", type=POSITIVE, default=None)

@@ -46,10 +46,11 @@ class SwitchingSignal:
     def __post_init__(self):
         if not self.events:
             raise ValueError("a signal needs at least the initial mode event")
-        if abs(self.events[0][0] - self.start_time) > TIME_EPS:
+        if self.events[0][0] != self.start_time:
             raise ValueError("first event must be at the start time")
-        if self.horizon <= self.events[-1][0]:
-            raise ValueError("horizon must exceed the last switch time")
+        if self.horizon - self.events[-1][0] <= TIME_EPS:
+            raise ValueError(f"the last activation must last more than {TIME_EPS:g} s, got "
+                             f"switch at {self.events[-1][0]} before horizon {self.horizon}")
         previous_t, previous_m = None, None
         for t, mode in self.events:
             if mode < 1 or int(mode) != mode:
@@ -69,6 +70,12 @@ class SwitchingSignal:
     def switch_times(self) -> tuple:
         return tuple(t for t, _ in self.events[1:])
 
+    @property
+    def boundaries(self) -> tuple:
+        """Activation boundaries: the start, each switch and the horizon, each
+        more than TIME_EPS after the one before."""
+        return (self.start_time, *self.switch_times, self.horizon)
+
     def mode_at(self, t: float) -> int:
         if t < self.start_time - TIME_EPS or t > self.horizon + TIME_EPS:
             raise ValueError(f"time {t} outside [{self.start_time}, {self.horizon}]")
@@ -81,11 +88,9 @@ class SwitchingSignal:
         return current
 
     def activations(self) -> tuple:
-        out = []
-        for k, (tk, mode) in enumerate(self.events):
-            end = self.events[k + 1][0] if k + 1 < len(self.events) else self.horizon
-            out.append(Activation(mode, tk, end, censored=(k + 1 == len(self.events))))
-        return tuple(out)
+        last = len(self.events) - 1
+        return tuple(Activation(mode, tk, end, censored=(k == last))
+                     for k, ((tk, mode), end) in enumerate(zip(self.events, self.boundaries[1:])))
 
 
 @dataclass(frozen=True)
@@ -122,22 +127,13 @@ class WindowCheck:
     checked_windows: int
 
 
-def _grid_times(sig: SwitchingSignal):
-    times = [sig.start_time, *sig.switch_times, sig.horizon]
-    unique = []
-    for t in times:
-        if not unique or t - unique[-1] > TIME_EPS:
-            unique.append(t)
-    return unique
-
-
 def _windows(sig: SwitchingSignal, mode: int):
     """Yield (t_a, t_b, count, total) of dwell_stats for every switching-time
     window, in (start, end) order. Per start, each activation is added once the
     end passes it: dwell_stats' own additions in its order, at O(K) per start."""
     if mode not in sig.modes:
         raise KeyError(f"mode {mode} never appears in the signal")
-    times = _grid_times(sig)
+    times = sig.boundaries
     spans = [(act.start, act.end) for act in sig.activations() if act.mode == mode]
     for i, t_a in enumerate(times[:-1]):
         count, total, k = 0, 0.0, 0
@@ -156,8 +152,7 @@ def _windows(sig: SwitchingSignal, mode: int):
 
 def _worst_window(sig, mode, violation) -> WindowCheck:
     # violation(n, t) > 0 means the window violates; worst = first max violation
-    times = _grid_times(sig)
-    worst, worst_window, checked = -math.inf, (times[0], times[-1]), 0
+    worst, worst_window, checked = -math.inf, (sig.start_time, sig.horizon), 0
     for t_a, t_b, n, t in _windows(sig, mode):
         value = violation(n, t)
         checked += 1
@@ -234,7 +229,7 @@ def generate_periodic(mode_order, dwell, t0: float, horizon: float) -> Switching
     mode_order = list(mode_order)
     if not mode_order:
         raise ValueError("empty mode list")
-    if horizon <= t0:
+    if horizon - t0 <= TIME_EPS:
         raise ValueError("horizon must exceed the start time")
     if isinstance(dwell, dict):
         dwell_of = lambda q: float(dwell[q])  # noqa: E731
@@ -247,7 +242,7 @@ def generate_periodic(mode_order, dwell, t0: float, horizon: float) -> Switching
         cumulative = lambda k: t0 + k * step  # noqa: E731
     events = []
     k = 0
-    while cumulative(k) < horizon - TIME_EPS:
+    while horizon - cumulative(k) > TIME_EPS:
         mode = mode_order[k % len(mode_order)]
         if events and events[-1][1] == mode:
             raise ValueError("mode order repeats a mode consecutively")
@@ -285,7 +280,7 @@ def generate_random(modes, bounds: DwellBounds, t0: float, horizon: float,
     events = []
     t = t0
     mode = modes[int(rng.integers(0, len(modes)))]
-    while t < horizon - TIME_EPS:
+    while horizon - t > TIME_EPS:
         events.append((t, mode))
         lo, hi = intervals[mode]
         t += float(rng.uniform(lo, hi))

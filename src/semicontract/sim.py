@@ -38,33 +38,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    times: np.ndarray   # (m,), strictly increasing, includes every switch time once
-    states: np.ndarray  # (m, n)
-    signal: SwitchingSignal
+    """A flow or variational run under a signal: times[boundaries] equals the
+    signal's boundaries exactly."""
 
-    def state_at_index_of(self, t: float) -> np.ndarray:
-        k = int(np.searchsorted(self.times, t))
-        if k >= len(self.times) or abs(self.times[k] - t) > 1e-9:
-            raise KeyError(f"time {t} is not a sample time")
-        return self.states[k]
-
-
-@dataclass(frozen=True, eq=False)
-class VariationalTrace:
-    times: np.ndarray
-    states: np.ndarray  # (m, n) perturbation states
-
-
-def _segments(sig: SwitchingSignal, t_end: float):
-    out = []
-    for k, (tk, mode) in enumerate(sig.events):
-        seg_end = sig.events[k + 1][0] if k + 1 < len(sig.events) else sig.horizon
-        seg_end = min(seg_end, t_end)
-        if seg_end > tk + 1e-15:
-            out.append((tk, seg_end, mode))
-        if seg_end >= t_end:
-            break
-    return out
+    times: np.ndarray       # (m,), strictly increasing
+    states: np.ndarray      # (m, n)
+    boundaries: np.ndarray  # sample index of each signal boundary
 
 
 def _segment_steps(t0: float, t1: float, step: float):
@@ -172,9 +151,9 @@ def _rk4_kernel(mode: Mode, variational: bool = False):
     return namespace["kernel"]
 
 
-def integrate(system: SwitchedSystem, sig: SwitchingSignal, x0, step: float,
-              t_end: float | None = None) -> Trajectory:
-    """Integrate the switched flow; state is continuous across switches."""
+def integrate(system: SwitchedSystem, sig: SwitchingSignal, x0, step: float) -> Trajectory:
+    """Integrate the switched flow over the whole signal; state is continuous
+    across switches."""
     if step <= 0:
         raise ValueError("step must be positive")
     n = system.dimension
@@ -183,23 +162,22 @@ def integrate(system: SwitchedSystem, sig: SwitchingSignal, x0, step: float,
         raise ValueError(f"initial state has shape {x0.shape}, expected ({n},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
-    t_end = sig.horizon if t_end is None else t_end
-    if t_end > sig.horizon + 1e-12:
-        raise ValueError("signal does not cover the requested span")
     kernels = {m: _rk4_kernel(system.mode(m)) for m in sig.modes}
     times = [sig.start_time]
     states = x0.tolist()
-    for seg_start, seg_end, mode_id in _segments(sig, t_end):
+    boundaries = [0]
+    for (seg_start, mode_id), seg_end in zip(sig.events, sig.boundaries[1:]):
         seg_times = _segment_steps(seg_start, seg_end, step)
         states += kernels[mode_id](states[-n:], seg_times)
         times += seg_times[1:]
-    return Trajectory(np.array(times), np.array(states).reshape(-1, n), sig)
+        boundaries.append(len(times) - 1)
+    return Trajectory(np.array(times), np.array(states).reshape(-1, n), np.array(boundaries))
 
 
 def integrate_variational(system: SwitchedSystem, sig: SwitchingSignal,
-                          x_traj: Trajectory, y0) -> VariationalTrace:
+                          x_traj: Trajectory, y0) -> Trajectory:
     """Co-integrate the perturbation dynamics y' = A(x(t)) y along a stored
-    trajectory, interpolating x linearly inside each step."""
+    trajectory of the signal, interpolating x linearly inside each step."""
     n = system.dimension
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (n,):
@@ -208,19 +186,15 @@ def integrate_variational(system: SwitchedSystem, sig: SwitchingSignal,
         raise ValueError("initial perturbation must be finite")
     times = x_traj.times.tolist()
     points = x_traj.states.tolist()
-    mode_of = dict(sig.events)
-    # the mode changes at a step that starts on an event time
-    cuts = [0, *(k for k in range(1, len(times) - 1) if times[k] in mode_of), len(times) - 1]
-    mode_id = sig.events[0][1]
     states = y0.tolist()
-    for k0, k1 in zip(cuts, cuts[1:]):
-        mode_id = mode_of.get(times[k0], mode_id)
+    cuts = x_traj.boundaries.tolist()
+    for (_, mode_id), k0, k1 in zip(sig.events, cuts, cuts[1:]):
         kernel = _rk4_kernel(system.mode(mode_id), True)
         states += kernel(states[-n:], times[k0:k1 + 1], points[k0:k1 + 1])
-    return VariationalTrace(x_traj.times.copy(), np.array(states).reshape(-1, n))
+    return Trajectory(x_traj.times.copy(), np.array(states).reshape(-1, n), x_traj.boundaries)
 
 
-def projected_trace(trace: VariationalTrace, proj: Projector) -> np.ndarray:
+def projected_trace(trace: Trajectory, proj: Projector) -> np.ndarray:
     """Pointwise seminorm ||Pi y(t)|| of a variational trace."""
     return np.linalg.norm(trace.states @ proj.matrix.T, axis=1)
 
@@ -261,26 +235,18 @@ def fit_rate(times, values, window: tuple) -> RateFit:
     return RateFit(-slope, math.exp(intercept), rmse, (float(t_a), float(t_b)), floored)
 
 
-def _halving_difference(sig: SwitchingSignal, coarse: Trajectory, fine: Trajectory) -> float:
+def _halving_difference(coarse: Trajectory, fine: Trajectory) -> float:
     # worst state difference at segment boundaries between a run and its
     # half-step rerun
-    checkpoints = [sig.start_time, *sig.switch_times, float(coarse.times[-1])]
-    worst = 0.0
-    for t in checkpoints:
-        if t > coarse.times[-1] + 1e-12:
-            break
-        xa = coarse.state_at_index_of(t)
-        xb = fine.state_at_index_of(t)
-        worst = max(worst, float(np.max(np.abs(xa - xb))))
-    return worst
+    return float(np.max(np.abs(coarse.states[coarse.boundaries] - fine.states[fine.boundaries])))
 
 
 def step_halving_agreement(system: SwitchedSystem, sig: SwitchingSignal, x0,
-                           step: float, t_end: float | None = None) -> float:
+                           step: float) -> float:
     """Worst state difference at segment boundaries between runs at `step` and
     `step/2` - the validation oracle behind every reported simulation."""
-    coarse = integrate(system, sig, x0, step, t_end)
-    return _halving_difference(sig, coarse, integrate(system, sig, x0, step / 2.0, t_end))
+    coarse = integrate(system, sig, x0, step)
+    return _halving_difference(coarse, integrate(system, sig, x0, step / 2.0))
 
 
 def run_simulation(bundle, sig, x_a0, x_b0, step: float,
@@ -294,8 +260,8 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float,
         traj_a = integrate(system, sig, x_a0, step)
         traj_b = integrate(system, sig, x_b0, step)
         agreement = max(
-            _halving_difference(sig, traj_a, integrate(system, sig, x_a0, step / 2.0)),
-            _halving_difference(sig, traj_b, integrate(system, sig, x_b0, step / 2.0)),
+            _halving_difference(traj_a, integrate(system, sig, x_a0, step / 2.0)),
+            _halving_difference(traj_b, integrate(system, sig, x_b0, step / 2.0)),
         )
     except DivergenceError as exc:
         return {"verdicts": [{"name": "finite_trajectories", "ok": False}],
@@ -317,9 +283,7 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float,
     result["initial_distance"] = float(distance[0])
     result["terminal_distance"] = float(distance[-1])
     result["distance_ratio"] = float(distance[-1] / distance[0])
-    boundary_times = np.array([sig.start_time, *sig.switch_times, traj_a.times[-1]])
-    idx = np.minimum(np.searchsorted(traj_a.times, boundary_times - 1e-12), len(distance) - 1)
-    envelope = result["envelope_at_switches"] = distance[idx].tolist()
+    envelope = result["envelope_at_switches"] = distance[traj_a.boundaries].tolist()
     result["envelope_monotone"] = bool(
         all(b <= a * (1 + 1e-9) for a, b in zip(envelope, envelope[1:]))
     )

@@ -213,6 +213,8 @@ BAD_SIGNAL_FILES = {
     "no_mode_column": ("time,mod\n0.0,1\n", "'mode'"),
     "non_numeric_cell": ("time,mode\n0.0,one\n", "one"),
     "missing_file": (None, "No such file"),
+    # the last activation, up to the default horizon 10, lasts about 1e-13 s
+    "tiny_last_activation": ("time,mode\n0.0,1\n9.9999999999999,2\n", "last activation"),
 }
 
 
@@ -255,6 +257,18 @@ def test_signal_gen_infeasible_bounds(tmp_path, capsys):
                  "--tau-upper", "0.5", "--out-file", str(tmp_path / "x.csv")])
     assert code == 1
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t0", ["20", "10", "9.9999999999999"])
+@pytest.mark.parametrize("signal_flags", [["--periodic", "0.35"],
+                                          ["--tau-lower", "0.2", "--tau-upper", "0.5"]])
+def test_signal_gen_horizon_not_after_t0_is_a_config_error(tmp_path, capsys, t0, signal_flags):
+    out = tmp_path / "signal.csv"
+    code = main(["signal", "gen", *signal_flags, "--t0", t0, "--horizon", "10",
+                 "--out-file", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: --horizon 10.0 must exceed --t0")
+    assert not out.exists()
 
 
 def test_simulate_deterministic_csv(tmp_path):
@@ -323,6 +337,18 @@ BAD_FLAG_VALUES = [
     (["signal", "check", "--tau-lower", "-1"], "--tau-lower"),
     (["signal", "check", "--tau-lower", "0"], "--tau-lower"),
     (["signal", "check", "--tau-upper", "x"], "--tau-upper"),
+    (["analyze", "--margin", "nan"], "--margin"),
+    (["analyze", "--margin", "-2"], "--margin"),
+    (["simulate", "--margin", "1"], "--margin"),
+    (["reproduce", "--margin", "inf"], "--margin"),
+    (["analyze", "--tol", "nan"], "--tol"),
+    (["reproduce", "--tol", "-1"], "--tol"),
+    (["analyze", "--seed", "-1"], "--seed"),
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["reproduce", "--seed", "-1"], "--seed"),
+    (["signal", "gen", "--seed", "-1"], "--seed"),
+    (["signal", "gen", "--t0", "nan"], "--t0"),
+    (["signal", "gen", "--t0", "inf"], "--t0"),
 ]
 
 

@@ -124,6 +124,18 @@ def test_signal_invariants():
         SwitchingSignal(0.0, ((0.0, 1), (2.0, 2)), 1.5)  # horizon before last switch
 
 
+def test_every_activation_lasts_more_than_time_eps():
+    with pytest.raises(ValueError, match="last activation"):
+        SwitchingSignal(0.0, ((0.0, 1), (10.0 - 1e-13, 2)), 10.0)
+    with pytest.raises(ValueError, match="last activation"):
+        SwitchingSignal(0.0, ((0.0, 1),), 1e-13)
+    with pytest.raises(ValueError, match="start time"):
+        SwitchingSignal(0.0, ((1e-13, 1), (1.0, 2)), 2.0)
+    sig = SwitchingSignal(0.5, ((0.5, 1), (1.0, 2), (1.5, 1)), 2.0)
+    assert sig.boundaries == (0.5, 1.0, 1.5, 2.0)
+    assert [(a.start, a.end) for a in sig.activations()] == [(0.5, 1.0), (1.0, 1.5), (1.5, 2.0)]
+
+
 def test_mode_at_right_continuity():
     sig = SwitchingSignal(0.0, ((0.0, 1), (1.0, 2)), 2.0)
     assert sig.mode_at(0.0) == 1

@@ -107,19 +107,17 @@ def reference_compiled_field(mode):
     return lambda x: np.array(fn(x))
 
 
-def reference_integrate(system, sig, x0, step, t_end=None):
+def reference_integrate(system, sig, x0, step):
     if step <= 0:
         raise ValueError("step must be positive")
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
-    t_end = sig.horizon if t_end is None else t_end
-    if t_end > sig.horizon + 1e-12:
-        raise ValueError("signal does not cover the requested span")
     times = [sig.start_time]
     states = [x0]
+    boundaries = [0]
     x = x0
-    for seg_start, seg_end, mode_id in sim._segments(sig, t_end):
+    for (seg_start, mode_id), seg_end in zip(sig.events, sig.boundaries[1:]):
         field = reference_compiled_field(system.mode(mode_id))
 
         def f(_t, state, field=field):
@@ -132,7 +130,8 @@ def reference_integrate(system, sig, x0, step, t_end=None):
                 raise DivergenceError(t_next)
             times.append(t_next)
             states.append(x)
-    return sim.Trajectory(np.array(times), np.array(states), sig)
+        boundaries.append(len(times) - 1)
+    return sim.Trajectory(np.array(times), np.array(states), np.array(boundaries))
 
 
 # The ndarray variational integrator that the generated variational kernel
@@ -178,14 +177,15 @@ def reference_integrate_variational(system, sig, x_traj, y0):
         if not np.all(np.isfinite(y)):
             raise DivergenceError(t1)
         out.append(y)
-    return sim.VariationalTrace(times.copy(), np.array(out))
+    return sim.Trajectory(times.copy(), np.array(out), x_traj.boundaries)
 
 
-def assert_same_as_reference(system, sig, x0, step, t_end=None):
-    fast = integrate(system, sig, x0, step, t_end)
-    ref = reference_integrate(system, sig, x0, step, t_end)
+def assert_same_as_reference(system, sig, x0, step):
+    fast = integrate(system, sig, x0, step)
+    ref = reference_integrate(system, sig, x0, step)
     assert np.array_equal(fast.times, ref.times)
     assert np.array_equal(fast.states, ref.states)
+    assert np.array_equal(fast.boundaries, ref.boundaries)
 
 
 def test_compiled_evaluators_match_ast(bundle):
@@ -233,8 +233,8 @@ def test_kernels_compute_shared_subexpressions_once(bundle):
 @given(st.floats(0.1, 1.0), st.floats(0.5, 3.0), st.floats(0.3, 1.0), st.floats(1e-3, 1e-2),
        st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2))
 def test_kernel_equals_reference_on_periodic_signals(bundle, dwell, horizon, cut, step, x0):
-    sig = generate_periodic([1, 2], dwell, 0.0, horizon)
-    assert_same_as_reference(bundle.system, sig, x0, step, t_end=cut * horizon)
+    sig = generate_periodic([1, 2], dwell, 0.0, cut * horizon)
+    assert_same_as_reference(bundle.system, sig, x0, step)
 
 
 @settings(max_examples=30, deadline=None)
@@ -293,6 +293,22 @@ def test_variational_kernel_matches_reference_on_every_dsl_node(doc, dwell, step
     assert_variational_close_to_reference(system, sig, x0, y0, step)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0), st.floats(0.05, 1.0),
+       st.floats(0.3, 3.0), st.floats(1e-3, 1e-2))
+def test_runs_sample_every_signal_boundary_exactly(bundle, periodic, seed, t0, dwell,
+                                                   length, step):
+    if periodic:
+        sig = generate_periodic([1, 2], dwell, t0, t0 + length)
+    else:
+        bounds = DwellBounds({1: 0.1584, 2: 0.1584}, {1: 0.3960, 2: 0.3960}, "test", 0.0)
+        sig = generate_random([1, 2], bounds, t0, t0 + length, seed=seed)
+    x_traj = integrate(bundle.system, sig, [2.0, -1.0], step)
+    y_traj = integrate_variational(bundle.system, sig, x_traj, [1.0, 0.5])
+    for run in (x_traj, y_traj):
+        assert run.times[run.boundaries].tolist() == list(sig.boundaries)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_variational_divergence_reported_at_the_reference_time():
     # y' = 400 y along a constant stored trajectory overflows near t = 1.77
@@ -344,11 +360,6 @@ def test_integrate_contraction_of_bundled_pair(bundle):
     tb = integrate(bundle.system, sig, [-2.0, 1.0], step=1e-3)
     d = distance_trace(ta, tb)
     assert d[-1] < 1e-3 * d[0]
-
-
-def test_integrate_rejects_uncovered_span(decay_system):
-    with pytest.raises(ValueError):
-        integrate(decay_system, single_mode_signal(1.0), [1.0], step=1e-3, t_end=2.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -594,9 +605,9 @@ def test_run_simulation_checks_step_halving_on_its_own_runs(bundle, monkeypatch)
     steps = []
     original = sim.integrate
 
-    def counting(system, signal, x0, step, t_end=None):
+    def counting(system, signal, x0, step):
         steps.append(step)
-        return original(system, signal, x0, step, t_end)
+        return original(system, signal, x0, step)
 
     monkeypatch.setattr(sim, "integrate", counting)
     result, _ = run_simulation(bundle, sig, x_a0, x_b0, 2e-3, None)
