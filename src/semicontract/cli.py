@@ -30,7 +30,7 @@ from .signals import (
     verify_per_activation,
     write_signal_csv,
 )
-from .sim import run_simulation, write_traces
+from .sim import RateWindowError, run_simulation, write_traces
 from .system import ConfigError, load_config
 from .testdata import bundled_config_path
 
@@ -169,7 +169,11 @@ def cmd_simulate(args) -> int:
     except (InfeasibleError, ValueError) as exc:
         print(f"no signal to simulate: {exc}", file=sys.stderr)
         return VERDICT_EXIT
-    result, traces = run_simulation(bundle, sig, x_a0, x_b0, args.step, bounds)
+    try:
+        result, traces = run_simulation(bundle, sig, x_a0, x_b0, args.step, bounds)
+    except RateWindowError as exc:
+        return _config_error(f"the rate-fit window [0.2 T, T] is too short ({exc}): "
+                             f"raise --horizon or lower --step")
     report = {
         "schema_version": 1,
         "provenance": {

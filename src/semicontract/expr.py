@@ -57,6 +57,15 @@ class Expr:
 class Const(Expr):
     value: float
 
+    # constants are equal when they render alike: 0.0 and -0.0 differ (a
+    # kernel compiled for one mode must not serve a mode equal up to the sign
+    # of a zero), nan equals nan
+    def __eq__(self, other):
+        return isinstance(other, Const) and repr(self.value) == repr(other.value)
+
+    def __hash__(self):
+        return hash(repr(self.value))
+
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
@@ -447,15 +456,18 @@ def evaluate_checked(e: Expr, x):
     return value
 
 
-def to_python_source(e: Expr, var: str = "x[{}]", names=None) -> str:
+def to_python_source(e: Expr, var: str = "x[{}]", names=None, numpy: bool = False) -> str:
     """Render an expression as scalar Python source, using the math module for
     the function set; variable x{i} becomes var.format(i - 1) (x[0].. by
     default, locals x0.. with "x{}"), and a subexpression whose plain source
-    is a key of `names` the local named by its value. Used to compile hot
-    evaluation paths (integrators); the AST evaluator remains the reference."""
+    is a key of `names` the local named by its value. With numpy=True the
+    functions are numpy's ufuncs and x^n is np.power(x, float(n)), the
+    operations of Expr.evaluate, so the source evaluates ndarrays to the same
+    bits. Used to compile the hot evaluation paths (the integrators' kernels,
+    the batched Jacobian); the AST evaluator remains the reference."""
     if names and (name := names.get(to_python_source(e, var))):
         return name
-    r = partial(to_python_source, var=var, names=names)
+    r = partial(to_python_source, var=var, names=names, numpy=numpy)
     if isinstance(e, Const):
         # the generated kernels see only the math module, not inf or nan
         if math.isnan(e.value):
@@ -476,19 +488,22 @@ def to_python_source(e: Expr, var: str = "x[{}]", names=None) -> str:
     if isinstance(e, Neg):
         return f"(-{r(e.arg)})"
     if isinstance(e, Pow):
+        if numpy:
+            return f"np.power({r(e.base)}, {float(e.exponent)!r})"
         return f"({r(e.base)} ** {e.exponent})"
     if isinstance(e, Call):
-        return f"math.{e.func}({r(e.arg)})"
+        return f"{'np' if numpy else 'math'}.{e.func}({r(e.arg)})"
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
-def to_python_statements(exprs, targets, var: str = "x[{}]") -> list[str]:
+def to_python_statements(exprs, targets, var: str = "x[{}]", numpy: bool = False) -> list[str]:
     """Render `target = expr` for each pair as straight-line Python statements
-    (`var` as in to_python_source). A non-constant subexpression that occurs
-    more than once (not counting repeats inside a repeat) is computed once,
-    into a local _s0, _s1, .. Constant-only subtrees stay inline for CPython to
-    fold. A subexpression is named by its plain source, so the operations and
-    every target's value are those of to_python_source's rendering."""
+    (`var` and `numpy` as in to_python_source). A non-constant subexpression
+    that occurs more than once (not counting repeats inside a repeat) is
+    computed once, into a local _s0, _s1, .. Constant-only subtrees stay
+    inline for CPython to fold. A subexpression is named by its plain source,
+    so the operations and every target's value are those of
+    to_python_source's rendering."""
     counts: dict = {}
     stack = list(exprs)
     while stack:
@@ -513,7 +528,7 @@ def to_python_statements(exprs, targets, var: str = "x[{}]") -> list[str]:
                 stack += [(node, True)] + [(c, False) for c in reversed(_children(node))]
             elif counts.get(key, 0) > 1:
                 name = f"_s{len(names)}"
-                lines.append(f"{name} = {to_python_source(node, var, names)}")
+                lines.append(f"{name} = {to_python_source(node, var, names, numpy)}")
                 names[key] = name
-        lines.append(f"{target} = {to_python_source(e, var, names)}")
+        lines.append(f"{target} = {to_python_source(e, var, names, numpy)}")
     return lines

@@ -36,6 +36,10 @@ class DivergenceError(RuntimeError):
         self.time = time
 
 
+class RateWindowError(ValueError):
+    """A rate-fit window holds fewer than 3 samples."""
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A flow or variational run under a signal: times[boundaries] equals the
@@ -224,7 +228,7 @@ def fit_rate(times, values, window: tuple) -> RateFit:
     t = times[mask]
     v = values[mask]
     if t.size < 3:
-        raise ValueError(f"need at least 3 samples in the window, got {t.size}")
+        raise RateWindowError(f"need at least 3 samples in the window, got {t.size}")
     floored = int(np.sum(v < 1e-300))
     logs = np.log(np.maximum(v, 1e-300))
     design = np.stack([t - t[0], np.ones_like(t)], axis=1)

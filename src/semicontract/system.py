@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from .expr import (
     differentiate,
     evaluate_checked,
     parse_expr,
+    to_python_statements,
 )
 
 
@@ -32,6 +35,15 @@ class Mode:
     @property
     def dimension(self) -> int:
         return len(self.field_exprs)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash, taken once: the compiled kernels are looked up
+        # by mode on every call, and hashing walks every expression tree
+        return hash((self.id, self.field_exprs, self.jacobian_exprs))
 
 
 def make_mode(mode_id: int, field_exprs) -> Mode:
@@ -54,17 +66,45 @@ def eval_field(mode: Mode, x) -> np.ndarray:
 
 
 def eval_jacobian(mode: Mode, x) -> np.ndarray:
-    """Jacobian at a point, shape (n, n); for a batch (m, n) returns (m, n, n)."""
+    """Jacobian at a point, shape (n, n); for a batch (m, n) returns (m, n, n).
+
+    Runs the mode's compiled numpy Jacobian (_jacobian_kernel), which gives
+    the AST evaluator's bits. When its stack is not finite, or a constant-only
+    division by zero raises on Python floats, the AST evaluator (the
+    reference) evaluates the points again, so that EvaluationError names the
+    first non-finite subexpression of the first non-finite entry.
+    """
     x = _check_point(x, mode.dimension)
+    try:
+        jac = _jacobian_kernel(mode)(x)
+        if np.all(np.isfinite(jac)):
+            return jac
+    except ZeroDivisionError:
+        pass
+    return np.stack([np.stack([np.broadcast_to(evaluate_checked(e, x), x.shape[:-1])
+                               for e in row], axis=-1) for row in mode.jacobian_exprs], axis=-2)
+
+
+@lru_cache(maxsize=128)
+def _jacobian_kernel(mode: Mode):
+    """jacobian(x): the mode's Jacobian at the points x (..., n) as one array
+    (..., n, n), from the CSE'd numpy rendering of its entries under the
+    errstate of Div and Pow; compiled on first use."""
     n = mode.dimension
-    rows = []
-    for i in range(n):
-        cols = [
-            np.broadcast_to(evaluate_checked(mode.jacobian_exprs[i][j], x), x.shape[:-1])
-            for j in range(n)
-        ]
-        rows.append(np.stack(cols, axis=-1))
-    return np.stack(rows, axis=-2)
+    body = to_python_statements([e for row in mode.jacobian_exprs for e in row],
+                                [f"out[..., {r}, {c}]" for r in range(n) for c in range(n)],
+                                "x{}", numpy=True)
+    source = "\n".join([
+        "def jacobian(x):",
+        *(f"    x{i} = x[..., {i}]" for i in range(n)),
+        f"    out = np.empty(x.shape[:-1] + ({n}, {n}))",
+        '    with np.errstate(divide="ignore", invalid="ignore"):',
+        *("        " + line for line in body),
+        "    return out",
+    ])
+    namespace = {"np": np, "math": math}
+    exec(source, namespace)
+    return namespace["jacobian"]
 
 
 def _check_point(x, n: int) -> np.ndarray:

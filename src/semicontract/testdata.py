@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-BUNDLED_EXAMPLES = ("saddle2d",)
+BUNDLED_EXAMPLES = ("saddle2d", "saddle4d")
 
 
 def bundled_config_path(name: str = "saddle2d") -> Path:

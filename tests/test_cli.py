@@ -48,6 +48,21 @@ def test_analyze_deterministic_output(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("analyze_saddle2d_grid41.json", ["--grid", "41"]),
+    ("analyze_saddle4d_grid5.json", ["--config", "saddle4d", "--search-weights", "--grid", "5"]),
+    ("analyze_saddle4d_grid9.json", ["--config", "saddle4d", "--search-weights", "--grid", "9"]),
+])
+def test_analyze_reports_equal_the_golden_reports(tmp_path, golden, argv):
+    # tests/data holds reports from the AST-evaluated Jacobians and per-matrix
+    # solves (numpy 2.4.6); the fast paths must keep every byte but generated_at
+    argv = [str(bundled_config_path(a)) if a == "saddle4d" else a for a in argv]
+    assert main(["analyze", *argv, "--out", str(tmp_path)]) == 0
+    expected = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    assert strip_timestamp((tmp_path / "report.json").read_text(encoding="utf-8")) == \
+        strip_timestamp(expected)
+
+
 def test_analyze_search_weights_recovers_ratio(tmp_path):
     # drop the P matrices, keep the published constants
     doc = json.loads(bundled_config_path("saddle2d").read_text())
@@ -170,6 +185,26 @@ def test_simulate_random_signal_without_certified_bounds_exits_1(tmp_path, capsy
     assert code == 1
     assert "no signal to simulate" in capsys.readouterr().err
     assert not (tmp_path / "simulation.json").exists()
+
+
+@pytest.mark.parametrize("signal_flags", [["--periodic", "0.35"], ["--random-signal"],
+                                          ["--signal", "events.csv"]])
+def test_simulate_too_short_for_the_rate_fit_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                              signal_flags):
+    # 2 steps of 1e-3: the fit window [0.2 T, T] holds two samples
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "events.csv").write_text("time,mode\n0.0,1\n")
+    out = tmp_path / "out"
+    code = main(["simulate", *signal_flags, "--horizon", "0.002", "--grid", "11",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and "--horizon" in err and "--step" in err
+    assert not out.exists()
+    # one more step puts 3 samples in the window
+    assert main(["simulate", *signal_flags, "--horizon", "0.003", "--grid", "11",
+                 "--out", str(out)]) == 0
 
 
 def test_signal_gen_counts_switches(tmp_path, capsys):

@@ -211,6 +211,27 @@ def test_gen_sym_eig_stack_equals_each_matrix_alone(h, m, seed):
         assert np.array_equal(batched[k], gen_sym_eig(stack[k], p))
 
 
+def reference_gen_sym_eig(s, p) -> np.ndarray:
+    # gen_sym_eig with both triangular solves broadcast over the stack, one
+    # right-hand side matrix at a time
+    s = as_square_symmetric(s)
+    lower = cholesky(p)
+    x = np.linalg.solve(lower, s)
+    m = np.swapaxes(np.linalg.solve(lower, np.swapaxes(x, -1, -2)), -1, -2)
+    return np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 40), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.integers(0, 2**32 - 1))
+def test_gen_sym_eig_equals_the_broadcast_solve(h, m, scale, seed):
+    rng = np.random.default_rng(seed)
+    p = random_spd(rng, h) * rng.uniform(0.1, 10.0)
+    stack = np.stack([scale * random_symmetric(rng, h) for _ in range(m)])
+    assert np.array_equal(gen_sym_eig(stack, p), reference_gen_sym_eig(stack, p))
+    assert np.array_equal(gen_sym_eig(stack[0], p), reference_gen_sym_eig(stack[0], p))
+
+
 def jacobi_log_seminorm(w, a) -> float:
     # Per-matrix reference: top eigenvalue of R^-1/2 (R A11 + A11^T R) R^-1/2 / 2.
     a11 = w.subspace.basis.T @ a @ w.subspace.basis

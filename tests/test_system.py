@@ -1,11 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from semicontract.expr import parse_expr
+from semicontract.expr import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Const,
+    Div,
+    EvaluationError,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    evaluate_checked,
+    parse_expr,
+)
 from semicontract.system import (
     Box,
     ConfigError,
     SwitchedSystem,
+    _jacobian_kernel,
     eval_field,
     eval_jacobian,
     load_config,
@@ -151,3 +168,74 @@ def test_negative_eta_convention_taken_as_magnitude():
         }
     )
     assert bundle.certificates[0].eta_stable == pytest.approx(1.5)
+
+
+# Random DSL trees over x1, x2 with every node kind: negative and zero
+# exponents, constants that divide by zero or overflow exp, and points at
+# zero and far out, where the Jacobian is not finite.
+CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 0.3, 700.0, 1e308])
+LEAVES = st.one_of(CONSTANTS.map(Const), st.integers(1, 2).map(Var))
+
+
+def _nodes(children):
+    return st.one_of(
+        st.builds(Add, children, children), st.builds(Sub, children, children),
+        st.builds(Mul, children, children), st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(-3, 4)), st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children),
+    )
+
+
+EXPRS = st.recursive(LEAVES, _nodes, max_leaves=8)
+POINTS = st.lists(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 800.0, -800.0]),
+                                     st.floats(-3.0, 3.0)), min_size=2, max_size=2),
+                  min_size=1, max_size=6)
+
+
+def ast_jacobian(mode, x, evaluate=lambda e, x: e.evaluate(x)):
+    # the AST evaluator on every entry, broadcast to the batch; with
+    # evaluate_checked it raises naming the first non-finite subexpression
+    return np.stack([np.stack([np.broadcast_to(evaluate(e, x), x.shape[:-1]) for e in row],
+                              axis=-1) for row in mode.jacobian_exprs], axis=-2)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (EvaluationError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(EXPRS, EXPRS, POINTS)
+# a constant-only 1/0 in the Jacobian: finite through tanh, not finite alone
+@example(parse_expr("x1*tanh(1/0)", 2), parse_expr("x2^-2", 2), [[1.0, 2.0], [0.5, -3.0]])
+@example(parse_expr("x1*(1/0)", 2), parse_expr("x1*x2", 2), [[1.0, 2.0]])
+def test_compiled_jacobian_equals_the_ast_evaluator(f1, f2, points):
+    mode = make_mode(1, [f1, f2])
+    for x in (np.array(points), np.array(points[0])):
+        ref = outcome(ast_jacobian, mode, x)
+        got = outcome(_jacobian_kernel(mode), x)
+        # only a constant-only division by zero raises on Python floats
+        if not (isinstance(got, tuple) and got[0] is ZeroDivisionError):
+            assert np.array_equal(got, ref, equal_nan=True)
+            numbers = ~np.isnan(ref)
+            assert np.array_equal(np.signbit(got[numbers]), np.signbit(ref[numbers]))
+        # eval_jacobian returns the AST's stack or raises its error
+        expected = outcome(ast_jacobian, mode, x, evaluate_checked)
+        result = outcome(eval_jacobian, mode, x)
+        if isinstance(expected, tuple):
+            assert result == expected
+        else:
+            assert np.array_equal(result, expected)
+
+
+def test_modes_equal_up_to_the_sign_of_a_zero_get_their_own_kernels():
+    # d/dx1 of (c + c)*x1 is the constant c + c
+    modes = [make_mode(1, [Mul(Add(Const(c), Const(c)), Var(1)), Var(2)]) for c in (0.0, -0.0)]
+    assert modes[0] != modes[1]
+    for order in (modes, modes[::-1]):
+        for mode in order:
+            jac = eval_jacobian(mode, np.zeros((3, 2)))
+            assert np.array_equal(np.signbit(jac), np.signbit(ast_jacobian(mode, np.zeros((3, 2)))))
