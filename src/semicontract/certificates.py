@@ -142,6 +142,12 @@ def coupling_check(ratio: float, beta: float, tol: float = COUPLING_TOL) -> Coup
                          beta + slack - ratio, tol)
 
 
+def tightest_jump_factor(ratios: dict, modes) -> float | None:
+    """Largest of the jump ratios (q, r) -> beta out of the given modes q, or
+    None when no switch leaves them."""
+    return max((v for (q, _), v in ratios.items() if q in modes), default=None)
+
+
 def tightest_m_bounds(w: WeightedSeminorm) -> tuple[float, float]:
     """Extremal eigenvalues of the reduced weight: the tightest constants with
     m_lower * Pi <= P <= m_upper * Pi."""
@@ -205,27 +211,7 @@ class DwellBounds:
 def dwell_bounds_subspace(cert: SubspaceCertificate, margin: float = 0.0) -> DwellBounds:
     """Dwell bounds from one subspace certificate: tau_lower = ln(beta_S)/(2 eta_S)
     for S modes and tau_upper = -ln(beta_U)/(2 eta_U) for U modes."""
-    lower = {}
-    upper = {}
-    for q in cert.stable_modes:
-        if cert.beta_stable is None:
-            continue
-        if cert.eta_stable is None or cert.eta_stable <= 0:
-            raise ValueError("stable rate must be positive to derive a dwell bound")
-        beta = cert.beta_stable * (1.0 + margin)
-        eta = cert.eta_stable * (1.0 - margin)
-        lower[q] = math.log(beta) / (2.0 * eta)
-    for q in cert.unstable_modes:
-        if cert.beta_unstable is None:
-            raise InfeasibleError(
-                f"mode {q} is expanding but no unstable jump factor exists"
-            )
-        if cert.eta_unstable is None or cert.eta_unstable <= 0:
-            raise ValueError("unstable rate must be positive to derive a leave bound")
-        beta = min(cert.beta_unstable * (1.0 + margin), 1.0 - 1e-15)
-        eta = cert.eta_unstable * (1.0 + margin)
-        upper[q] = -math.log(beta) / (2.0 * eta)
-    return DwellBounds(lower, upper, "per-subspace", margin)
+    return _per_tag_bounds([cert], margin, "per-subspace")
 
 
 def dwell_bounds_family(certs, margin: float = 0.0) -> DwellBounds:
@@ -241,14 +227,17 @@ def dwell_bounds_family(certs, margin: float = 0.0) -> DwellBounds:
         raise ValueError("empty certificate list")
     if not check_separating([projector(c.subspace) for c in certs]):
         raise InfeasibleError("subspace seminorms do not form a separating family")
-    mode_ids = sorted({q for c in certs for q in c.tags})
+    return _per_tag_bounds(certs, margin, "family-aggregated")
+
+
+def _per_tag_bounds(certs, margin: float, provenance: str) -> DwellBounds:
+    # the per-tag aggregation of dwell_bounds_family; over one certificate it
+    # gives that certificate's own bounds, as max([x]) and min([x]) are x
     lower = {}
     upper = {}
-    for q in mode_ids:
+    for q in sorted({q for c in certs for q in c.tags}):
         s_certs = [c for c in certs if c.tags.get(q) == STABLE]
         u_certs = [c for c in certs if c.tags.get(q) == UNSTABLE]
-        if not s_certs and not u_certs:
-            raise InfeasibleError(f"mode {q} carries no tag on any subspace")
         if s_certs:
             betas = [c.beta_stable for c in s_certs if c.beta_stable is not None]
             etas = [c.eta_stable for c in s_certs]
@@ -264,7 +253,7 @@ def dwell_bounds_family(certs, margin: float = 0.0) -> DwellBounds:
             beta = min(max(betas) * (1.0 + margin), 1.0 - 1e-15)
             eta = min(etas) * (1.0 + margin)
             upper[q] = -math.log(beta) / (2.0 * eta)
-    return DwellBounds(lower, upper, "family-aggregated", margin)
+    return DwellBounds(lower, upper, provenance, margin)
 
 
 @dataclass(frozen=True)
@@ -361,11 +350,11 @@ def _certificate(system, s, weights, invariance, samples, beta_stable, beta_unst
     unstable = [q for q, t in tags.items() if t == UNSTABLE]
     ratios = {(q, r): tightest_beta(weights[q], weights[r])
               for q in weights for r in weights if r != q}
-    if beta_stable is None and stable and len(weights) > 1:
-        beta_stable = max(v for (q, _), v in ratios.items() if q in stable)
-    if beta_unstable is None and unstable and len(weights) > 1:
-        beta_unstable = max(v for (q, _), v in ratios.items() if q in unstable)
-        if beta_unstable >= 1.0:
+    if beta_stable is None:
+        beta_stable = tightest_jump_factor(ratios, stable)
+    if beta_unstable is None:
+        beta_unstable = tightest_jump_factor(ratios, unstable)
+        if beta_unstable is not None and beta_unstable >= 1.0:
             raise InfeasibleError(
                 "some switch out of an expanding mode does not drop the weight "
                 f"(tightest unstable jump factor {beta_unstable:.6g} >= 1)"
@@ -403,12 +392,12 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
     """
     pi = projector(s).matrix
     unit = reduce_weight(pi, s)
-    invariance, sups = {}, {}
+    invariance, tags = {}, {}
     for mode in system.modes:
         invariance[mode.id] = _invariance(mode, s, samples)
-        sups[mode.id] = tightest_eta(mode, unit, samples)
-    stable = [q for q, v in sups.items() if v < 0.0]
-    unstable = [q for q, v in sups.items() if v >= 0.0]
+        tags[mode.id], _ = classify_mode(mode, unit, samples)
+    stable = [q for q, t in tags.items() if t == STABLE]
+    unstable = [q for q, t in tags.items() if t == UNSTABLE]
     if not stable:
         raise InfeasibleError(
             "no semi-contracting mode on this subspace: scalar weights cannot "

@@ -242,9 +242,9 @@ def cmd_signal(args) -> int:
         sig = read_signal_csv(args.signal, horizon=args.horizon)
         modes = list(sig.modes)
         bounds = _bounds_from_args(args, modes)
-    except (ConfigError, OSError) as exc:
+        check = verify_per_activation(sig, bounds)
+    except (ValueError, OSError) as exc:  # a mode without bounds is a ValueError
         return _config_error(exc)
-    check = verify_per_activation(sig, bounds)
     report = {"per_activation": {"ok": check.ok, "detail": check.reason}}
     ok = check.ok
     for q in modes:

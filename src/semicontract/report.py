@@ -22,6 +22,7 @@ from .certificates import (
     dwell_bounds_subspace,
     search_scalar_weights,
     tightest_eta,
+    tightest_jump_factor,
 )
 from .linalg import PSD_TOL
 from .subspaces import check_separating, orthonormalize, projector
@@ -137,10 +138,8 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             "eta_unstable": cert.eta_unstable,
             "m_lower": cert.m_lower,
             "m_upper": cert.m_upper,
-            "tightest_beta_stable": max(
-                (v for (q, _), v in cert.jump_ratios.items() if q in stable_ids), default=None),
-            "tightest_beta_unstable": max(
-                (v for (q, _), v in cert.jump_ratios.items() if q in unstable_ids), default=None),
+            "tightest_beta_stable": tightest_jump_factor(cert.jump_ratios, stable_ids),
+            "tightest_beta_unstable": tightest_jump_factor(cert.jump_ratios, unstable_ids),
             "tightest_eta_stable": min((-tightest[q] for q in stable_ids), default=None),
             "tightest_eta_unstable": max((tightest[q] for q in unstable_ids), default=None),
         }

@@ -46,6 +46,8 @@ class SwitchingSignal:
     def __post_init__(self):
         if not self.events:
             raise ValueError("a signal needs at least the initial mode event")
+        if not all(map(math.isfinite, (self.start_time, self.horizon, *self.switch_times))):
+            raise ValueError("the start time, switch times and horizon must be finite")
         if self.events[0][0] != self.start_time:
             raise ValueError("first event must be at the start time")
         if self.horizon - self.events[-1][0] <= TIME_EPS:
@@ -75,17 +77,6 @@ class SwitchingSignal:
         """Activation boundaries: the start, each switch and the horizon, each
         more than TIME_EPS after the one before."""
         return (self.start_time, *self.switch_times, self.horizon)
-
-    def mode_at(self, t: float) -> int:
-        if t < self.start_time - TIME_EPS or t > self.horizon + TIME_EPS:
-            raise ValueError(f"time {t} outside [{self.start_time}, {self.horizon}]")
-        current = self.events[0][1]
-        for tk, mode in self.events:
-            if tk <= t + TIME_EPS:
-                current = mode
-            else:
-                break
-        return current
 
     def activations(self) -> tuple:
         last = len(self.events) - 1

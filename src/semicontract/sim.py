@@ -1,6 +1,6 @@
 """Hybrid integration of the switched flow and its variational system,
-projected seminorm traces, exponential rate fits, and the trajectory-pair
-experiment with its trace files.
+exponential rate fits, and the trajectory-pair experiment with its trace
+files.
 
 Fixed-step RK4 with switch-aligned substeps: deterministic, reproducible, and
 the convergence order is trivially testable. The last step of every
@@ -23,7 +23,7 @@ from .certificates import DwellBounds
 from .expr import to_python_statements
 from .ioutil import atomic_write_text
 from .signals import SwitchingSignal, verify_per_activation, write_signal_csv
-from .subspaces import Projector, orthonormalize, projector
+from .subspaces import orthonormalize, projector
 from .svgplot import write_line_plot
 from .system import Mode, SwitchedSystem
 
@@ -196,11 +196,6 @@ def integrate_variational(system: SwitchedSystem, sig: SwitchingSignal,
         kernel = _rk4_kernel(system.mode(mode_id), True)
         states += kernel(states[-n:], times[k0:k1 + 1], points[k0:k1 + 1])
     return Trajectory(x_traj.times.copy(), np.array(states).reshape(-1, n), x_traj.boundaries)
-
-
-def projected_trace(trace: Trajectory, proj: Projector) -> np.ndarray:
-    """Pointwise seminorm ||Pi y(t)|| of a variational trace."""
-    return np.linalg.norm(trace.states @ proj.matrix.T, axis=1)
 
 
 def distance_trace(a: Trajectory, b: Trajectory) -> np.ndarray:

@@ -28,11 +28,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def transform(self) -> np.ndarray:
-        """Orthogonal change of basis [basis | complement]."""
-        return np.hstack([self.basis, self.complement])
-
 
 def orthonormalize(vectors, ambient: int | None = None) -> Subspace:
     """Modified Gram-Schmidt basis for span(vectors) plus a deterministic
@@ -78,10 +73,6 @@ class Projector:
     matrix: np.ndarray
     subspace: Subspace
 
-    @property
-    def complement_matrix(self) -> np.ndarray:
-        return np.eye(self.subspace.ambient) - self.matrix
-
 
 def projector(s: Subspace) -> Projector:
     return Projector(s.basis @ s.basis.T, s)
@@ -126,15 +117,6 @@ def seminorm_eval(proj: Projector, v) -> float:
     """||Pi v||_2 - zero exactly on the complement."""
     v = np.asarray(v, dtype=float)
     return float(np.linalg.norm(proj.matrix @ v))
-
-
-def weighted_seminorm_eval(w: WeightedSeminorm, v) -> float:
-    """sqrt(v^T P v)."""
-    v = np.asarray(v, dtype=float)
-    quad = float(v @ w.weight @ v)
-    if quad < -1e-12 * max(1.0, float(v @ v)) * max(1.0, frobenius(w.weight)):
-        raise ValueError(f"negative quadratic form {quad:.3e}; weight is not PSD")
-    return float(np.sqrt(max(quad, 0.0)))
 
 
 def log_seminorm(w: WeightedSeminorm, a):

@@ -58,13 +58,6 @@ def make_mode(mode_id: int, field_exprs) -> Mode:
     return Mode(mode_id, exprs, jac)
 
 
-def eval_field(mode: Mode, x) -> np.ndarray:
-    """Vector field at a point (n,) or batch (m, n)."""
-    x = _check_point(x, mode.dimension)
-    rows = [np.broadcast_to(evaluate_checked(e, x), x.shape[:-1]) for e in mode.field_exprs]
-    return np.stack(rows, axis=-1)
-
-
 def eval_jacobian(mode: Mode, x) -> np.ndarray:
     """Jacobian at a point, shape (n, n); for a batch (m, n) returns (m, n, n).
 
@@ -133,9 +126,6 @@ class Box:
     @property
     def dimension(self) -> int:
         return len(self.lows)
-
-    def contains(self, points, slack: float = 1e-12) -> bool:
-        return self.first_outside(points, slack) is None
 
     def first_outside(self, points, slack: float = 1e-12) -> int | None:
         """Index of the first point (row) outside the box widened by `slack`,

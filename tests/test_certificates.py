@@ -222,9 +222,13 @@ def test_dwell_bounds_subspace_published(bundle, grid41, weights):
 
 
 def test_dwell_bound_log_identity():
-    mode = make_mode(1, [parse_expr("-x1", 1)])
-    # beta = e^2 and eta = 1 give a dwell bound of exactly 1
-    assert math.log(math.e**2) / (2.0 * 1.0) == pytest.approx(1.0)
+    # beta = e^2 and eta = 1 give a dwell bound of exactly ln(e^2) / 2 = 1
+    system = load_config({"dimension": 1, "domain": [[-1, 1]],
+                          "modes": [{"id": 1, "field": ["-x1"]},
+                                    {"id": 2, "field": ["-2*x1"]}]}).system
+    cert = build_certificate(system, orthonormalize([[1.0]]), {1: [[1.0]], 2: [[1.0]]},
+                             sample_domain(system, 5), beta_stable=math.e**2, eta_stable=1.0)
+    assert dwell_bounds_subspace(cert).lower == {1: pytest.approx(1.0), 2: pytest.approx(1.0)}
 
 
 def test_dwell_bounds_family_published(bundle, grid41, weights):

@@ -250,6 +250,7 @@ BAD_SIGNAL_FILES = {
     "missing_file": (None, "No such file"),
     # the last activation, up to the default horizon 10, lasts about 1e-13 s
     "tiny_last_activation": ("time,mode\n0.0,1\n9.9999999999999,2\n", "last activation"),
+    "nan_switch_time": ("time,mode\n0.0,1\nnan,2\n", "finite"),
 }
 
 
@@ -274,6 +275,19 @@ def test_signal_check_bad_signal_file_is_a_config_error(tmp_path, capsys, case):
 def test_signal_check_without_signal_is_a_config_error(capsys):
     assert main(["signal", "check", "--tau-lower", "0.1"]) == 2
     assert capsys.readouterr().err == "config error: signal check needs --signal\n"
+
+
+@pytest.mark.parametrize("use_report, unbounded_mode", [(False, 1), (True, 2)])
+def test_signal_check_mode_without_bounds_is_a_config_error(tmp_path, capsys, use_report,
+                                                            unbounded_mode):
+    # the signal enters modes 1 and 2; no flag bounds either, the report only mode 1
+    signal = tmp_path / "signal.csv"
+    signal.write_text("time,mode\n0.0,1\n1.0,2\n")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"family": {"dwell_bounds": {"lower": {"1": 0.2}, "upper": {}}}}))
+    flags = ["--bounds-from", str(report)] if use_report else []
+    assert main(["signal", "check", "--signal", str(signal), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: no dwell bounds for mode {unbounded_mode}\n"
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SIGNAL_FILES))

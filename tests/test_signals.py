@@ -136,13 +136,6 @@ def test_every_activation_lasts_more_than_time_eps():
     assert [(a.start, a.end) for a in sig.activations()] == [(0.5, 1.0), (1.0, 1.5), (1.5, 2.0)]
 
 
-def test_mode_at_right_continuity():
-    sig = SwitchingSignal(0.0, ((0.0, 1), (1.0, 2)), 2.0)
-    assert sig.mode_at(0.0) == 1
-    assert sig.mode_at(1.0) == 2  # right-continuous at the switch
-    assert sig.mode_at(1.5) == 2
-
-
 def test_dwell_stats_periodic_example():
     sig = generate_periodic([1, 2], 0.35, 0.0, 2.5)
     stats = dwell_stats(sig, 1, 0.0, 2.1)

@@ -18,13 +18,12 @@ from semicontract.sim import (
     fit_rate,
     integrate,
     integrate_variational,
-    projected_trace,
     run_simulation,
     step_halving_agreement,
 )
-from semicontract.expr import Const, to_python_source
+from semicontract.expr import Const, evaluate_checked, to_python_source
 from semicontract.subspaces import orthonormalize, projector
-from semicontract.system import eval_field, eval_jacobian, load_config
+from semicontract.system import eval_jacobian, load_config
 from semicontract.testdata import bundled_config_path
 
 
@@ -204,7 +203,8 @@ def test_compiled_evaluators_match_ast(bundle):
                 x = rng.uniform(system.domain.lows, system.domain.highs)
                 local = {f"x{i}": float(v) for i, v in enumerate(x)}
                 value = [eval(code, {"math": math}, local) for code in fast_f]
-                assert np.allclose(value, eval_field(mode, x), atol=1e-14)
+                field = [evaluate_checked(e, x) for e in mode.field_exprs]
+                assert np.allclose(value, field, atol=1e-14)
                 local = {f"p{i}": float(v) for i, v in enumerate(x)}
                 exec(fast_j, {"math": math}, local)
                 jac = [[local[f"j{r}_{c}"] for c in range(n)] for r in range(n)]
@@ -501,6 +501,11 @@ def test_variational_finite_difference_consistency(bundle):
     assert float(np.max(rel)) < 1e-4
 
 
+def projected_trace(trace, proj):
+    """Pointwise seminorm ||Pi y(t)|| of a variational trace."""
+    return np.linalg.norm(trace.states @ proj.matrix.T, axis=1)
+
+
 def test_projected_trace_examples(bundle):
     sig = generate_periodic([1, 2], 0.35, 0.0, 2.0)
     x_traj = integrate(bundle.system, sig, [1.0, -2.0], step=1e-3)
@@ -630,8 +635,8 @@ def test_run_simulation_reports_the_first_domain_exit(bundle):
     assert 0.0 < exit_["time"] < 0.35
     traj = traces["b"]
     k = int(np.searchsorted(traces["times"], exit_["time"]))
-    assert bundle.system.domain.contains(traj[:k])
-    assert not bundle.system.domain.contains(traj[k])
+    assert bundle.system.domain.first_outside(traj[:k]) is None
+    assert bundle.system.domain.first_outside(traj[k]) == 0
     inside, _ = run_simulation(bundle, sig, np.array([2.0, -1.0]), np.array([-2.0, 1.0]),
                                1e-3, None)
     assert {"name": "trajectories_within_domain", "ok": True} in inside["verdicts"]

@@ -13,7 +13,6 @@ from semicontract.subspaces import (
     projector,
     reduce_weight,
     seminorm_eval,
-    weighted_seminorm_eval,
 )
 from semicontract.system import load_config, make_mode, sample_domain
 from semicontract.testdata import bundled_config_path
@@ -67,7 +66,8 @@ def test_subspace_invariants_random():
         n = int(rng.integers(2, 8))
         h = int(rng.integers(1, n + 1))
         s = random_subspace(rng, n, h)
-        v, u, t = s.basis, s.complement, s.transform
+        v, u = s.basis, s.complement
+        t = np.hstack([v, u])
         assert frobenius(v.T @ v - np.eye(s.dim)) <= 1e-10
         if u.size:
             assert frobenius(u.T @ u - np.eye(n - s.dim)) <= 1e-10
@@ -92,9 +92,8 @@ def test_projector_algebra_random():
         m = pi.matrix
         assert frobenius(m @ m - m) <= 1e-10
         assert frobenius(m - m.T) <= 1e-12
-        assert np.allclose(m + pi.complement_matrix, np.eye(n))
         # block form in the [basis | complement] frame
-        t = s.transform
+        t = np.hstack([s.basis, s.complement])
         block = t.T @ m @ t
         expected = np.zeros((n, n))
         expected[:h, :h] = np.eye(h)
@@ -133,21 +132,22 @@ def test_seminorm_eval_examples():
     assert seminorm_eval(full, v) == pytest.approx(5.0)
 
 
-def test_weighted_seminorm_eval_examples():
+def test_reduce_weight_quadratic_form():
     s = orthonormalize([[1.0, 1.0]])
     w = reduce_weight(0.7081 * ONES, s)
-    assert weighted_seminorm_eval(w, [1.0, 1.0]) == pytest.approx(np.sqrt(2.8324))
-    assert weighted_seminorm_eval(w, [1.0, -1.0]) == pytest.approx(0.0, abs=1e-12)
+    on, off = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    assert on @ w.weight @ on == pytest.approx(2.8324)
+    assert off @ w.weight @ off == pytest.approx(0.0, abs=1e-12)
     w_pi = reduce_weight(projector(s).matrix, s)
     rng = np.random.default_rng(3)
     for _ in range(10):
         v = rng.standard_normal(2)
-        assert weighted_seminorm_eval(w_pi, v) == pytest.approx(seminorm_eval(projector(s), v))
-    # matches the reduced form || R^(1/2) basis^T v ||
+        assert np.sqrt(v @ w_pi.weight @ v) == pytest.approx(seminorm_eval(projector(s), v))
+    # matches the reduced form v^T P v = R (basis^T v)^2
     for _ in range(10):
         v = rng.standard_normal(2)
-        reduced_val = float(np.sqrt(w.reduced[0, 0])) * abs(float(s.basis[:, 0] @ v))
-        assert weighted_seminorm_eval(w, v) == pytest.approx(reduced_val, abs=1e-10)
+        reduced_val = w.reduced[0, 0] * float(s.basis[:, 0] @ v) ** 2
+        assert v @ w.weight @ v == pytest.approx(reduced_val, abs=1e-10)
 
 
 @settings(max_examples=200, deadline=None)

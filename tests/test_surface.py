@@ -1,0 +1,46 @@
+"""The public surface is the CLI plus what the acceptance gate and the
+benchmark use. Every function and class of the package is named somewhere
+outside its own def line: in the package, in perfbench or in the acceptance
+gate. The package root binds only __version__."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "semicontract"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+USERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py")),
+         ROOT / "tests" / "test_acceptance.py"]
+
+
+def _definitions(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno
+
+
+def test_every_definition_is_named_outside_its_def_line():
+    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in USERS}
+    unused = []
+    for module in MODULES:
+        for name, lineno in _definitions(module):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line)
+                       for path, lines in texts.items()
+                       for k, line in enumerate(lines, 1)
+                       if not (path == module and k == lineno)):
+                unused.append(f"{module.name}:{lineno} {name}")
+    assert unused == []
+
+
+def test_package_root_binds_only_the_version():
+    code = ("import semicontract; "
+            "print(sorted(n for n in vars(semicontract) if not n.startswith('_')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}).stdout
+    assert out.strip() == "[]"
