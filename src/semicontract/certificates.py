@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import PSD_TOL, frobenius, gen_sym_eig, psd_check, sym_eig
 from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, check_invariance, \
-    check_separating, log_seminorm, projector, reduce_weight
+    check_separating, log_seminorm, projector, reduce_weight, scope_memo
 from .system import Mode, SampleSet, SwitchedSystem, eval_jacobian
 
 # Jump-factor comparisons default to the granularity of 4-decimal published
@@ -36,11 +36,30 @@ class InfeasibleError(ValueError):
     """No certificate of the requested form exists."""
 
 
+class NotInvariantError(InfeasibleError):
+    """The complement of the subspace is not invariant under some mode;
+    invariance holds the result of every mode (mode id -> InvarianceResult)."""
+
+    def __init__(self, message: str, subspace: Subspace, invariance: dict):
+        super().__init__(message)
+        self.subspace = subspace
+        self.invariance = invariance
+
+
 def growth_values(mode: Mode, w: WeightedSeminorm, samples: SampleSet) -> np.ndarray:
-    """Weighted log-seminorm of the mode Jacobian at every sample point."""
+    """Weighted log-seminorm of the mode Jacobian at every sample point.
+
+    Outside an analysis scope this is log_seminorm of a fresh Jacobian stack.
+    Inside a scope over these samples it is the scope's read-only array for
+    (subspace, mode, reduced weight), computed by the same steps on the first
+    call and returned as is on every later one.
+    """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    return log_seminorm(w, eval_jacobian(mode, samples.points))
+    memo = scope_memo(samples)
+    if memo is None:
+        return log_seminorm(w, eval_jacobian(mode, samples.points))
+    return memo.growth(mode, w)
 
 
 def classify_mode(mode: Mode, w: WeightedSeminorm, samples: SampleSet):
@@ -93,15 +112,19 @@ def _cross_check_full_form(mode, w, bound, samples, reduced_values, tol):
     pi = w.subspace.basis @ w.subspace.basis.T
     p = w.weight
     indices = np.unique(np.linspace(0, len(samples) - 1, min(10, len(samples))).astype(int))
-    for k, a in zip(indices, eval_jacobian(mode, samples.points[indices])):
-        m = 2.0 * bound * p - (p @ a @ pi + pi @ a.T @ p)
-        full_ok = psd_check((m + m.T) / 2.0, tol)
-        reduced_ok = reduced_values[k] <= bound + tol * max(1.0, abs(bound))
-        if full_ok != reduced_ok and abs(reduced_values[k] - bound) > 1e-6 * max(1.0, abs(bound)):
-            raise RuntimeError(
-                f"full-space and reduced rate conditions disagree at sample {k}: "
-                f"full={full_ok}, reduced={reduced_ok}"
-            )
+    a = eval_jacobian(mode, samples.points[indices])
+    m = 2.0 * bound * p - (p @ a @ pi + pi @ np.swapaxes(a, -1, -2) @ p)
+    full_ok = psd_check((m + np.swapaxes(m, -1, -2)) / 2.0, tol)
+    scale = max(1.0, abs(bound))
+    reduced = reduced_values[indices]
+    reduced_ok = reduced <= bound + tol * scale
+    disagree = (full_ok != reduced_ok) & (np.abs(reduced - bound) > 1e-6 * scale)
+    if np.any(disagree):
+        j = int(np.argmax(disagree))
+        raise RuntimeError(
+            f"full-space and reduced rate conditions disagree at sample {indices[j]}: "
+            f"full={bool(full_ok[j])}, reduced={bool(reduced_ok[j])}"
+        )
 
 
 def _require_same_subspace(w_from: WeightedSeminorm, w_to: WeightedSeminorm):
@@ -310,16 +333,19 @@ def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
     return DecayConstants(rate, prefactor, norm_prefactor, rate / 2.0)
 
 
-def _invariance(mode: Mode, s: Subspace, samples: SampleSet) -> InvarianceResult:
-    """The hypothesis that the complement of s is invariant under the mode, at
-    INVARIANCE_TOL; raises InfeasibleError when a sample violates it."""
-    inv = check_invariance(mode, s, samples, tol=INVARIANCE_TOL)
-    if not inv.ok:
-        raise InfeasibleError(
-            f"complement is not invariant under mode {mode.id} "
-            f"(residual {inv.worst_residual:.3e} at {inv.worst_point})"
-        )
-    return inv
+def _invariance(system: SwitchedSystem, s: Subspace, samples: SampleSet) -> dict:
+    """The hypothesis that the complement of s is invariant under every mode,
+    at INVARIANCE_TOL: mode id -> InvarianceResult, in system order. Raises
+    NotInvariantError, naming the first violated mode, when a sample violates
+    it."""
+    invariance = {mode.id: check_invariance(mode, s, samples, tol=INVARIANCE_TOL)
+                  for mode in system.modes}
+    for q, inv in invariance.items():
+        if not inv.ok:
+            raise NotInvariantError(
+                f"complement is not invariant under mode {q} "
+                f"(residual {inv.worst_residual:.3e} at {inv.worst_point})", s, invariance)
+    return invariance
 
 
 def build_certificate(system: SwitchedSystem, s: Subspace, weights_by_mode: dict,
@@ -329,11 +355,12 @@ def build_certificate(system: SwitchedSystem, s: Subspace, weights_by_mode: dict
                       eta_unstable: float | None = None) -> SubspaceCertificate:
     """Assemble a certificate from explicit weights, deriving any constants not
     supplied from the tightest feasible values."""
-    weights, invariance = {}, {}
+    missing = [mode.id for mode in system.modes if mode.id not in weights_by_mode]
+    if missing:
+        raise ValueError(f"missing weight for mode {missing[0]}")
+    invariance = _invariance(system, s, samples)
+    weights = {}
     for mode in system.modes:
-        if mode.id not in weights_by_mode:
-            raise ValueError(f"missing weight for mode {mode.id}")
-        invariance[mode.id] = _invariance(mode, s, samples)
         p = weights_by_mode[mode.id]
         weights[mode.id] = p if isinstance(p, WeightedSeminorm) else reduce_weight(p, s)
     return _certificate(system, s, weights, invariance, samples, beta_stable,
@@ -392,10 +419,8 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
     """
     pi = projector(s).matrix
     unit = reduce_weight(pi, s)
-    invariance, tags = {}, {}
-    for mode in system.modes:
-        invariance[mode.id] = _invariance(mode, s, samples)
-        tags[mode.id], _ = classify_mode(mode, unit, samples)
+    invariance = _invariance(system, s, samples)
+    tags = {mode.id: classify_mode(mode, unit, samples)[0] for mode in system.modes}
     stable = [q for q, t in tags.items() if t == STABLE]
     unstable = [q for q, t in tags.items() if t == UNSTABLE]
     if not stable:

@@ -141,7 +141,12 @@ def _initial_state(text: str, dimension: int) -> np.ndarray:
 
 def _simulation_signal(args, mode_ids, bounds: DwellBounds | None) -> SwitchingSignal:
     if args.signal:
-        return read_signal_csv(args.signal, horizon=args.horizon)
+        sig = read_signal_csv(args.signal, horizon=args.horizon)
+        unknown = sorted(set(sig.modes) - set(mode_ids))
+        if unknown:
+            raise ConfigError(f"the signal enters mode {unknown[0]}, which the configuration "
+                              f"lacks (modes {mode_ids})")
+        return sig
     if args.random_signal:
         if bounds is None:
             raise InfeasibleError("a random compliant signal needs the certified bounds")

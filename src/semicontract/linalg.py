@@ -4,7 +4,8 @@ Thin wrappers over numpy's LAPACK (`eigh`, `eigvalsh`, `cholesky`) that
 validate and symmetrize their input. Problem sizes are tens at most; the
 generalized eigenproblem also takes a stack of left-hand sides against one
 weight, so a whole sample set costs one Cholesky, one triangular solve per
-side over the whole stack and one batched eigensolve.
+side over the whole stack and one batched eigensolve; the semidefinite test
+takes a stack too.
 """
 
 from __future__ import annotations
@@ -105,11 +106,13 @@ def _solve_each(lower, s) -> np.ndarray:
     return cols.reshape(h, -1, h).transpose(1, 0, 2)
 
 
-def psd_check(m, tol: float = PSD_TOL) -> bool:
-    """True iff lambda_min(M) >= -tol * max(1, ||M||_F)."""
+def psd_check(m, tol: float = PSD_TOL):
+    """True iff lambda_min(M) >= -tol * max(1, ||M||_F). For a stack
+    (..., n, n) the same rule gives one verdict per matrix, as a bool array,
+    from one batched eigensolve."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     m = as_square_symmetric(m, "psd_check input")
-    if m.ndim != 2:
-        raise ValueError(f"psd_check input must be one matrix, got shape {m.shape}")
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol * max(1.0, frobenius(m)))
+    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    ok = np.linalg.eigvalsh(m)[..., 0] >= -tol * scale
+    return bool(ok) if m.ndim == 2 else ok

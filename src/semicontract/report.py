@@ -12,8 +12,10 @@ import numpy as np
 from . import __version__
 from .certificates import (
     DEFAULT_MARGIN,
+    INVARIANCE_TOL,
     DwellBounds,
     InfeasibleError,
+    NotInvariantError,
     build_certificate,
     check_rate,
     coupling_check,
@@ -25,7 +27,7 @@ from .certificates import (
     tightest_jump_factor,
 )
 from .linalg import PSD_TOL
-from .subspaces import check_separating, orthonormalize, projector
+from .subspaces import analysis_scope, check_separating, orthonormalize, projector
 from .system import ConfigBundle, ConfigError, SampleSet, default_samples, sample_domain
 
 SCHEMA_VERSION = 1
@@ -48,12 +50,28 @@ def make_samples(bundle: ConfigBundle, grid: int | None, random_count: int | Non
                          random_count=random_count or 0, seed=seed)
 
 
+class UncertifiedError(InfeasibleError):
+    """Some subspace's complement is not invariant under some mode, so it has
+    no certificate; results maps every subspace name, in order, to its
+    certificate or to the NotInvariantError that rejected it."""
+
+    def __init__(self, message: str, results: dict):
+        super().__init__(message)
+        self.results = results
+
+
 def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             margin: float = DEFAULT_MARGIN, search_weights: bool = False,
             seed: int = 0, certs: dict | None = None) -> dict:
     """Invariance -> classification -> condition checks -> constants ->
     per-subspace and family bounds -> decay constants. certs, if given, must be
-    certificates_from_report(bundle, samples, search_weights)."""
+    certificates_from_report(bundle, samples, search_weights).
+
+    A subspace whose complement is not invariant gets a section with only its
+    invariance results, and the family is evaluated over the subspaces that
+    certify. The whole call is one analysis scope over samples, so each
+    Jacobian stack, projection and growth array is computed once.
+    """
     if not bundle.subspaces:
         raise InfeasibleError("configuration declares no subspaces")
     missing = sorted({spec.name for spec in bundle.subspaces}
@@ -62,43 +80,61 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
         raise InfeasibleError(
             f"no certificates for subspaces {missing}; supply P matrices or use weight search"
         )
+    with analysis_scope(samples):
+        if certs is None:
+            try:
+                certs = certificates_from_report(bundle, samples, search_weights)
+            except UncertifiedError as exc:
+                certs = exc.results
+        return _analysis_report(bundle, samples, tol, margin, search_weights, seed, certs)
+
+
+def _analysis_report(bundle, samples, tol, margin, search_weights, seed, results) -> dict:
+    # results: subspace name -> certificate, or the NotInvariantError without one
     system = bundle.system
-    if certs is None:
-        certs = certificates_from_report(bundle, samples, search_weights)
     verdicts: list[dict] = []
 
     def record(check: str, ok: bool) -> None:
         verdicts.append({"name": check, "ok": bool(ok)})
 
-    sections = []
-    for name, cert in certs.items():
-        s = cert.subspace
-        section: dict = {
-            "name": name,
-            "dimension": s.dim,
-            "basis": s.basis.T.tolist(),
-            "invariance": {},
-            "modes": {},
-            "coupling": {},
-            "constants": {},
-            "dwell_bounds": {},
-        }
+    def invariance_section(name, invariance, tolerance) -> dict:
+        section = {}
         for mode in system.modes:
-            inv = cert.invariance[mode.id]
-            ok = inv.worst_residual <= max(tol, 1e-9)
+            inv = invariance[mode.id]
+            ok = inv.worst_residual <= tolerance
             record(f"{name}:invariance:mode{mode.id}", ok)
-            section["invariance"][str(mode.id)] = {
+            section[str(mode.id)] = {
                 "ok": ok,
                 "worst_residual": inv.worst_residual,
                 "worst_point": inv.worst_point.tolist(),
-                "tolerance": max(tol, 1e-9),
+                "tolerance": tolerance,
             }
+        return section
+
+    sections = []
+    certs = {}
+    for name, cert in results.items():
+        rejected = isinstance(cert, NotInvariantError)
+        # a rejected subspace is judged at the tolerance its certificate needed
+        section: dict = {
+            "name": name,
+            "dimension": cert.subspace.dim,
+            "basis": cert.subspace.basis.T.tolist(),
+            "invariance": invariance_section(
+                name, cert.invariance, INVARIANCE_TOL if rejected else max(tol, 1e-9)),
+        }
+        sections.append(section)
+        if rejected:
+            continue
+        certs[name] = cert
+        section.update(modes={}, coupling={}, constants={}, dwell_bounds={})
         tightest = {}
         for mode in system.modes:
             tag = cert.tags[mode.id]
             eta = cert.eta_stable if tag == "S" else cert.eta_unstable
             rate = check_rate(mode, cert.weights[mode.id], eta, tag == "S", samples, tol)
             record(f"{name}:rate:mode{mode.id}", rate.ok)
+            # the certificate's sup_growth[q]; in the analysis scope a memo hit
             tight = tightest_eta(mode, cert.weights[mode.id], samples)
             tightest[mode.id] = tight
             section["modes"][str(mode.id)] = {
@@ -144,9 +180,9 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             "tightest_eta_unstable": max((tightest[q] for q in unstable_ids), default=None),
         }
         section["dwell_bounds"] = _bounds_section(dwell_bounds_subspace(cert, margin=margin))
-        sections.append(section)
 
-    separating = check_separating([projector(c.subspace) for c in certs.values()])
+    separating = bool(certs) and check_separating([projector(c.subspace)
+                                                   for c in certs.values()])
     record("family:separating", separating)
     family: dict = {
         "separating": separating,
@@ -227,17 +263,28 @@ def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
                              search_weights: bool = False):
     """Build each subspace's certificate, in subspace name order: from the
     configured P matrices, or by scalar-weight search when search_weights is
-    set or a subspace has none. This is the analysis' own certificate source."""
+    set or a subspace has none. This is the analysis' own certificate source;
+    it runs in one analysis scope over samples (joining the caller's, if any).
+    Raises UncertifiedError, after trying every subspace, when a complement is
+    not invariant."""
     system = bundle.system
-    certs = {}
+    results = {}
     cert_specs = {spec.subspace: spec for spec in bundle.certificates}
-    for spec in sorted(bundle.subspaces, key=lambda spec: spec.name):
-        s = orthonormalize(spec.span, ambient=system.dimension)
-        cspec = cert_specs.get(spec.name)
-        constants = {key: getattr(cspec, key, None)
-                     for key in ("beta_stable", "beta_unstable", "eta_stable", "eta_unstable")}
-        if search_weights or cspec is None or not cspec.weights:
-            certs[spec.name] = search_scalar_weights(system, s, samples, **constants)
-        else:
-            certs[spec.name] = build_certificate(system, s, cspec.weights, samples, **constants)
-    return certs
+    with analysis_scope(samples):
+        for spec in sorted(bundle.subspaces, key=lambda spec: spec.name):
+            s = orthonormalize(spec.span, ambient=system.dimension)
+            cspec = cert_specs.get(spec.name)
+            constants = {key: getattr(cspec, key, None) for key in
+                         ("beta_stable", "beta_unstable", "eta_stable", "eta_unstable")}
+            try:
+                if search_weights or cspec is None or not cspec.weights:
+                    results[spec.name] = search_scalar_weights(system, s, samples, **constants)
+                else:
+                    results[spec.name] = build_certificate(system, s, cspec.weights, samples,
+                                                           **constants)
+            except NotInvariantError as exc:
+                results[spec.name] = exc
+    rejected = [r for r in results.values() if isinstance(r, NotInvariantError)]
+    if rejected:
+        raise UncertifiedError(str(rejected[0]), results)
+    return results

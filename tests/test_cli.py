@@ -52,6 +52,7 @@ def test_analyze_deterministic_output(tmp_path):
     ("analyze_saddle2d_grid41.json", ["--grid", "41"]),
     ("analyze_saddle4d_grid5.json", ["--config", "saddle4d", "--search-weights", "--grid", "5"]),
     ("analyze_saddle4d_grid9.json", ["--config", "saddle4d", "--search-weights", "--grid", "9"]),
+    ("analyze_saddle4d_grid13.json", ["--config", "saddle4d", "--search-weights", "--grid", "13"]),
 ])
 def test_analyze_reports_equal_the_golden_reports(tmp_path, golden, argv):
     # tests/data holds reports from the AST-evaluated Jacobians and per-matrix
@@ -92,6 +93,34 @@ def test_analyze_single_subspace_not_separating(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["family"]["separating"] is False
     assert any(v["name"] == "family:separating" and not v["ok"] for v in report["verdicts"])
+
+
+def test_analyze_reports_a_complement_that_is_not_invariant(tmp_path, capsys):
+    # span [1, 0] has complement span [0, 1], which neither mode leaves invariant
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    antidiag = next(s for s in doc["subspaces"] if s["name"] == "antidiag")
+    antidiag["span"] = [[1.0, 0.0]]
+    config = tmp_path / "axis.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["analyze", "--config", str(config), "--search-weights", "--grid", "11"]
+    assert main([*argv, "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    rejected, certified = report["subspaces"]
+    assert rejected["name"] == "antidiag" and certified["name"] == "diag"
+    assert list(rejected) == ["name", "dimension", "basis", "invariance"]
+    inv = rejected["invariance"]["1"]
+    assert inv["ok"] is False
+    assert inv["worst_residual"] > inv["tolerance"] == 1e-9
+    assert len(inv["worst_point"]) == 2
+    assert {"modes", "coupling", "constants", "dwell_bounds"} <= set(certified)
+    failed = [v["name"] for v in report["verdicts"] if not v["ok"]]
+    assert "antidiag:invariance:mode1" in failed
+    assert not any(name.startswith("diag:") for name in failed)
+    # the family is the certified diag alone, which does not separate R^2
+    assert report["family"]["separating"] is False
+    assert "family:separating" in failed
+    assert "failed conditions: antidiag:invariance:mode1" in capsys.readouterr().err
 
 
 def test_analyze_config_error_exit_2(tmp_path):
@@ -254,8 +283,15 @@ BAD_SIGNAL_FILES = {
 }
 
 
+# a signal file that is well formed but enters a mode the configuration lacks
+SIMULATE_BAD_SIGNAL_FILES = {
+    **BAD_SIGNAL_FILES,
+    "unknown_mode": ("time,mode\n0.0,1\n1.0,3\n", "mode 3"),
+}
+
+
 def write_bad_signal(tmp_path, case):
-    text, _ = BAD_SIGNAL_FILES[case]
+    text, _ = SIMULATE_BAD_SIGNAL_FILES[case]
     path = tmp_path / "signal.csv"
     if text is not None:
         path.write_text(text)
@@ -290,14 +326,14 @@ def test_signal_check_mode_without_bounds_is_a_config_error(tmp_path, capsys, us
     assert capsys.readouterr().err == f"config error: no dwell bounds for mode {unbounded_mode}\n"
 
 
-@pytest.mark.parametrize("case", sorted(BAD_SIGNAL_FILES))
+@pytest.mark.parametrize("case", sorted(SIMULATE_BAD_SIGNAL_FILES))
 def test_simulate_bad_signal_file_is_a_config_error(tmp_path, capsys, case):
     path = write_bad_signal(tmp_path, case)
     code = main(["simulate", "--signal", str(path), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert "config error:" in err
-    assert BAD_SIGNAL_FILES[case][1] in err
+    assert SIMULATE_BAD_SIGNAL_FILES[case][1] in err
     assert not (tmp_path / "simulation.json").exists()
 
 

@@ -280,6 +280,26 @@ def test_psd_check_invariant_under_orthogonal_congruence():
         assert psd_check(m) == psd_check((rotated + rotated.T) / 2.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5),
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), st.integers(0, 2**32 - 1))
+def test_psd_check_stack_equals_each_matrix_alone(n, rows, cols, tol, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.empty((rows, cols, n, n))
+    for i in range(rows):
+        for j in range(cols):
+            m = random_symmetric(rng, n)
+            # shift lambda_min to about 0 or to either side of the tolerance
+            lam = np.linalg.eigvalsh(m)[0]
+            shift = float(rng.choice([0.0, 0.5, 1.0, 2.0])) * tol * max(1.0, frobenius(m))
+            stack[i, j] = m - (lam + shift) * np.eye(n)
+    verdicts = psd_check(stack, tol)
+    assert verdicts.shape == (rows, cols) and verdicts.dtype == bool
+    assert verdicts.tolist() == [[psd_check(stack[i, j], tol) for j in range(cols)]
+                                 for i in range(rows)]
+    assert isinstance(psd_check(stack[0, 0], tol), bool)
+
+
 def test_cholesky_examples():
     assert np.allclose(cholesky(np.eye(3)), np.eye(3))
     assert np.allclose(cholesky([[4.0]]), [[2.0]])

@@ -5,13 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from semicontract import __version__, certificates
-from semicontract.certificates import dwell_bounds_family
+from semicontract import __version__, certificates, linalg, subspaces, system
+from semicontract.certificates import dwell_bounds_family, growth_values, tightest_eta
 from semicontract.cli import main
 from semicontract.report import analyze, bounds_from_report, certificates_from_report, \
     make_samples
 from semicontract.signals import generate_periodic, write_signal_csv
-from semicontract.subspaces import check_invariance, orthonormalize
+from semicontract.subspaces import analysis_scope, check_invariance, orthonormalize, scope_memo
 from semicontract.system import ConfigError, load_config
 from semicontract.testdata import bundled_config_path
 
@@ -143,3 +143,92 @@ def test_bounds_read_from_a_report_equal_the_family_bounds(bundle, search_weight
 def test_a_report_without_family_bounds_is_a_config_error(doc):
     with pytest.raises(ConfigError, match="no family dwell bounds"):
         bounds_from_report(doc)
+
+
+@pytest.fixture(scope="module")
+def bundle4d():
+    return load_config(bundled_config_path("saddle4d"))
+
+
+def count_analysis_work(monkeypatch):
+    """Wrap the memo's layers; returns a callable giving the counts so far."""
+    jacobians = count_calls(monkeypatch, system, "eval_jacobian")
+    projections = count_calls(monkeypatch, subspaces, "_project")
+    eigensolves = count_calls(monkeypatch, linalg, "gen_sym_eig")
+    growth = count_calls(monkeypatch, certificates, "growth_values")
+
+    def counts(samples):
+        return {
+            "full_grid_jacobians": sum(len(x) == len(samples) for _, x in jacobians),
+            "projections": len(projections),
+            "stacked_eigensolves": sum(np.ndim(s) == 3 for s, _ in eigensolves),
+            "growth_values": len(growth),
+        }
+    return counts
+
+
+def strip_time(report):
+    return {**report, "generated_at": ""}
+
+
+def test_analyze_computes_each_array_once(monkeypatch, bundle4d):
+    samples = make_samples(bundle4d, 5, None, 0)
+    counts = count_analysis_work(monkeypatch)
+    first = analyze(bundle4d, samples, search_weights=True)
+    once = counts(samples)
+    # 2 modes, 2 subspaces x 2 modes; the stable modes share the unit
+    # weight's values, so only the escalated unstable weight adds a solve;
+    # every growth_values call stays, as memo hits
+    assert once["full_grid_jacobians"] == len(bundle4d.system.modes) == 2
+    assert once["projections"] == 4
+    assert once["stacked_eigensolves"] <= 6
+    assert once["growth_values"] == 16
+    # the memo ends with the call: a second analysis does all the work again
+    second = analyze(bundle4d, samples, search_weights=True)
+    assert counts(samples) == {key: 2 * value for key, value in once.items()}
+    assert strip_time(second) == strip_time(first)
+
+
+def test_a_later_analysis_sees_changed_sample_points(bundle4d):
+    samples = make_samples(bundle4d, 5, None, 0)
+    before = analyze(bundle4d, samples, search_weights=True)
+    samples.points[:] = 0.5 * samples.points
+    after = analyze(bundle4d, samples, search_weights=True)
+    fresh = make_samples(bundle4d, 5, None, 0)
+    fresh.points[:] = 0.5 * fresh.points
+    assert strip_time(after) != strip_time(before)
+    assert strip_time(after) == strip_time(analyze(bundle4d, fresh, search_weights=True))
+
+
+@pytest.mark.parametrize("name, grid, search_weights", [
+    ("saddle2d", 11, False), ("saddle4d", 5, True),
+])
+def test_scoped_growth_equals_unscoped_growth_bit_for_bit(name, grid, search_weights):
+    source = load_config(bundled_config_path(name))
+    samples = make_samples(source, grid, None, 0)
+    report = analyze(source, samples, search_weights=search_weights)
+    certs = certificates_from_report(source, samples, search_weights)
+    assert scope_memo(samples) is None
+    for section in report["subspaces"]:
+        cert = certs[section["name"]]
+        for mode in source.system.modes:
+            w = cert.weights[mode.id]
+            entry = section["modes"][str(mode.id)]
+            assert entry["tightest_eta"] == tightest_eta(mode, w, samples) \
+                == cert.sup_growth[mode.id]
+            outside = growth_values(mode, w, samples)
+            with analysis_scope(samples):
+                inside = growth_values(mode, w, samples)
+                assert growth_values(mode, w, samples) is inside
+            assert inside.tobytes() == outside.tobytes()
+            assert not inside.flags.writeable and outside.flags.writeable
+
+
+def test_a_scope_serves_only_its_own_sample_set(bundle):
+    samples = make_samples(bundle, 11, None, 0)
+    other = make_samples(bundle, 11, None, 0)
+    with analysis_scope(samples):
+        with analysis_scope(other):  # joins the open scope
+            assert scope_memo(samples) is not None
+            assert scope_memo(other) is None
+    assert scope_memo(samples) is None
