@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PSD_TOL, frobenius, gen_sym_eig, psd_check, sym_eig
-from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, check_invariance, \
-    check_separating, log_seminorm, projector, reduce_weight, scope_memo
+from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, _project, \
+    _reduced_growth, check_invariance, check_separating, projector, reduce_weight
 from .system import Mode, SampleSet, SwitchedSystem, eval_jacobian
 
 # Jump-factor comparisons default to the granularity of 4-decimal published
@@ -47,19 +47,19 @@ class NotInvariantError(InfeasibleError):
 
 
 def growth_values(mode: Mode, w: WeightedSeminorm, samples: SampleSet) -> np.ndarray:
-    """Weighted log-seminorm of the mode Jacobian at every sample point.
-
-    Outside an analysis scope this is log_seminorm of a fresh Jacobian stack.
-    Inside a scope over these samples it is the scope's read-only array for
-    (subspace, mode, reduced weight), computed by the same steps on the first
-    call and returned as is on every later one.
+    """Weighted log-seminorm of the mode Jacobian at every sample point: the
+    bits of log_seminorm(w, samples.jacobians(mode)), as the sample set's
+    read-only array for (subspace, mode, reduced weight). It is computed on
+    the first call, from the set's one projection of the mode's stack on the
+    subspace, and returned as is on every later one.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    memo = scope_memo(samples)
-    if memo is None:
-        return log_seminorm(w, eval_jacobian(mode, samples.points))
-    return memo.growth(mode, w)
+    basis = w.subspace.basis
+    a11 = samples.computed((mode, basis.tobytes()),
+                           lambda: _project(basis, samples.jacobians(mode)))
+    return samples.computed((mode, basis.tobytes(), w.reduced.tobytes()),
+                            lambda: _reduced_growth(w.reduced, a11))
 
 
 def classify_mode(mode: Mode, w: WeightedSeminorm, samples: SampleSet):

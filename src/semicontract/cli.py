@@ -177,8 +177,8 @@ def cmd_simulate(args) -> int:
     try:
         result, traces = run_simulation(bundle, sig, x_a0, x_b0, args.step, bounds)
     except RateWindowError as exc:
-        return _config_error(f"the rate-fit window [0.2 T, T] is too short ({exc}): "
-                             f"raise --horizon or lower --step")
+        return _config_error(f"the rate-fit window [t0 + 0.2 (T - t0), T] is too short "
+                             f"({exc}): raise --horizon or lower --step")
     report = {
         "schema_version": 1,
         "provenance": {

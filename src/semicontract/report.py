@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -27,7 +28,7 @@ from .certificates import (
     tightest_jump_factor,
 )
 from .linalg import PSD_TOL
-from .subspaces import analysis_scope, check_separating, orthonormalize, projector
+from .subspaces import check_separating, orthonormalize, projector
 from .system import ConfigBundle, ConfigError, SampleSet, default_samples, sample_domain
 
 SCHEMA_VERSION = 1
@@ -65,12 +66,13 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             seed: int = 0, certs: dict | None = None) -> dict:
     """Invariance -> classification -> condition checks -> constants ->
     per-subspace and family bounds -> decay constants. certs, if given, must be
-    certificates_from_report(bundle, samples, search_weights).
+    certificates_from_report(bundle, samples, search_weights), and the report
+    reads the arrays that built them from samples; without certs the call
+    builds them over a fresh copy of samples, so it does all of its work.
 
     A subspace whose complement is not invariant gets a section with only its
     invariance results, and the family is evaluated over the subspaces that
-    certify. The whole call is one analysis scope over samples, so each
-    Jacobian stack, projection and growth array is computed once.
+    certify.
     """
     if not bundle.subspaces:
         raise InfeasibleError("configuration declares no subspaces")
@@ -80,13 +82,13 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
         raise InfeasibleError(
             f"no certificates for subspaces {missing}; supply P matrices or use weight search"
         )
-    with analysis_scope(samples):
-        if certs is None:
-            try:
-                certs = certificates_from_report(bundle, samples, search_weights)
-            except UncertifiedError as exc:
-                certs = exc.results
-        return _analysis_report(bundle, samples, tol, margin, search_weights, seed, certs)
+    if certs is None:
+        samples = replace(samples)
+        try:
+            certs = certificates_from_report(bundle, samples, search_weights)
+        except UncertifiedError as exc:
+            certs = exc.results
+    return _analysis_report(bundle, samples, tol, margin, search_weights, seed, certs)
 
 
 def _analysis_report(bundle, samples, tol, margin, search_weights, seed, results) -> dict:
@@ -134,7 +136,7 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, seed, results
             eta = cert.eta_stable if tag == "S" else cert.eta_unstable
             rate = check_rate(mode, cert.weights[mode.id], eta, tag == "S", samples, tol)
             record(f"{name}:rate:mode{mode.id}", rate.ok)
-            # the certificate's sup_growth[q]; in the analysis scope a memo hit
+            # the certificate's sup_growth[q], read back from samples
             tight = tightest_eta(mode, cert.weights[mode.id], samples)
             tightest[mode.id] = tight
             section["modes"][str(mode.id)] = {
@@ -264,26 +266,24 @@ def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
     """Build each subspace's certificate, in subspace name order: from the
     configured P matrices, or by scalar-weight search when search_weights is
     set or a subspace has none. This is the analysis' own certificate source;
-    it runs in one analysis scope over samples (joining the caller's, if any).
-    Raises UncertifiedError, after trying every subspace, when a complement is
-    not invariant."""
+    every array it computes stays with samples. Raises UncertifiedError, after
+    trying every subspace, when a complement is not invariant."""
     system = bundle.system
     results = {}
     cert_specs = {spec.subspace: spec for spec in bundle.certificates}
-    with analysis_scope(samples):
-        for spec in sorted(bundle.subspaces, key=lambda spec: spec.name):
-            s = orthonormalize(spec.span, ambient=system.dimension)
-            cspec = cert_specs.get(spec.name)
-            constants = {key: getattr(cspec, key, None) for key in
-                         ("beta_stable", "beta_unstable", "eta_stable", "eta_unstable")}
-            try:
-                if search_weights or cspec is None or not cspec.weights:
-                    results[spec.name] = search_scalar_weights(system, s, samples, **constants)
-                else:
-                    results[spec.name] = build_certificate(system, s, cspec.weights, samples,
-                                                           **constants)
-            except NotInvariantError as exc:
-                results[spec.name] = exc
+    for spec in sorted(bundle.subspaces, key=lambda spec: spec.name):
+        s = orthonormalize(spec.span, ambient=system.dimension)
+        cspec = cert_specs.get(spec.name)
+        constants = {key: getattr(cspec, key, None) for key in
+                     ("beta_stable", "beta_unstable", "eta_stable", "eta_unstable")}
+        try:
+            if search_weights or cspec is None or not cspec.weights:
+                results[spec.name] = search_scalar_weights(system, s, samples, **constants)
+            else:
+                results[spec.name] = build_certificate(system, s, cspec.weights, samples,
+                                                       **constants)
+        except NotInvariantError as exc:
+            results[spec.name] = exc
     rejected = [r for r in results.values() if isinstance(r, NotInvariantError)]
     if rejected:
         raise UncertifiedError(str(rejected[0]), results)

@@ -251,9 +251,9 @@ def step_halving_agreement(system: SwitchedSystem, sig: SwitchingSignal, x0,
 def run_simulation(bundle, sig, x_a0, x_b0, step: float,
                    bounds: DwellBounds | None) -> tuple[dict, dict | None]:
     """Integrate a trajectory pair, validate it by step halving and against the
-    domain box, and measure distance (rate fitted on the last 80 % of the run)
-    and projected distances on the bundle's subspaces. Returns the result and
-    the traces for write_traces, None for a diverging run."""
+    domain box, and measure distance (rate fitted on the last 80 % of the run,
+    from t0 + 0.2 (T - t0)) and projected distances on the bundle's subspaces.
+    Returns the result and the traces for write_traces, None for a diverging run."""
     system = bundle.system
     try:
         traj_a = integrate(system, sig, x_a0, step)
@@ -286,8 +286,8 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float,
     result["envelope_monotone"] = bool(
         all(b <= a * (1 + 1e-9) for a, b in zip(envelope, envelope[1:]))
     )
-    span = float(traj_a.times[-1])
-    fit = fit_rate(traj_a.times, distance, (0.2 * span, span))
+    t0, t_end = float(traj_a.times[0]), float(traj_a.times[-1])
+    fit = fit_rate(traj_a.times, distance, (t0 + 0.2 * (t_end - t0), t_end))
     result["rate_fit"] = {**asdict(fit), "window": list(fit.window)}
     if bounds is not None:
         check = verify_per_activation(sig, bounds)

@@ -3,17 +3,13 @@ invariance and separating-family checks."""
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import NotPositiveDefiniteError, frobenius, gen_sym_eig, sym_eig
-from .system import Mode, SampleSet, eval_jacobian
+from .system import RANK_TOL, Mode, SampleSet
 
-# Residual below which a candidate basis vector is dropped as dependent.
-RANK_TOL = 1e-10
 # Relative bound on ||P @ complement|| for a weight to share the subspace kernel.
 KERNEL_TOL = 1e-8
 
@@ -127,8 +123,8 @@ def log_seminorm(w: WeightedSeminorm, a):
 
     A is one (n, n) matrix (returns a float) or a stack (m, n, n) (returns an
     (m,) array); a stack shares one factorization of R. It computes afresh
-    on every call; an analysis scope's memo runs the same two steps once
-    per (subspace, mode) and reduced weight.
+    on every call; certificates.growth_values runs the same two steps once
+    per sample set, (subspace, mode) and reduced weight.
     """
     a = np.asarray(a, dtype=float)
     n = w.subspace.ambient
@@ -151,62 +147,6 @@ def _reduced_growth(r, a11):
     return gen_sym_eig(lhs, 2.0 * r)[..., -1]
 
 
-# The memo of the open analysis scope, or None outside every scope.
-_SCOPE: ContextVar = ContextVar("semicontract_analysis_scope", default=None)
-
-
-class _AnalysisMemo:
-    """Arrays computed once over one sample set while an analysis scope is open:
-    the Jacobian stack of each mode, the projection B^T A B of each
-    (subspace, mode) and the growth values of each (subspace, mode, reduced
-    weight). Keys are contents (the mode, basis.tobytes(), reduced.tobytes()),
-    and every stored array is read-only."""
-
-    def __init__(self, samples: SampleSet):
-        self.samples = samples  # held, so the set outlives the scope's entries
-        self._arrays: dict = {}
-
-    def _get(self, key, compute) -> np.ndarray:
-        value = self._arrays.get(key)
-        if value is None:
-            value = self._arrays[key] = compute()
-            value.flags.writeable = False
-        return value
-
-    def jacobians(self, mode: Mode) -> np.ndarray:
-        return self._get((mode,), lambda: eval_jacobian(mode, self.samples.points))
-
-    def projection(self, mode: Mode, basis: np.ndarray) -> np.ndarray:
-        return self._get((mode, basis.tobytes()),
-                         lambda: _project(basis, self.jacobians(mode)))
-
-    def growth(self, mode: Mode, w: WeightedSeminorm) -> np.ndarray:
-        basis = w.subspace.basis
-        return self._get((mode, basis.tobytes(), w.reduced.tobytes()),
-                         lambda: _reduced_growth(w.reduced, self.projection(mode, basis)))
-
-
-@contextmanager
-def analysis_scope(samples: SampleSet):
-    """Open a memo over samples for the calls made inside the block; a scope
-    opened inside another one joins it, and the memo is dropped when the
-    outermost block exits, so no later analysis reads its entries."""
-    if _SCOPE.get() is not None:
-        yield
-        return
-    token = _SCOPE.set(_AnalysisMemo(samples))
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-
-
-def scope_memo(samples: SampleSet) -> _AnalysisMemo | None:
-    """The open scope's memo if it was opened over this very sample set."""
-    memo = _SCOPE.get()
-    return memo if memo is not None and memo.samples is samples else None
-
-
 @dataclass(frozen=True, eq=False)
 class InvarianceResult:
     ok: bool
@@ -220,14 +160,12 @@ def check_invariance(mode: Mode, s: Subspace, samples: SampleSet,
     of a subspace invariant at every sample:
     || Pi_V A(x) Pi_Vperp ||_F <= tol * max(1, ||A(x)||_F).
 
-    Inside an analysis scope over these samples the Jacobian stack is the
-    scope's one stack of the mode; outside one it is evaluated here.
+    The Jacobian stack is the sample set's one stack of the mode.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
     pi = s.basis @ s.basis.T
-    memo = scope_memo(samples)
-    jacs = eval_jacobian(mode, samples.points) if memo is None else memo.jacobians(mode)
+    jacs = samples.jacobians(mode)
     residuals = np.linalg.norm(pi @ jacs @ (np.eye(s.ambient) - pi), axis=(1, 2))
     scales = np.maximum(1.0, np.linalg.norm(jacs, axis=(1, 2)))
     ratios = residuals / scales

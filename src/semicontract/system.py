@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -18,6 +18,10 @@ from .expr import (
     parse_expr,
     to_python_statements,
 )
+
+
+# Residual below which a candidate basis vector is dropped as dependent.
+RANK_TOL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -162,13 +166,29 @@ class SwitchedSystem:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Finite point set standing in for 'for all x in D' checks."""
+    """Finite point set standing in for 'for all x in D' checks. It keeps the
+    arrays computed over its points, read-only and keyed by content, and does
+    not recompute them if the points change in place; dataclasses.replace
+    gives a set over the same points with none computed."""
 
     points: np.ndarray  # (m, n)
     scheme: dict
+    _arrays: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
         return self.points.shape[0]
+
+    def computed(self, key, compute) -> np.ndarray:
+        """The array stored under key, from compute() on the first request."""
+        value = self._arrays.get(key)
+        if value is None:
+            value = self._arrays[key] = compute()
+            value.flags.writeable = False
+        return value
+
+    def jacobians(self, mode: Mode) -> np.ndarray:
+        """The mode's Jacobian at every point, (m, n, n)."""
+        return self.computed((mode,), lambda: eval_jacobian(mode, self.points))
 
 
 def sample_domain(system: SwitchedSystem, grid_per_axis: int = 0,
@@ -252,6 +272,8 @@ def load_config(source) -> ConfigBundle:
                     f"mode {entry['id']} has {len(exprs)} field components, expected {n}"
                 )
             modes.append(make_mode(int(entry["id"]), exprs))
+        if not modes:
+            raise ConfigError("configuration declares no modes")
         modes.sort(key=lambda m: m.id)
         system = SwitchedSystem(n, tuple(modes), domain)
     except ConfigError:
@@ -264,6 +286,8 @@ def load_config(source) -> ConfigBundle:
         span = tuple(tuple(float(v) for v in vec) for vec in entry["span"])
         if any(len(vec) != n for vec in span):
             raise ConfigError(f"subspace {entry['name']!r} span vectors must have length {n}")
+        if max(map(np.linalg.norm, span), default=0.0) < RANK_TOL:
+            raise ConfigError(f"subspace {entry['name']!r} has a numerically zero span")
         subspaces.append(SubspaceSpec(str(entry["name"]), span))
 
     certificates = []

@@ -21,7 +21,7 @@ from semicontract.certificates import (
 )
 from semicontract.expr import parse_expr
 from semicontract.linalg import gen_sym_eig, psd_check
-from semicontract.subspaces import log_seminorm, orthonormalize, projector, reduce_weight
+from semicontract.subspaces import _reduced_growth, orthonormalize, projector, reduce_weight
 from semicontract.system import load_config, make_mode, sample_domain
 from semicontract.testdata import bundled_config_path
 
@@ -125,11 +125,13 @@ def test_check_rate_unstable_side(bundle, grid41, weights):
 def test_check_rate_raises_when_the_reduced_form_disagrees_with_the_full_form(
         bundle, grid41, weights, monkeypatch):
     # mode 1 decays at rate ~2 on diag; reduced values shifted up by 3 fail the
-    # stable bound -1.5 at the first spot-checked sample, where the full form holds
-    monkeypatch.setattr(certificates, "log_seminorm", lambda w, a: log_seminorm(w, a) + 3.0)
+    # stable bound -1.5 at the first spot-checked sample, where the full form
+    # holds; a fresh sample set, as grid41 may already hold the true values
+    monkeypatch.setattr(certificates, "_reduced_growth",
+                        lambda r, a11: _reduced_growth(r, a11) + 3.0)
     with pytest.raises(RuntimeError, match="disagree at sample 0: full=True, reduced=False"):
         check_rate(bundle.system.mode(1), weights["diag"][1], eta=1.5, stable=True,
-                   samples=grid41)
+                   samples=sample_domain(bundle.system, grid_per_axis=41))
 
 
 @pytest.mark.parametrize("offset, raises", [(1e-7, False), (1e-5, True), (3.0, True)])

@@ -129,6 +129,35 @@ def test_analyze_config_error_exit_2(tmp_path):
     assert main(["analyze", "--config", str(bad)]) == 2
 
 
+def without_modes(doc):
+    doc["modes"] = []
+
+
+def with_a_zero_span(doc):
+    doc["subspaces"][0]["span"] = [[1e-12, 0.0], [0.0, 0.0]]
+
+
+# well-formed JSON that no analysis or simulation can run on
+BAD_CONFIGS = {
+    "no_modes": (without_modes, "configuration declares no modes"),
+    "zero_span": (with_a_zero_span, "subspace 'diag' has a numerically zero span"),
+}
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--horizon", "1"]])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_a_bad_config_is_a_config_error(tmp_path, capsys, command, case):
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    change, message = BAD_CONFIGS[case]
+    change(doc)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(config), "--grid", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_strict_flag_reports_open_bounds(tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", "--grid", "11", "--strict", "--out", str(out)]) == 0
@@ -220,7 +249,7 @@ def test_simulate_random_signal_without_certified_bounds_exits_1(tmp_path, capsy
                                           ["--signal", "events.csv"]])
 def test_simulate_too_short_for_the_rate_fit_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                               signal_flags):
-    # 2 steps of 1e-3: the fit window [0.2 T, T] holds two samples
+    # 2 steps of 1e-3: the fit window [t0 + 0.2 (T - t0), T] holds two samples
     monkeypatch.chdir(tmp_path)
     (tmp_path / "events.csv").write_text("time,mode\n0.0,1\n")
     out = tmp_path / "out"
@@ -234,6 +263,17 @@ def test_simulate_too_short_for_the_rate_fit_is_a_config_error(tmp_path, capsys,
     # one more step puts 3 samples in the window
     assert main(["simulate", *signal_flags, "--horizon", "0.003", "--grid", "11",
                  "--out", str(out)]) == 0
+
+
+def test_simulate_fits_the_rate_on_the_last_80_percent_of_a_late_signal(tmp_path):
+    # a signal from t = 5 to the horizon 10: the window starts at 5 + 0.2 * 5
+    signal = tmp_path / "late.csv"
+    assert main(["signal", "gen", "--periodic", "0.35", "--t0", "5", "--horizon", "10",
+                 "--out-file", str(signal)]) == 0
+    assert main(["simulate", "--signal", str(signal), "--horizon", "10", "--step", "1e-2",
+                 "--grid", "5", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "simulation.json").read_text())
+    assert report["rate_fit"]["window"] == [6.0, 10.0]
 
 
 def test_signal_gen_counts_switches(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import json
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicontract import __version__, certificates, linalg, subspaces, system
 from semicontract.certificates import dwell_bounds_family, growth_values, tightest_eta
@@ -11,8 +14,9 @@ from semicontract.cli import main
 from semicontract.report import analyze, bounds_from_report, certificates_from_report, \
     make_samples
 from semicontract.signals import generate_periodic, write_signal_csv
-from semicontract.subspaces import analysis_scope, check_invariance, orthonormalize, scope_memo
-from semicontract.system import ConfigError, load_config
+from semicontract.subspaces import check_invariance, log_seminorm, orthonormalize, \
+    projector, reduce_weight
+from semicontract.system import ConfigError, eval_jacobian, load_config
 from semicontract.testdata import bundled_config_path
 
 
@@ -200,35 +204,52 @@ def test_a_later_analysis_sees_changed_sample_points(bundle4d):
     assert strip_time(after) == strip_time(analyze(bundle4d, fresh, search_weights=True))
 
 
+@pytest.fixture(scope="module")
+def grid3_4d(bundle4d):
+    return make_samples(bundle4d, 3, None, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+def test_growth_values_equal_log_seminorm_bit_for_bit(bundle4d, grid3_4d, h, mode_id, seed):
+    # random subspaces and SPD weights; one sample set serves every example,
+    # so the arrays of earlier examples stay stored beside the new ones
+    rng = np.random.default_rng(seed)
+    s = orthonormalize(rng.standard_normal((h, 4)), ambient=4)
+    root = rng.standard_normal((h, h))
+    w = reduce_weight(s.basis @ (root @ root.T + h * np.eye(h)) @ s.basis.T, s)
+    mode = bundle4d.system.mode(mode_id)
+    values = growth_values(mode, w, grid3_4d)
+    reference = log_seminorm(w, eval_jacobian(mode, grid3_4d.points))
+    assert values.tobytes() == reference.tobytes()
+    assert not values.flags.writeable
+    assert growth_values(mode, w, grid3_4d) is values
+
+
 @pytest.mark.parametrize("name, grid, search_weights", [
     ("saddle2d", 11, False), ("saddle4d", 5, True),
 ])
-def test_scoped_growth_equals_unscoped_growth_bit_for_bit(name, grid, search_weights):
+def test_the_report_reads_each_certificates_growth(name, grid, search_weights):
     source = load_config(bundled_config_path(name))
     samples = make_samples(source, grid, None, 0)
     report = analyze(source, samples, search_weights=search_weights)
     certs = certificates_from_report(source, samples, search_weights)
-    assert scope_memo(samples) is None
     for section in report["subspaces"]:
         cert = certs[section["name"]]
         for mode in source.system.modes:
             w = cert.weights[mode.id]
-            entry = section["modes"][str(mode.id)]
-            assert entry["tightest_eta"] == tightest_eta(mode, w, samples) \
-                == cert.sup_growth[mode.id]
-            outside = growth_values(mode, w, samples)
-            with analysis_scope(samples):
-                inside = growth_values(mode, w, samples)
-                assert growth_values(mode, w, samples) is inside
-            assert inside.tobytes() == outside.tobytes()
-            assert not inside.flags.writeable and outside.flags.writeable
+            assert section["modes"][str(mode.id)]["tightest_eta"] \
+                == tightest_eta(mode, w, samples) == cert.sup_growth[mode.id]
 
 
-def test_a_scope_serves_only_its_own_sample_set(bundle):
+def test_sample_sets_with_equal_points_share_no_arrays(bundle):
     samples = make_samples(bundle, 11, None, 0)
-    other = make_samples(bundle, 11, None, 0)
-    with analysis_scope(samples):
-        with analysis_scope(other):  # joins the open scope
-            assert scope_memo(samples) is not None
-            assert scope_memo(other) is None
-    assert scope_memo(samples) is None
+    mode = bundle.system.mode(1)
+    s = orthonormalize([[1.0, 1.0]])
+    w = reduce_weight(projector(s).matrix, s)
+    first = growth_values(mode, w, samples)
+    for other in (make_samples(bundle, 11, None, 0), replace(samples)):
+        assert np.array_equal(other.points, samples.points)
+        assert other.jacobians(mode) is not samples.jacobians(mode)
+        assert growth_values(mode, w, other) is not first
+        assert growth_values(mode, w, other).tobytes() == first.tobytes()

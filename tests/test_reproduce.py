@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 
-from semicontract import report, reproduce
+from semicontract import report, reproduce, system
 from semicontract.cli import main
 
 
@@ -69,3 +69,20 @@ def test_reproduction_builds_its_certificates_once(tmp_path, monkeypatch, capsys
     assert reproduce.run_reproduction(tmp_path, step=1e-2, grid=5) == 0
     assert "all_pass=True" in capsys.readouterr().out
     assert len(built) == 1
+
+
+def test_reproduction_evaluates_each_full_grid_jacobian_once(tmp_path, monkeypatch, capsys):
+    # one stack per mode serves the certificates and the report built on them
+    original = system.eval_jacobian
+    full_grid = []
+
+    def counting(mode, x):
+        full_grid.append(len(x) == 25)
+        return original(mode, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semicontract") and getattr(module, "eval_jacobian", None) is original:
+            monkeypatch.setattr(module, "eval_jacobian", counting)
+    assert reproduce.run_reproduction(tmp_path, step=1e-2, grid=5) == 0
+    assert "all_pass=True" in capsys.readouterr().out
+    assert sum(full_grid) == 2

@@ -44,3 +44,14 @@ def test_package_root_binds_only_the_version():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_keeps_hidden_global_state():
+    # state lives on the objects it describes: no ContextVar, no global statement
+    found = []
+    for module in MODULES:
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            named = (getattr(node, "id", None), getattr(node, "attr", None))
+            if isinstance(node, ast.Global) or "ContextVar" in named:
+                found.append(f"{module.name}:{node.lineno}")
+    assert found == []
