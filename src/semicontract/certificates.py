@@ -12,7 +12,7 @@ import numpy as np
 from .linalg import PSD_TOL, frobenius, gen_sym_eig, psd_check, sym_eig
 from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, _project, \
     _reduced_growth, check_invariance, check_separating, projector, reduce_weight
-from .system import Mode, SampleSet, SwitchedSystem, eval_jacobian
+from .system import Mode, SampleSet, SwitchedSystem
 
 # Jump-factor comparisons default to the granularity of 4-decimal published
 # constants rather than the 1e-9 semidefinite default; an exact reciprocal
@@ -112,7 +112,7 @@ def _cross_check_full_form(mode, w, bound, samples, reduced_values, tol):
     pi = w.subspace.basis @ w.subspace.basis.T
     p = w.weight
     indices = np.unique(np.linspace(0, len(samples) - 1, min(10, len(samples))).astype(int))
-    a = eval_jacobian(mode, samples.points[indices])
+    a = samples.jacobians(mode)[indices]
     m = 2.0 * bound * p - (p @ a @ pi + pi @ np.swapaxes(a, -1, -2) @ p)
     full_ok = psd_check((m + np.swapaxes(m, -1, -2)) / 2.0, tol)
     scale = max(1.0, abs(bound))
@@ -194,7 +194,6 @@ class SubspaceCertificate:
     eta_unstable: float | None   # growth bound on expanding modes (> 0)
     m_lower: float
     m_upper: float
-    sample_scheme: dict
     invariance: dict         # mode id -> InvarianceResult of the complement hypothesis
     jump_ratios: dict        # (q, r) -> tightest_beta(weights[q], weights[r]), q != r
 
@@ -395,8 +394,7 @@ def _certificate(system, s, weights, invariance, samples, beta_stable, beta_unst
         subspace=s, weights=weights, tags=tags, sup_growth=sups,
         beta_stable=beta_stable, beta_unstable=beta_unstable,
         eta_stable=eta_stable, eta_unstable=eta_unstable,
-        m_lower=min(m_lowers), m_upper=max(m_uppers),
-        sample_scheme=dict(samples.scheme), invariance=invariance, jump_ratios=ratios,
+        m_lower=min(m_lowers), m_upper=max(m_uppers), invariance=invariance, jump_ratios=ratios,
     )
 
 

@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
     samples = make_samples(bundle, args.grid, args.samples, args.seed)
     try:
         report = analyze(bundle, samples, tol=args.tol, margin=_margin(args),
-                         search_weights=args.search_weights, seed=args.seed)
+                         search_weights=args.search_weights)
     except (InfeasibleError, ValueError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return VERDICT_EXIT
@@ -158,6 +158,9 @@ def cmd_simulate(args) -> int:
     try:
         bundle = _load(args)
         x_a0, x_b0 = (_initial_state(text, bundle.system.dimension) for text in args.initial)
+        if np.array_equal(x_a0, x_b0):
+            raise ConfigError(f"initial states {args.initial[0]!r} and {args.initial[1]!r} "
+                              "are equal, so the distance ratio is undefined")
     except (ConfigError, OSError) as exc:
         return _config_error(exc)
     samples = make_samples(bundle, args.grid, args.samples, args.seed)

@@ -29,7 +29,7 @@ from .certificates import (
 )
 from .linalg import PSD_TOL
 from .subspaces import check_separating, orthonormalize, projector
-from .system import ConfigBundle, ConfigError, SampleSet, default_samples, sample_domain
+from .system import ConfigBundle, ConfigError, SampleSet, sample_domain
 
 SCHEMA_VERSION = 1
 SAMPLED_EVIDENCE_NOTE = (
@@ -45,8 +45,12 @@ def config_digest(raw: dict) -> str:
 
 def make_samples(bundle: ConfigBundle, grid: int | None, random_count: int | None,
                  seed: int) -> SampleSet:
+    """The requested grid and random points; without either, a grid of 21 per
+    axis up to dimension 3, otherwise 1000 seeded random points."""
     if grid is None and random_count is None:
-        return default_samples(bundle.system, seed=seed)
+        if bundle.system.dimension <= 3:
+            return sample_domain(bundle.system, grid_per_axis=21, seed=seed)
+        return sample_domain(bundle.system, random_count=1000, seed=seed)
     return sample_domain(bundle.system, grid_per_axis=grid or 0,
                          random_count=random_count or 0, seed=seed)
 
@@ -63,7 +67,7 @@ class UncertifiedError(InfeasibleError):
 
 def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             margin: float = DEFAULT_MARGIN, search_weights: bool = False,
-            seed: int = 0, certs: dict | None = None) -> dict:
+            certs: dict | None = None) -> dict:
     """Invariance -> classification -> condition checks -> constants ->
     per-subspace and family bounds -> decay constants. certs, if given, must be
     certificates_from_report(bundle, samples, search_weights), and the report
@@ -88,10 +92,10 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             certs = certificates_from_report(bundle, samples, search_weights)
         except UncertifiedError as exc:
             certs = exc.results
-    return _analysis_report(bundle, samples, tol, margin, search_weights, seed, certs)
+    return _analysis_report(bundle, samples, tol, margin, search_weights, certs)
 
 
-def _analysis_report(bundle, samples, tol, margin, search_weights, seed, results) -> dict:
+def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> dict:
     # results: subspace name -> certificate, or the NotInvariantError without one
     system = bundle.system
     verdicts: list[dict] = []
@@ -223,7 +227,7 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, seed, results
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "provenance": {
             "config_sha256": config_digest(bundle.raw),
-            "seed": seed,
+            "seed": samples.scheme["seed"],
             "tolerance": tol,
             "margin": margin,
             "sample_scheme": dict(samples.scheme),

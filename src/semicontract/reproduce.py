@@ -82,7 +82,7 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3,
 
     # certificate analysis
     certs = certificates_from_report(bundle, samples)
-    report = analyze(bundle, samples, tol=tol, margin=margin, seed=seed, certs=certs)
+    report = analyze(bundle, samples, tol=tol, margin=margin, certs=certs)
     atomic_write_json(out_dir / "report.json", report)
     check_flag("analysis_all_conditions", report["all_pass"],
                "every invariance/rate/coupling/separating verdict")

@@ -120,25 +120,20 @@ class WindowCheck:
 
 def _windows(sig: SwitchingSignal, mode: int):
     """Yield (t_a, t_b, count, total) of dwell_stats for every switching-time
-    window, in (start, end) order. Per start, each activation is added once the
-    end passes it: dwell_stats' own additions in its order, at O(K) per start."""
+    window, in (start, end) order. Windows start and end on activation
+    boundaries, so each activation of the mode lies wholly inside or outside
+    one and adds its whole length: dwell_stats' own additions in its order,
+    at O(K) per start."""
     if mode not in sig.modes:
         raise KeyError(f"mode {mode} never appears in the signal")
-    times = sig.boundaries
-    spans = [(act.start, act.end) for act in sig.activations() if act.mode == mode]
-    for i, t_a in enumerate(times[:-1]):
-        count, total, k = 0, 0.0, 0
-        for t_b in times[i + 1:]:
-            while k < len(spans) and spans[k][1] <= t_b:
-                overlap = spans[k][1] - max(spans[k][0], t_a)
-                if overlap > TIME_EPS:
-                    count += 1
-                    total += overlap
-                k += 1
-            # the activation running through t_b adds its part up to t_b
-            overlap = t_b - max(spans[k][0], t_a) if k < len(spans) else 0.0
-            partial = overlap > TIME_EPS
-            yield t_a, t_b, count + partial, (total + overlap) if partial else total
+    acts = sig.activations()
+    for i, first in enumerate(acts):
+        count, total = 0, 0.0
+        for act in acts[i:]:
+            if act.mode == mode:
+                count += 1
+                total += act.length
+            yield first.start, act.end, count, total
 
 
 def _worst_window(sig, mode, violation) -> WindowCheck:

@@ -66,11 +66,12 @@ def _ieee_step(step, args, t_next):
     # Python floats raise where numpy float64 scalars give inf or nan (x/0.0,
     # 0.0**-1, float ** overflow); redo the step on numpy scalars, which a
     # saturating function (tanh, exp(-.)) can bring back to a finite state.
-    # An error that numpy scalars raise too (math.exp overflow) is divergence.
+    # An error that numpy scalars raise too (math.exp overflow, math.sin of an
+    # infinity) is divergence.
     with np.errstate(all="ignore"):
         try:
             return tuple(map(float, step(*map(np.float64, args))))
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError, ValueError):
             raise DivergenceError(t_next) from None
 
 
@@ -136,7 +137,7 @@ def _rk4_source(mode: Mode, variational: bool = False) -> str:
         "        h = t_next - t_prev",
         "        try:",
         *("            " + line for line in step),
-        "        except (OverflowError, ZeroDivisionError):",
+        "        except (OverflowError, ZeroDivisionError, ValueError):",
         f"            {state}= ieee_step(step, ({args}), t_next)",
         f"        if not ({' and '.join(each('isfinite(x{i})'))}):",
         "            raise DivergenceError(t_next)",

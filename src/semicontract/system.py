@@ -212,13 +212,6 @@ def sample_domain(system: SwitchedSystem, grid_per_axis: int = 0,
     return SampleSet(points, scheme)
 
 
-def default_samples(system: SwitchedSystem, seed: int = 0) -> SampleSet:
-    """Grid of 21 per axis up to dimension 3, otherwise 1000 seeded random points."""
-    if system.dimension <= 3:
-        return sample_domain(system, grid_per_axis=21, seed=seed)
-    return sample_domain(system, random_count=1000, seed=seed)
-
-
 @dataclass(frozen=True)
 class SubspaceSpec:
     name: str
@@ -276,35 +269,38 @@ def load_config(source) -> ConfigBundle:
             raise ConfigError("configuration declares no modes")
         modes.sort(key=lambda m: m.id)
         system = SwitchedSystem(n, tuple(modes), domain)
+        subspaces = []
+        for entry in doc.get("subspaces", []):
+            name = str(entry["name"])
+            span = tuple(tuple(float(v) for v in vec) for vec in entry["span"])
+            if any(len(vec) != n for vec in span):
+                raise ConfigError(f"subspace {name!r} span vectors must have length {n}")
+            if max(map(np.linalg.norm, span), default=0.0) < RANK_TOL:
+                raise ConfigError(f"subspace {name!r} has a numerically zero span")
+            subspaces.append(SubspaceSpec(name, span))
+        certificates = [CertificateSpec(
+            subspace=str(entry["subspace"]),
+            weights={int(key): np.asarray(matrix, dtype=float)
+                     for key, matrix in entry.get("P", {}).items()},
+            beta_stable=_opt_float(entry, "beta_S"),
+            beta_unstable=_opt_float(entry, "beta_U"),
+            eta_stable=_opt_abs_float(entry, "eta_S"),
+            eta_unstable=_opt_abs_float(entry, "eta_U"),
+        ) for entry in doc.get("certificates", [])]
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration: {exc}") from exc
-
-    subspaces = []
-    for entry in doc.get("subspaces", []):
-        span = tuple(tuple(float(v) for v in vec) for vec in entry["span"])
-        if any(len(vec) != n for vec in span):
-            raise ConfigError(f"subspace {entry['name']!r} span vectors must have length {n}")
-        if max(map(np.linalg.norm, span), default=0.0) < RANK_TOL:
-            raise ConfigError(f"subspace {entry['name']!r} has a numerically zero span")
-        subspaces.append(SubspaceSpec(str(entry["name"]), span))
-
-    certificates = []
-    for entry in doc.get("certificates", []):
-        weights = {}
-        for key, matrix in entry.get("P", {}).items():
-            weights[int(key)] = np.asarray(matrix, dtype=float)
-        certificates.append(
-            CertificateSpec(
-                subspace=str(entry["subspace"]),
-                weights=weights,
-                beta_stable=_opt_float(entry, "beta_S"),
-                beta_unstable=_opt_float(entry, "beta_U"),
-                eta_stable=_opt_abs_float(entry, "eta_S"),
-                eta_unstable=_opt_abs_float(entry, "eta_U"),
-            )
-        )
+    names = [spec.name for spec in subspaces]
+    targets = [spec.subspace for spec in certificates]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"two subspaces are named {name!r}")
+    for name in targets:
+        if name not in names:
+            raise ConfigError(f"a certificate names the unknown subspace {name!r}")
+        if targets.count(name) > 1:
+            raise ConfigError(f"subspace {name!r} has two certificates")
     return ConfigBundle(system, tuple(subspaces), tuple(certificates), doc)
 
 

@@ -14,10 +14,17 @@ def strip_timestamp(text: str) -> str:
     return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', text)
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_analyze_bundled_config_passes(tmp_path):
     code = main(["analyze", "--grid", "21", "--out", str(tmp_path)])
     assert code == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = strict_json((tmp_path / "report.json").read_text())
     assert report["all_pass"] is True
     names = {s["name"] for s in report["subspaces"]}
     assert names == {"antidiag", "diag"}
@@ -75,7 +82,7 @@ def test_analyze_search_weights_recovers_ratio(tmp_path):
     code = main(["analyze", "--config", str(config), "--grid", "21",
                  "--search-weights", "--out", str(out)])
     assert code == 0
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json((out / "report.json").read_text())
     diag = next(s for s in report["subspaces"] if s["name"] == "diag")
     ratio = diag["constants"]["tightest_beta_stable"]
     assert abs(ratio - 1.6084) < 1e-3
@@ -90,7 +97,7 @@ def test_analyze_single_subspace_not_separating(tmp_path):
     out = tmp_path / "out"
     code = main(["analyze", "--config", str(config), "--grid", "11", "--out", str(out)])
     assert code == 1
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json((out / "report.json").read_text())
     assert report["family"]["separating"] is False
     assert any(v["name"] == "family:separating" and not v["ok"] for v in report["verdicts"])
 
@@ -105,7 +112,7 @@ def test_analyze_reports_a_complement_that_is_not_invariant(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["analyze", "--config", str(config), "--search-weights", "--grid", "11"]
     assert main([*argv, "--out", str(out)]) == 1
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json((out / "report.json").read_text())
     rejected, certified = report["subspaces"]
     assert rejected["name"] == "antidiag" and certified["name"] == "diag"
     assert list(rejected) == ["name", "dimension", "basis", "invariance"]
@@ -137,10 +144,39 @@ def with_a_zero_span(doc):
     doc["subspaces"][0]["span"] = [[1e-12, 0.0], [0.0, 0.0]]
 
 
+def edited(section, index, **fields):
+    """A change that sets fields of doc[section][index]; a field set to None
+    is deleted."""
+    def change(doc):
+        entry = doc[section][index]
+        for key, value in fields.items():
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
+    return change
+
+
 # well-formed JSON that no analysis or simulation can run on
 BAD_CONFIGS = {
     "no_modes": (without_modes, "configuration declares no modes"),
     "zero_span": (with_a_zero_span, "subspace 'diag' has a numerically zero span"),
+    "subspace_without_span": (edited("subspaces", 0, span=None), "bad configuration: 'span'"),
+    "subspace_without_name": (edited("subspaces", 0, name=None), "bad configuration: 'name'"),
+    "certificate_without_subspace": (edited("certificates", 0, subspace=None),
+                                     "bad configuration: 'subspace'"),
+    "weight_key_not_a_mode_id": (edited("certificates", 0, P={"x": [[1.0, 0.0], [0.0, 1.0]]}),
+                                 "bad configuration: invalid literal for int() with base 10: 'x'"),
+    "weights_not_a_mapping": (edited("certificates", 0, P=[[1.0, 0.0], [0.0, 1.0]]),
+                              "bad configuration: 'list' object has no attribute 'items'"),
+    "jump_factor_not_a_number": (edited("certificates", 0, beta_S="abc"),
+                                 "bad configuration: could not convert string to float: 'abc'"),
+    "certificate_for_an_unknown_subspace": (edited("certificates", 0, subspace="nowhere"),
+                                            "a certificate names the unknown subspace 'nowhere'"),
+    "two_subspaces_with_one_name": (edited("subspaces", 1, name="diag"),
+                                    "two subspaces are named 'diag'"),
+    "two_certificates_for_one_subspace": (edited("certificates", 1, subspace="diag"),
+                                          "subspace 'diag' has two certificates"),
 }
 
 
@@ -161,7 +197,7 @@ def test_a_bad_config_is_a_config_error(tmp_path, capsys, command, case):
 def test_strict_flag_reports_open_bounds(tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", "--grid", "11", "--strict", "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json((out / "report.json").read_text())
     assert report["subspaces"][0]["dwell_bounds"]["boundary"] == "open"
     assert report["subspaces"][0]["dwell_bounds"]["margin"] == 0.0
 
@@ -172,7 +208,7 @@ def test_simulate_periodic_035_decays(tmp_path):
         "--out", str(tmp_path), "--plot",
     ])
     assert code == 0
-    report = json.loads((tmp_path / "simulation.json").read_text())
+    report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["distance_ratio"] < 0.1
     assert report["signal_within_bounds"]["ok"] is True
     assert (tmp_path / "distance.svg").exists()
@@ -189,7 +225,7 @@ def test_simulate_dwell_1_flags_bounds_violation(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "bounds violated by signal" in err
-    report = json.loads((tmp_path / "simulation.json").read_text())
+    report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["signal_within_bounds"]["ok"] is False
 
 
@@ -199,7 +235,7 @@ def test_simulate_random_signal_compliant(tmp_path):
         "--step", "2e-3", "--out", str(tmp_path),
     ])
     assert code == 0
-    report = json.loads((tmp_path / "simulation.json").read_text())
+    report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["signal_within_bounds"]["ok"] is True
     assert report["distance_ratio"] < 1.0
 
@@ -215,7 +251,7 @@ def test_simulate_divergence_is_reported_not_raised(tmp_path, capsys):
                  "--horizon", "5", "--periodic", "1.0", "--out", str(tmp_path)])
     assert code == 1
     assert "finite_trajectories" in capsys.readouterr().err
-    report = json.loads((tmp_path / "simulation.json").read_text())
+    report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["verdicts"] == [{"name": "finite_trajectories", "ok": False}]
     assert 1.0 < report["divergence_time"] < 5.0
 
@@ -227,7 +263,7 @@ def test_simulate_reports_leaving_the_domain(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("failed: trajectories_within_domain\n"
                    "trajectory a leaves the domain box at t = 0.24\n")
-    report = json.loads((tmp_path / "simulation.json").read_text())
+    report = strict_json((tmp_path / "simulation.json").read_text())
     assert {"name": "trajectories_within_domain", "ok": False} in report["verdicts"]
     assert report["domain_exit"] == {"trajectory": "a", "time": pytest.approx(0.24)}
 
@@ -272,7 +308,7 @@ def test_simulate_fits_the_rate_on_the_last_80_percent_of_a_late_signal(tmp_path
                  "--out-file", str(signal)]) == 0
     assert main(["simulate", "--signal", str(signal), "--horizon", "10", "--step", "1e-2",
                  "--grid", "5", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "simulation.json").read_text())
+    report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["rate_fit"]["window"] == [6.0, 10.0]
 
 
@@ -293,7 +329,7 @@ def test_signal_check_generated_passes(tmp_path, capsys):
     code = main(["signal", "check", "--signal", str(out), "--horizon", "10",
                  "--tau-lower", "0.1584", "--tau-upper", "0.3960"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert report["per_activation"]["ok"] is True
     assert report["mode_1"]["mdadt"]["ok"] is True
     assert report["mode_1"]["mdalt"]["ok"] is True
@@ -308,7 +344,7 @@ def test_signal_check_dwell_1_names_offender(tmp_path, capsys):
                  "--tau-lower", "0.1584", "--tau-upper", "0.3960"])
     assert code == 1
     captured = capsys.readouterr()
-    report = json.loads(captured.out)
+    report = strict_json(captured.out)
     assert report["per_activation"]["ok"] is False
     assert "activation" in captured.err
 
@@ -489,7 +525,8 @@ def test_a_flag_value_out_of_range_is_a_usage_error(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("initial", [["2,x", "2,1"], ["1,2,3", "2,1"], ["2,1", "1"],
-                                     ["2,1", "nan,1"], ["2,1", ""]])
+                                     ["2,1", "nan,1"], ["2,1", ""], ["1,1", "1,1"],
+                                     ["0,1", "-0.0,1.0"]])
 def test_a_bad_initial_state_is_a_config_error(tmp_path, capsys, initial):
     code = main(["simulate", "--initial", *initial, "--horizon", "1", "--out", str(tmp_path)])
     assert code == 2
@@ -507,7 +544,7 @@ def test_simulate_runs_from_negative_initial_states(tmp_path):
     code = main(["simulate", "--initial", "-2,1", "2,-1", "--horizon", "1",
                  "--step", "2e-3", "--out", str(tmp_path)])
     assert code == 0
-    report = json.loads((tmp_path / "simulation.json").read_text())
+    report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["provenance"]["initial_states"] == [[-2.0, 1.0], [2.0, -1.0]]
 
 
@@ -556,8 +593,8 @@ def test_signal_check_reads_bounds_from_a_report(tmp_path, capsys):
     code = main(["signal", "check", "--signal", str(signal), "--horizon", "10",
                  "--bounds-from", str(tmp_path / "report.json")])
     assert code == 0
-    bounds = json.loads((tmp_path / "report.json").read_text())["family"]["dwell_bounds"]
-    checked = json.loads(capsys.readouterr().out)
+    bounds = strict_json((tmp_path / "report.json").read_text())["family"]["dwell_bounds"]
+    checked = strict_json(capsys.readouterr().out)
     assert checked["mode_1"]["mdadt"]["tau"] == bounds["lower"]["1"]
     assert checked["mode_2"]["mdalt"]["tau"] == bounds["upper"]["2"]
 

@@ -51,7 +51,7 @@ def test_simulate_replays_signal_file(tmp_path):
 
 def test_report_carries_provenance_and_note(bundle):
     samples = make_samples(bundle, 11, None, 3)
-    report = analyze(bundle, samples, seed=3)
+    report = analyze(bundle, samples)
     prov = report["provenance"]
     assert re.fullmatch(r"[0-9a-f]{64}", prov["config_sha256"])
     assert prov["seed"] == 3

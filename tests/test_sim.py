@@ -124,7 +124,10 @@ def reference_integrate(system, sig, x0, step):
 
         seg_times = sim._segment_steps(seg_start, seg_end, step)
         for t_prev, t_next in zip(seg_times, seg_times[1:]):
-            x = _reference_rk4_step(f, t_prev, x, t_next - t_prev)
+            try:
+                x = _reference_rk4_step(f, t_prev, x, t_next - t_prev)
+            except ValueError:  # math.sin or math.cos of an infinite stage
+                raise DivergenceError(t_next) from None
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(t_next)
             times.append(t_next)
@@ -423,6 +426,21 @@ def test_exp_overflow_is_divergence():
     with pytest.raises(DivergenceError) as err:
         integrate(system, single_mode_signal(1.0), [700.0], step=1e-3)
     assert 0.0 < err.value.time <= 1.0
+
+
+# x1*x1 overflows to inf without raising, and math.sin(inf) then raises
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sin_of_an_overflowed_stage_is_divergence():
+    system = load_config(
+        {"dimension": 2, "domain": [[-2, 2], [-2, 2]],
+         "modes": [{"id": 1, "field": ["x1*x1", "sin(x1) - x2"]}]}
+    ).system
+    times = []
+    for run in (integrate, reference_integrate):
+        with pytest.raises(DivergenceError) as err:
+            run(system, single_mode_signal(3.0), [1.0, 0.0], 1e-3)
+        times.append(err.value.time)
+    assert 1.0 < times[0] == times[1] <= 3.0
 
 
 # 1e999 parses to Const(inf); the second field also holds inf*0 = nan and its

@@ -168,6 +168,7 @@ def test_negative_eta_convention_taken_as_magnitude():
             "dimension": 1,
             "domain": [[-1, 1]],
             "modes": [{"id": 1, "field": ["-x1"]}],
+            "subspaces": [{"name": "s", "span": [[1.0]]}],
             "certificates": [{"subspace": "s", "P": {"1": [[1.0]]}, "eta_S": -1.5}],
         }
     )
