@@ -112,7 +112,7 @@ def _emit_report(report: dict, args, name: str) -> None:
 def cmd_analyze(args) -> int:
     try:
         bundle = _load(args)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         return _config_error(exc)
     samples = make_samples(bundle, args.grid, args.samples, args.seed)
     try:
@@ -161,11 +161,14 @@ def cmd_simulate(args) -> int:
         if np.array_equal(x_a0, x_b0):
             raise ConfigError(f"initial states {args.initial[0]!r} and {args.initial[1]!r} "
                               "are equal, so the distance ratio is undefined")
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         return _config_error(exc)
     samples = make_samples(bundle, args.grid, args.samples, args.seed)
     try:
         certs = certificates_from_report(bundle, samples, args.search_weights)
+        rejected = [c for c in certs.values() if isinstance(c, InfeasibleError)]
+        if rejected:
+            raise rejected[0]
         bounds = dwell_bounds_family(certs.values(), margin=_margin(args))
     except (InfeasibleError, ValueError) as exc:
         print(f"certificate unavailable, skipping bounds check: {exc}", file=sys.stderr)

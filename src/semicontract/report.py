@@ -28,7 +28,7 @@ from .certificates import (
     tightest_jump_factor,
 )
 from .linalg import PSD_TOL
-from .subspaces import check_separating, orthonormalize, projector
+from .subspaces import check_separating, projector
 from .system import ConfigBundle, ConfigError, SampleSet, sample_domain
 
 SCHEMA_VERSION = 1
@@ -55,16 +55,6 @@ def make_samples(bundle: ConfigBundle, grid: int | None, random_count: int | Non
                          random_count=random_count or 0, seed=seed)
 
 
-class UncertifiedError(InfeasibleError):
-    """Some subspace's complement is not invariant under some mode, so it has
-    no certificate; results maps every subspace name, in order, to its
-    certificate or to the NotInvariantError that rejected it."""
-
-    def __init__(self, message: str, results: dict):
-        super().__init__(message)
-        self.results = results
-
-
 def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
             margin: float = DEFAULT_MARGIN, search_weights: bool = False,
             certs: dict | None = None) -> dict:
@@ -88,10 +78,7 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
         )
     if certs is None:
         samples = replace(samples)
-        try:
-            certs = certificates_from_report(bundle, samples, search_weights)
-        except UncertifiedError as exc:
-            certs = exc.results
+        certs = certificates_from_report(bundle, samples, search_weights)
     return _analysis_report(bundle, samples, tol, margin, search_weights, certs)
 
 
@@ -270,13 +257,14 @@ def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
     """Build each subspace's certificate, in subspace name order: from the
     configured P matrices, or by scalar-weight search when search_weights is
     set or a subspace has none. This is the analysis' own certificate source;
-    every array it computes stays with samples. Raises UncertifiedError, after
-    trying every subspace, when a complement is not invariant."""
+    every array it computes stays with samples. Returns subspace name ->
+    certificate, or the NotInvariantError of a subspace whose complement is
+    not invariant under some mode."""
     system = bundle.system
     results = {}
     cert_specs = {spec.subspace: spec for spec in bundle.certificates}
     for spec in sorted(bundle.subspaces, key=lambda spec: spec.name):
-        s = orthonormalize(spec.span, ambient=system.dimension)
+        s = spec.subspace
         cspec = cert_specs.get(spec.name)
         constants = {key: getattr(cspec, key, None) for key in
                      ("beta_stable", "beta_unstable", "eta_stable", "eta_unstable")}
@@ -288,7 +276,4 @@ def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
                                                        **constants)
         except NotInvariantError as exc:
             results[spec.name] = exc
-    rejected = [r for r in results.values() if isinstance(r, NotInvariantError)]
-    if rejected:
-        raise UncertifiedError(str(rejected[0]), results)
     return results

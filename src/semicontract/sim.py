@@ -23,7 +23,7 @@ from .certificates import DwellBounds
 from .expr import to_python_statements
 from .ioutil import atomic_write_text
 from .signals import SwitchingSignal, verify_per_activation, write_signal_csv
-from .subspaces import orthonormalize, projector
+from .subspaces import projector
 from .svgplot import write_line_plot
 from .system import Mode, SwitchedSystem
 
@@ -302,7 +302,7 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float,
         result["verdicts"].append({"name": "signal_within_bounds", "ok": bool(check.ok)})
     projections = {}
     for spec in bundle.subspaces:
-        pi = projector(orthonormalize(spec.span, ambient=system.dimension)).matrix
+        pi = projector(spec.subspace).matrix
         projections[spec.name] = np.linalg.norm((traj_a.states - traj_b.states) @ pi.T, axis=1)
     traces = {"times": traj_a.times, "a": traj_a.states, "b": traj_b.states,
               "distance": distance, "projections": projections}

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NotPositiveDefiniteError, frobenius, gen_sym_eig, sym_eig
-from .system import RANK_TOL, Mode, SampleSet
 
+# Residual below which a candidate basis vector is dropped as dependent.
+RANK_TOL = 1e-10
 # Relative bound on ||P @ complement|| for a weight to share the subspace kernel.
 KERNEL_TOL = 1e-8
 
@@ -29,7 +30,8 @@ class Subspace:
 
 def orthonormalize(vectors, ambient: int | None = None) -> Subspace:
     """Modified Gram-Schmidt basis for span(vectors) plus a deterministic
-    complement completed from canonical vectors in index order."""
+    complement completed from canonical vectors in index order; ValueError
+    on a vector of another length, a non-finite one, or an all-zero set."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     if not vectors:
         raise ValueError("need at least one spanning vector")
@@ -38,6 +40,8 @@ def orthonormalize(vectors, ambient: int | None = None) -> Subspace:
     for v in vectors:
         if v.shape != (n,):
             raise ValueError(f"expected vectors of length {n}, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"spanning vector {v.tolist()} is not finite")
         w = v.copy()
         for b in basis:
             w -= (b @ w) * b
@@ -154,13 +158,12 @@ class InvarianceResult:
     worst_point: np.ndarray
 
 
-def check_invariance(mode: Mode, s: Subspace, samples: SampleSet,
-                     tol: float = 1e-9) -> InvarianceResult:
+def check_invariance(mode, s: Subspace, samples, tol: float = 1e-9) -> InvarianceResult:
     """Check the certificate hypothesis that the Jacobian leaves the complement
     of a subspace invariant at every sample:
     || Pi_V A(x) Pi_Vperp ||_F <= tol * max(1, ||A(x)||_F).
 
-    The Jacobian stack is the sample set's one stack of the mode.
+    mode is a system Mode; the Jacobian stack is the SampleSet's one stack of it.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")

@@ -18,10 +18,7 @@ from .expr import (
     parse_expr,
     to_python_statements,
 )
-
-
-# Residual below which a candidate basis vector is dropped as dependent.
-RANK_TOL = 1e-10
+from .subspaces import Subspace, orthonormalize
 
 
 class ConfigError(ValueError):
@@ -215,7 +212,7 @@ def sample_domain(system: SwitchedSystem, grid_per_axis: int = 0,
 @dataclass(frozen=True)
 class SubspaceSpec:
     name: str
-    span: tuple[tuple[float, ...], ...]
+    subspace: Subspace  # orthonormalize(span, ambient=n), built once at load
 
 
 @dataclass(frozen=True)
@@ -237,19 +234,15 @@ class ConfigBundle:
 
 
 def load_config(source) -> ConfigBundle:
-    """Load a system configuration from a path, JSON string, or dict."""
+    """Load a system configuration from a JSON file path or a dict."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = str(source)
         try:
-            if Path(text).exists():
-                text = Path(text).read_text(encoding="utf-8")
-        except OSError:
-            pass
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read configuration: {exc}") from exc
+        except ValueError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
     try:
         n = int(doc["dimension"])
@@ -272,12 +265,10 @@ def load_config(source) -> ConfigBundle:
         subspaces = []
         for entry in doc.get("subspaces", []):
             name = str(entry["name"])
-            span = tuple(tuple(float(v) for v in vec) for vec in entry["span"])
-            if any(len(vec) != n for vec in span):
-                raise ConfigError(f"subspace {name!r} span vectors must have length {n}")
-            if max(map(np.linalg.norm, span), default=0.0) < RANK_TOL:
-                raise ConfigError(f"subspace {name!r} has a numerically zero span")
-            subspaces.append(SubspaceSpec(name, span))
+            try:
+                subspaces.append(SubspaceSpec(name, orthonormalize(entry["span"], ambient=n)))
+            except ValueError as exc:
+                raise ConfigError(f"subspace {name!r}: {exc}") from exc
         certificates = [CertificateSpec(
             subspace=str(entry["subspace"]),
             weights={int(key): np.asarray(matrix, dtype=float)
@@ -296,16 +287,24 @@ def load_config(source) -> ConfigBundle:
     for name in names:
         if names.count(name) > 1:
             raise ConfigError(f"two subspaces are named {name!r}")
-    for name in targets:
-        if name not in names:
-            raise ConfigError(f"a certificate names the unknown subspace {name!r}")
-        if targets.count(name) > 1:
-            raise ConfigError(f"subspace {name!r} has two certificates")
+    for spec in certificates:
+        if spec.subspace not in names:
+            raise ConfigError(f"a certificate names the unknown subspace {spec.subspace!r}")
+        if targets.count(spec.subspace) > 1:
+            raise ConfigError(f"subspace {spec.subspace!r} has two certificates")
+        for q in spec.weights:
+            if not 1 <= q <= len(system.modes):
+                raise ConfigError(f"the certificate of subspace {spec.subspace!r} weights "
+                                  f"mode {q}, which the system lacks")
     return ConfigBundle(system, tuple(subspaces), tuple(certificates), doc)
 
 
 def _opt_float(entry: dict, key: str):
-    return float(entry[key]) if key in entry and entry[key] is not None else None
+    if entry.get(key) is None:
+        return None
+    if not math.isfinite(value := float(entry[key])):
+        raise ConfigError(f"certificate constant {key} is not finite: {entry[key]!r}")
+    return value
 
 
 def _opt_abs_float(entry: dict, key: str):

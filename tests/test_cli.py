@@ -102,13 +102,19 @@ def test_analyze_single_subspace_not_separating(tmp_path):
     assert any(v["name"] == "family:separating" and not v["ok"] for v in report["verdicts"])
 
 
-def test_analyze_reports_a_complement_that_is_not_invariant(tmp_path, capsys):
-    # span [1, 0] has complement span [0, 1], which neither mode leaves invariant
+def axis_config(tmp_path):
+    """saddle2d with antidiag spanned by [1, 0]: its complement span [0, 1]
+    is invariant under neither mode."""
     doc = json.loads(bundled_config_path("saddle2d").read_text())
     antidiag = next(s for s in doc["subspaces"] if s["name"] == "antidiag")
     antidiag["span"] = [[1.0, 0.0]]
     config = tmp_path / "axis.json"
     config.write_text(json.dumps(doc))
+    return config
+
+
+def test_analyze_reports_a_complement_that_is_not_invariant(tmp_path, capsys):
+    config = axis_config(tmp_path)
     out = tmp_path / "out"
     argv = ["analyze", "--config", str(config), "--search-weights", "--grid", "11"]
     assert main([*argv, "--out", str(out)]) == 1
@@ -130,10 +136,33 @@ def test_analyze_reports_a_complement_that_is_not_invariant(tmp_path, capsys):
     assert "failed conditions: antidiag:invariance:mode1" in capsys.readouterr().err
 
 
+def test_simulate_skips_the_bounds_when_a_complement_is_not_invariant(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(axis_config(tmp_path)), "--grid", "11",
+            "--horizon", "2", "--step", "2e-3", "--out", str(out)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("certificate unavailable, skipping bounds check: "
+                          "complement is not invariant under mode 1 (residual ")
+    assert err.count("\n") == 1
+    report = strict_json((out / "simulation.json").read_text())
+    assert "signal_within_bounds" not in report
+    assert "signal_within_bounds" not in {v["name"] for v in report["verdicts"]}
+
+
 def test_analyze_config_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid json")
     assert main(["analyze", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_a_missing_config_file_is_a_config_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing.json"
+    assert main([command, "--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read configuration: ")
+    assert str(missing) in err
 
 
 def without_modes(doc):
@@ -142,6 +171,10 @@ def without_modes(doc):
 
 def with_a_zero_span(doc):
     doc["subspaces"][0]["span"] = [[1e-12, 0.0], [0.0, 0.0]]
+
+
+def with_a_weight_for_mode_3(doc):
+    doc["certificates"][0]["P"]["3"] = [[1.0, 0.0], [0.0, 1.0]]
 
 
 def edited(section, index, **fields):
@@ -160,7 +193,10 @@ def edited(section, index, **fields):
 # well-formed JSON that no analysis or simulation can run on
 BAD_CONFIGS = {
     "no_modes": (without_modes, "configuration declares no modes"),
-    "zero_span": (with_a_zero_span, "subspace 'diag' has a numerically zero span"),
+    "zero_span": (with_a_zero_span,
+                  "subspace 'diag': all spanning vectors are numerically zero"),
+    "non_finite_span": (edited("subspaces", 0, span=[[float("nan"), 1.0]]),
+                        "subspace 'diag': spanning vector [nan, 1.0] is not finite"),
     "subspace_without_span": (edited("subspaces", 0, span=None), "bad configuration: 'span'"),
     "subspace_without_name": (edited("subspaces", 0, name=None), "bad configuration: 'name'"),
     "certificate_without_subspace": (edited("certificates", 0, subspace=None),
@@ -171,6 +207,13 @@ BAD_CONFIGS = {
                               "bad configuration: 'list' object has no attribute 'items'"),
     "jump_factor_not_a_number": (edited("certificates", 0, beta_S="abc"),
                                  "bad configuration: could not convert string to float: 'abc'"),
+    "jump_factor_not_finite": (edited("certificates", 0, beta_S="nan"),
+                               "certificate constant beta_S is not finite: 'nan'"),
+    "rate_not_finite": (edited("certificates", 0, eta_U="inf"),
+                        "certificate constant eta_U is not finite: 'inf'"),
+    "weight_for_an_unknown_mode": (with_a_weight_for_mode_3,
+                                   "the certificate of subspace 'diag' weights mode 3, "
+                                   "which the system lacks"),
     "certificate_for_an_unknown_subspace": (edited("certificates", 0, subspace="nowhere"),
                                             "a certificate names the unknown subspace 'nowhere'"),
     "two_subspaces_with_one_name": (edited("subspaces", 1, name="diag"),

@@ -60,6 +60,13 @@ def test_orthonormalize_rejects_zero_input():
         orthonormalize([[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_orthonormalize_rejects_a_non_finite_vector(bad):
+    # NaN would otherwise fail every rank test and be dropped as dependent
+    with pytest.raises(ValueError, match="is not finite"):
+        orthonormalize([[1.0, 0.0], [bad, 1.0]])
+
+
 def test_subspace_invariants_random():
     rng = np.random.default_rng(21)
     for _ in range(50):

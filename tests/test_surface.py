@@ -4,6 +4,7 @@ outside its own def line: in the package, in perfbench or in the acceptance
 gate. The package root binds only __version__."""
 
 import ast
+import graphlib
 import os
 import re
 import subprocess
@@ -55,3 +56,18 @@ def test_no_module_keeps_hidden_global_state():
             if isinstance(node, ast.Global) or "ContextVar" in named:
                 found.append(f"{module.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_package_import_graph_has_no_cycle():
+    # edges are the module-level relative imports, which run at import time;
+    # `from . import x` reaches the package root unless x is a module
+    modules = {path.stem for path in MODULES}
+    graph = {}
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        edges = graph.setdefault(path.stem, set())
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                edges.update(name if name in modules else "__init__" for name in names)
+    assert "subspaces" in graph["system"]
+    graphlib.TopologicalSorter(graph).prepare()  # CycleError names the cycle

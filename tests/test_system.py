@@ -146,9 +146,11 @@ def test_mode_ids_must_be_contiguous():
         SwitchedSystem(1, (mode,), Box((-1.0,), (1.0,)))
 
 
-def test_config_errors():
-    with pytest.raises(ConfigError):
-        load_config("{not json")
+def test_config_errors(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(bad)
     with pytest.raises(ConfigError):
         load_config({"dimension": 2, "domain": [[-1, 1], [-1, 1]], "modes": [{"id": 1, "field": ["x1"]}]})
     with pytest.raises(ConfigError):
