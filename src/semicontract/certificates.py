@@ -21,9 +21,6 @@ COUPLING_TOL = 1e-4
 # Multiplicative safety margin applied when dwell bounds are derived from
 # tightest (raw) constants.
 DEFAULT_MARGIN = 1e-6
-# Relative residual up to which a certificate accepts the complement as
-# invariant under a mode.
-INVARIANCE_TOL = 1e-9
 # Weight ratio the scalar-weight search gives an expanding mode when no jump
 # factor is configured.
 ESCALATION = math.e
@@ -153,16 +150,16 @@ class CouplingCheck:
 
 
 def check_switch_coupling(w_from: WeightedSeminorm, w_to: WeightedSeminorm,
-                          beta: float, tol: float = COUPLING_TOL) -> CouplingCheck:
-    """Verify R_to <= beta R_from within a relative tolerance."""
-    return coupling_check(tightest_beta(w_from, w_to), beta, tol)
+                          beta: float) -> CouplingCheck:
+    """Verify R_to <= beta R_from within the relative tolerance COUPLING_TOL."""
+    return coupling_check(tightest_beta(w_from, w_to), beta)
 
 
-def coupling_check(ratio: float, beta: float, tol: float = COUPLING_TOL) -> CouplingCheck:
+def coupling_check(ratio: float, beta: float) -> CouplingCheck:
     """Compare a tightest jump ratio with the requested factor beta."""
-    slack = tol * max(1.0, abs(beta))
+    slack = COUPLING_TOL * max(1.0, abs(beta))
     return CouplingCheck(bool(ratio <= beta + slack), ratio, beta,
-                         beta + slack - ratio, tol)
+                         beta + slack - ratio, COUPLING_TOL)
 
 
 def tightest_jump_factor(ratios: dict, modes) -> float | None:
@@ -333,12 +330,10 @@ def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
 
 
 def _invariance(system: SwitchedSystem, s: Subspace, samples: SampleSet) -> dict:
-    """The hypothesis that the complement of s is invariant under every mode,
-    at INVARIANCE_TOL: mode id -> InvarianceResult, in system order. Raises
-    NotInvariantError, naming the first violated mode, when a sample violates
-    it."""
-    invariance = {mode.id: check_invariance(mode, s, samples, tol=INVARIANCE_TOL)
-                  for mode in system.modes}
+    """The hypothesis that the complement of s is invariant under every mode:
+    mode id -> InvarianceResult, in system order. Raises NotInvariantError,
+    naming the first violated mode, when a sample violates it."""
+    invariance = {mode.id: check_invariance(mode, s, samples) for mode in system.modes}
     for q, inv in invariance.items():
         if not inv.ok:
             raise NotInvariantError(

@@ -63,8 +63,7 @@ MODES = _flag_type(lambda text: [int(m) for m in text.split(",")],
                    lambda v: min(v) >= 1 and len(set(v)) == len(v),
                    "comma-separated distinct positive integers")
 
-# Options shared by analyze, simulate and reproduce; each subcommand registers
-# only those it reads.
+# Options shared by the subcommands; each registers only those it reads.
 OPTIONS = {
     "--config": dict(default=None, help="system configuration JSON"),
     "--out": dict(default=None, help="output directory (default: stdout/cwd)"),
@@ -76,10 +75,13 @@ OPTIONS = {
                   help="relative tolerance for semidefinite checks"),
     "--margin": dict(type=FRACTION, default=DEFAULT_MARGIN,
                      help="multiplicative margin on derived constants"),
-    "--strict": dict(action="store_true", help="margin 0: report bounds as open inequalities"),
     "--plot": dict(action="store_true", help="emit SVG plots"),
     "--search-weights": dict(action="store_true",
                              help="search scalar weights instead of reading P matrices"),
+    "--horizon": dict(type=POSITIVE, default=10.0),
+    "--tau-lower": dict(type=POSITIVE, default=None),
+    "--tau-upper": dict(type=POSITIVE, default=None),
+    "--bounds-from": dict(default=None, help="analysis report JSON supplying family bounds"),
 }
 
 
@@ -97,10 +99,6 @@ def _config_error(exc) -> int:
     return CONFIG_EXIT
 
 
-def _margin(args) -> float:
-    return 0.0 if args.strict else args.margin
-
-
 def _emit_report(report: dict, args, name: str) -> None:
     if args.out:
         atomic_write_json(Path(args.out) / name, report)
@@ -116,7 +114,7 @@ def cmd_analyze(args) -> int:
         return _config_error(exc)
     samples = make_samples(bundle, args.grid, args.samples, args.seed)
     try:
-        report = analyze(bundle, samples, tol=args.tol, margin=_margin(args),
+        report = analyze(bundle, samples, tol=args.tol, margin=args.margin,
                          search_weights=args.search_weights)
     except (InfeasibleError, ValueError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
@@ -169,7 +167,7 @@ def cmd_simulate(args) -> int:
         rejected = [c for c in certs.values() if isinstance(c, InfeasibleError)]
         if rejected:
             raise rejected[0]
-        bounds = dwell_bounds_family(certs.values(), margin=_margin(args))
+        bounds = dwell_bounds_family(certs.values(), margin=args.margin)
     except (InfeasibleError, ValueError) as exc:
         print(f"certificate unavailable, skipping bounds check: {exc}", file=sys.stderr)
         bounds = None
@@ -226,29 +224,28 @@ def _bounds_from_args(args, modes) -> DwellBounds:
     return DwellBounds(lower, upper, "flags", 0.0)
 
 
-def cmd_signal(args) -> int:
-    if args.action == "gen":
-        if args.horizon - args.t0 <= TIME_EPS:
-            return _config_error(f"--horizon {args.horizon} must exceed --t0 {args.t0}")
-        if args.periodic:
-            sig = generate_periodic(args.modes, args.periodic, args.t0, args.horizon)
-        else:
-            try:
-                bounds = _bounds_from_args(args, args.modes)
-                sig = generate_random(args.modes, bounds, args.t0, args.horizon, seed=args.seed)
-            except ConfigError as exc:
-                return _config_error(exc)
-            except ValueError as exc:
-                print(f"infeasible bounds: {exc}", file=sys.stderr)
-                return VERDICT_EXIT
-        out = Path(args.out_file) if args.out_file else Path("signal.csv")
-        write_signal_csv(sig, out)
-        print(f"wrote {out} with {len(sig.switch_times)} switches over "
-              f"[{sig.start_time}, {sig.horizon}]")
-        return 0
+def cmd_signal_gen(args) -> int:
+    if args.horizon - args.t0 <= TIME_EPS:
+        return _config_error(f"--horizon {args.horizon} must exceed --t0 {args.t0}")
+    if args.periodic:
+        sig = generate_periodic(args.modes, args.periodic, args.t0, args.horizon)
+    else:
+        try:
+            bounds = _bounds_from_args(args, args.modes)
+            sig = generate_random(args.modes, bounds, args.t0, args.horizon, seed=args.seed)
+        except ConfigError as exc:
+            return _config_error(exc)
+        except ValueError as exc:
+            print(f"infeasible bounds: {exc}", file=sys.stderr)
+            return VERDICT_EXIT
+    out = Path(args.out_file) if args.out_file else Path("signal.csv")
+    write_signal_csv(sig, out)
+    print(f"wrote {out} with {len(sig.switch_times)} switches over "
+          f"[{sig.start_time}, {sig.horizon}]")
+    return 0
 
-    if not args.signal:
-        return _config_error("signal check needs --signal")
+
+def cmd_signal_check(args) -> int:
     try:
         sig = read_signal_csv(args.signal, horizon=args.horizon)
         modes = list(sig.modes)
@@ -284,8 +281,7 @@ def cmd_signal(args) -> int:
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.out) if args.out else Path("reproduction")
     return run_reproduction(out_dir, seed=args.seed, step=args.step,
-                            grid=args.grid or 41, tol=args.tol,
-                            margin=_margin(args), strict=args.strict)
+                            grid=args.grid or 41, tol=args.tol, margin=args.margin)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -310,13 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="run the certificate analysis")
     _add_options(p_analyze, "--config", "--out", "--seed", "--grid", "--samples", "--tol",
-                 "--margin", "--strict", "--search-weights")
+                 "--margin", "--search-weights")
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="integrate a trajectory pair under a signal")
     _add_options(p_sim, "--config", "--out", "--seed", "--step", "--grid", "--samples",
-                 "--margin", "--strict", "--plot", "--search-weights")
-    p_sim.add_argument("--horizon", type=POSITIVE, default=10.0)
+                 "--margin", "--plot", "--search-weights", "--horizon")
     p_sim.add_argument("--periodic", type=POSITIVE, default=0.35,
                        help="periodic dwell time per mode [s]")
     p_sim.add_argument("--random-signal", action="store_true",
@@ -327,22 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_signal = sub.add_parser("signal", help="generate or check switching signals")
-    p_signal.add_argument("action", choices=["gen", "check"])
-    p_signal.add_argument("--modes", type=MODES, default="1,2")
-    p_signal.add_argument("--periodic", type=POSITIVE, default=None)
-    p_signal.add_argument("--t0", type=FINITE, default=0.0)
-    p_signal.add_argument("--horizon", type=POSITIVE, default=10.0)
-    p_signal.add_argument("--seed", type=SEED, default=0)
-    p_signal.add_argument("--signal", default=None, help="signal CSV to check")
-    p_signal.add_argument("--tau-lower", type=POSITIVE, default=None)
-    p_signal.add_argument("--tau-upper", type=POSITIVE, default=None)
-    p_signal.add_argument("--bounds-from", default=None,
-                          help="analysis report JSON supplying family bounds")
-    p_signal.add_argument("--out-file", default=None)
-    p_signal.set_defaults(fn=cmd_signal)
+    actions = p_signal.add_subparsers(dest="action", required=True)
+    p_gen = actions.add_parser("gen", help="write a periodic or seeded random signal CSV")
+    p_gen.add_argument("--modes", type=MODES, default="1,2")
+    p_gen.add_argument("--periodic", type=POSITIVE, default=None)
+    p_gen.add_argument("--t0", type=FINITE, default=0.0)
+    p_gen.add_argument("--out-file", default=None)
+    _add_options(p_gen, "--seed", "--horizon", "--tau-lower", "--tau-upper", "--bounds-from")
+    p_gen.set_defaults(fn=cmd_signal_gen)
+    p_check = actions.add_parser("check", help="check a signal CSV against dwell bounds")
+    p_check.add_argument("--signal", required=True, help="signal CSV to check")
+    _add_options(p_check, "--horizon", "--tau-lower", "--tau-upper", "--bounds-from")
+    p_check.set_defaults(fn=cmd_signal_check)
 
     p_rep = sub.add_parser("reproduce", help="run the bundled example end to end")
-    _add_options(p_rep, "--out", "--seed", "--step", "--grid", "--tol", "--margin", "--strict")
+    _add_options(p_rep, "--out", "--seed", "--step", "--grid", "--tol", "--margin")
     # default seed gives a random experiment whose switch-boundary envelope is
     # monotone; boundary-level monotonicity is realization-dependent
     p_rep.set_defaults(fn=cmd_reproduce, seed=19)

@@ -13,7 +13,6 @@ import numpy as np
 from . import __version__
 from .certificates import (
     DEFAULT_MARGIN,
-    INVARIANCE_TOL,
     DwellBounds,
     InfeasibleError,
     NotInvariantError,
@@ -28,7 +27,7 @@ from .certificates import (
     tightest_jump_factor,
 )
 from .linalg import PSD_TOL
-from .subspaces import check_separating, projector
+from .subspaces import INVARIANCE_TOL, check_separating, projector
 from .system import ConfigBundle, ConfigError, SampleSet, sample_domain
 
 SCHEMA_VERSION = 1
@@ -90,34 +89,30 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
     def record(check: str, ok: bool) -> None:
         verdicts.append({"name": check, "ok": bool(ok)})
 
-    def invariance_section(name, invariance, tolerance) -> dict:
+    def invariance_section(name, invariance) -> dict:
         section = {}
         for mode in system.modes:
             inv = invariance[mode.id]
-            ok = inv.worst_residual <= tolerance
-            record(f"{name}:invariance:mode{mode.id}", ok)
+            record(f"{name}:invariance:mode{mode.id}", inv.ok)
             section[str(mode.id)] = {
-                "ok": ok,
+                "ok": inv.ok,
                 "worst_residual": inv.worst_residual,
                 "worst_point": inv.worst_point.tolist(),
-                "tolerance": tolerance,
+                "tolerance": INVARIANCE_TOL,
             }
         return section
 
     sections = []
     certs = {}
     for name, cert in results.items():
-        rejected = isinstance(cert, NotInvariantError)
-        # a rejected subspace is judged at the tolerance its certificate needed
         section: dict = {
             "name": name,
             "dimension": cert.subspace.dim,
             "basis": cert.subspace.basis.T.tolist(),
-            "invariance": invariance_section(
-                name, cert.invariance, INVARIANCE_TOL if rejected else max(tol, 1e-9)),
+            "invariance": invariance_section(name, cert.invariance),
         }
         sections.append(section)
-        if rejected:
+        if isinstance(cert, NotInvariantError):
             continue
         certs[name] = cert
         section.update(modes={}, coupling={}, constants={}, dwell_bounds={})

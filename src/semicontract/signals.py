@@ -180,7 +180,6 @@ class ActivationCheck:
     ok: bool
     mode: int | None
     activation_index: int | None
-    length: float | None
     reason: str
 
 
@@ -200,41 +199,33 @@ def verify_per_activation(sig: SwitchingSignal, bounds: DwellBounds) -> Activati
         counters[act.mode] += 1
         upper = bounds.upper.get(act.mode)
         if upper is not None and act.length > upper + TIME_EPS:
-            return ActivationCheck(False, act.mode, index, act.length,
+            return ActivationCheck(False, act.mode, index,
                                    f"activation lasts {act.length:.6g} > {upper:.6g}")
         lower = bounds.lower.get(act.mode)
         if lower is not None and not act.censored and act.length < lower - TIME_EPS:
-            return ActivationCheck(False, act.mode, index, act.length,
+            return ActivationCheck(False, act.mode, index,
                                    f"activation lasts {act.length:.6g} < {lower:.6g}")
-    return ActivationCheck(True, None, None, None, "all activations within bounds")
+    return ActivationCheck(True, None, None, "all activations within bounds")
 
 
-def generate_periodic(mode_order, dwell, t0: float, horizon: float) -> SwitchingSignal:
-    """Cyclic schedule over mode_order, truncated at the horizon. dwell is a
-    single time or a per-mode mapping."""
+def generate_periodic(mode_order, dwell: float, t0: float, horizon: float) -> SwitchingSignal:
+    """Cyclic schedule over mode_order, every activation dwell long, truncated
+    at the horizon."""
     mode_order = list(mode_order)
+    dwell = float(dwell)
     if not mode_order:
         raise ValueError("empty mode list")
     if horizon - t0 <= TIME_EPS:
         raise ValueError("horizon must exceed the start time")
-    if isinstance(dwell, dict):
-        dwell_of = lambda q: float(dwell[q])  # noqa: E731
-        cumulative = lambda k: t0 + sum(  # noqa: E731
-            dwell_of(mode_order[i % len(mode_order)]) for i in range(k)
-        )
-    else:
-        step = float(dwell)
-        dwell_of = lambda q: step  # noqa: E731
-        cumulative = lambda k: t0 + k * step  # noqa: E731
+    if dwell <= 0:
+        raise ValueError("dwell times must be positive")
     events = []
     k = 0
-    while horizon - cumulative(k) > TIME_EPS:
+    while horizon - (t := t0 + k * dwell) > TIME_EPS:
         mode = mode_order[k % len(mode_order)]
         if events and events[-1][1] == mode:
             raise ValueError("mode order repeats a mode consecutively")
-        if dwell_of(mode) <= 0:
-            raise ValueError("dwell times must be positive")
-        events.append((cumulative(k), mode))
+        events.append((t, mode))
         k += 1
         if len(mode_order) == 1:
             break

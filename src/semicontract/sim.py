@@ -28,6 +28,11 @@ from .svgplot import write_line_plot
 from .system import Mode, SwitchedSystem
 
 
+# Largest state difference at the signal boundaries between a run and its
+# half-step rerun that validates the run.
+HALVING_BOUND = 1e-6
+
+
 class DivergenceError(RuntimeError):
     """State became non-finite; carries the first bad time."""
 
@@ -270,10 +275,10 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float,
              for label, traj in (("a", traj_a), ("b", traj_b))
              if (k := system.domain.first_outside(traj.states)) is not None]
     result: dict = {
-        "verdicts": [{"name": "step_halving_agreement", "ok": bool(agreement < 1e-6)},
+        "verdicts": [{"name": "step_halving_agreement", "ok": bool(agreement < HALVING_BOUND)},
                      {"name": "finite_trajectories", "ok": True},
                      {"name": "trajectories_within_domain", "ok": not exits}],
-        "step_halving": {"worst_difference": agreement, "bound": 1e-6},
+        "step_halving": {"worst_difference": agreement, "bound": HALVING_BOUND},
     }
     if exits:
         # the certificate only holds on the domain box: report the first exit
@@ -295,8 +300,8 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float,
         result["signal_within_bounds"] = {
             "ok": check.ok,
             "detail": check.reason if check.ok else (
-                f"bounds violated by signal: mode {check.mode} activation "
-                f"{check.activation_index} lasts {check.length:.6g}"
+                f"bounds violated by signal in mode {check.mode}, activation "
+                f"{check.activation_index}: {check.reason}"
             ),
         }
         result["verdicts"].append({"name": "signal_within_bounds", "ok": bool(check.ok)})

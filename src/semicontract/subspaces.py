@@ -13,6 +13,8 @@ from .linalg import NotPositiveDefiniteError, frobenius, gen_sym_eig, sym_eig
 RANK_TOL = 1e-10
 # Relative bound on ||P @ complement|| for a weight to share the subspace kernel.
 KERNEL_TOL = 1e-8
+# Relative residual up to which the complement counts as invariant under a mode.
+INVARIANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +160,10 @@ class InvarianceResult:
     worst_point: np.ndarray
 
 
-def check_invariance(mode, s: Subspace, samples, tol: float = 1e-9) -> InvarianceResult:
+def check_invariance(mode, s: Subspace, samples) -> InvarianceResult:
     """Check the certificate hypothesis that the Jacobian leaves the complement
     of a subspace invariant at every sample:
-    || Pi_V A(x) Pi_Vperp ||_F <= tol * max(1, ||A(x)||_F).
+    || Pi_V A(x) Pi_Vperp ||_F <= INVARIANCE_TOL * max(1, ||A(x)||_F).
 
     mode is a system Mode; the Jacobian stack is the SampleSet's one stack of it.
     """
@@ -173,7 +175,7 @@ def check_invariance(mode, s: Subspace, samples, tol: float = 1e-9) -> Invarianc
     scales = np.maximum(1.0, np.linalg.norm(jacs, axis=(1, 2)))
     ratios = residuals / scales
     worst = int(np.argmax(ratios))
-    return InvarianceResult(bool(ratios[worst] <= tol), float(ratios[worst]),
+    return InvarianceResult(bool(ratios[worst] <= INVARIANCE_TOL), float(ratios[worst]),
                             samples.points[worst])
 
 

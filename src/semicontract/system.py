@@ -128,12 +128,12 @@ class Box:
     def dimension(self) -> int:
         return len(self.lows)
 
-    def first_outside(self, points, slack: float = 1e-12) -> int | None:
-        """Index of the first point (row) outside the box widened by `slack`,
+    def first_outside(self, points) -> int | None:
+        """Index of the first point (row) outside the box widened by 1e-12,
         or None; a non-finite coordinate counts as outside."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.asarray(self.lows) - slack
-        hi = np.asarray(self.highs) + slack
+        lo = np.asarray(self.lows) - 1e-12
+        hi = np.asarray(self.highs) + 1e-12
         outside = ~np.all((points >= lo) & (points <= hi), axis=1)
         return int(np.argmax(outside)) if outside.any() else None
 
@@ -292,10 +292,17 @@ def load_config(source) -> ConfigBundle:
             raise ConfigError(f"a certificate names the unknown subspace {spec.subspace!r}")
         if targets.count(spec.subspace) > 1:
             raise ConfigError(f"subspace {spec.subspace!r} has two certificates")
-        for q in spec.weights:
+        for q, p in spec.weights.items():
             if not 1 <= q <= len(system.modes):
                 raise ConfigError(f"the certificate of subspace {spec.subspace!r} weights "
                                   f"mode {q}, which the system lacks")
+            if p.shape != (n, n) or not np.all(np.isfinite(p)):
+                raise ConfigError(f"the certificate of subspace {spec.subspace!r} weights mode "
+                                  f"{q} by {p.tolist()}, not a {n}x{n} matrix of finite numbers")
+        unweighted = [m.id for m in system.modes if m.id not in spec.weights]
+        if spec.weights and unweighted:
+            raise ConfigError(f"the certificate of subspace {spec.subspace!r} weights some "
+                              f"modes but not mode {unweighted[0]}")
     return ConfigBundle(system, tuple(subspaces), tuple(certificates), doc)
 
 

@@ -136,6 +136,18 @@ def test_analyze_reports_a_complement_that_is_not_invariant(tmp_path, capsys):
     assert "failed conditions: antidiag:invariance:mode1" in capsys.readouterr().err
 
 
+def test_invariance_is_judged_at_its_own_tolerance_whatever_tol(tmp_path):
+    # --tol sets the semidefinite checks; the complement is accepted at 1e-9
+    assert main(["analyze", "--grid", "11", "--tol", "1e-6", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "report.json").read_text()
+    report = strict_json(text)
+    assert report["provenance"]["tolerance"] == 1e-6
+    for section in report["subspaces"]:
+        for inv in section["invariance"].values():
+            assert inv["tolerance"] == 1e-9
+    assert text.count('"tolerance": 1e-09') == 4
+
+
 def test_simulate_skips_the_bounds_when_a_complement_is_not_invariant(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["simulate", "--config", str(axis_config(tmp_path)), "--grid", "11",
@@ -177,6 +189,10 @@ def with_a_weight_for_mode_3(doc):
     doc["certificates"][0]["P"]["3"] = [[1.0, 0.0], [0.0, 1.0]]
 
 
+def with_a_weight_for_mode_1_only(doc):
+    del doc["certificates"][0]["P"]["2"]
+
+
 def edited(section, index, **fields):
     """A change that sets fields of doc[section][index]; a field set to None
     is deleted."""
@@ -211,6 +227,18 @@ BAD_CONFIGS = {
                                "certificate constant beta_S is not finite: 'nan'"),
     "rate_not_finite": (edited("certificates", 0, eta_U="inf"),
                         "certificate constant eta_U is not finite: 'inf'"),
+    "non_finite_weight": (edited("certificates", 0, P={"1": [[float("nan"), 0.5], [0.5, 0.5]],
+                                                         "2": [[1.0, 1.0], [1.0, 1.0]]}),
+                          "the certificate of subspace 'diag' weights mode 1 by "
+                          "[[nan, 0.5], [0.5, 0.5]], not a 2x2 matrix of finite numbers"),
+    "weight_of_the_wrong_shape": (edited("certificates", 0, P={"1": [[1.0, 1.0, 0.0]] * 2,
+                                                                "2": [[1.0, 1.0], [1.0, 1.0]]}),
+                                  "the certificate of subspace 'diag' weights mode 1 by "
+                                  "[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]], not a 2x2 matrix of "
+                                  "finite numbers"),
+    "weight_for_some_modes_only": (with_a_weight_for_mode_1_only,
+                                   "the certificate of subspace 'diag' weights some modes "
+                                   "but not mode 2"),
     "weight_for_an_unknown_mode": (with_a_weight_for_mode_3,
                                    "the certificate of subspace 'diag' weights mode 3, "
                                    "which the system lacks"),
@@ -239,7 +267,7 @@ def test_a_bad_config_is_a_config_error(tmp_path, capsys, command, case):
 
 def test_strict_flag_reports_open_bounds(tmp_path):
     out = tmp_path / "out"
-    assert main(["analyze", "--grid", "11", "--strict", "--out", str(out)]) == 0
+    assert main(["analyze", "--grid", "11", "--margin", "0", "--out", str(out)]) == 0
     report = strict_json((out / "report.json").read_text())
     assert report["subspaces"][0]["dwell_bounds"]["boundary"] == "open"
     assert report["subspaces"][0]["dwell_bounds"]["margin"] == 0.0
@@ -267,9 +295,12 @@ def test_simulate_dwell_1_flags_bounds_violation(tmp_path, capsys):
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert "bounds violated by signal" in err
+    # the detail names the mode, the activation, its length and the broken bound
+    detail = ("bounds violated by signal in mode 1, activation 0: "
+              "activation lasts 1 > 0.39608")
+    assert err.splitlines()[-1] == detail
     report = strict_json((tmp_path / "simulation.json").read_text())
-    assert report["signal_within_bounds"]["ok"] is False
+    assert report["signal_within_bounds"] == {"ok": False, "detail": detail}
 
 
 def test_simulate_random_signal_compliant(tmp_path):
@@ -428,8 +459,10 @@ def test_signal_check_bad_signal_file_is_a_config_error(tmp_path, capsys, case):
 
 
 def test_signal_check_without_signal_is_a_config_error(capsys):
-    assert main(["signal", "check", "--tau-lower", "0.1"]) == 2
-    assert capsys.readouterr().err == "config error: signal check needs --signal\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["signal", "check", "--tau-lower", "0.1"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --signal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("use_report, unbounded_mode", [(False, 1), (True, 2)])
@@ -487,23 +520,45 @@ def test_simulate_deterministic_csv(tmp_path):
 HELP = {"-h", "--help"}
 SUBCOMMAND_OPTIONS = {
     "analyze": {"--config", "--out", "--seed", "--grid", "--samples", "--tol", "--margin",
-                "--strict", "--search-weights"},
+                "--search-weights"},
     "simulate": {"--config", "--out", "--seed", "--step", "--grid", "--samples", "--margin",
-                 "--strict", "--plot", "--search-weights", "--horizon", "--periodic",
+                 "--plot", "--search-weights", "--horizon", "--periodic",
                  "--random-signal", "--signal", "--initial"},
-    "signal": {"--modes", "--periodic", "--t0", "--horizon", "--seed", "--signal",
-               "--tau-lower", "--tau-upper", "--bounds-from", "--out-file"},
-    "reproduce": {"--out", "--seed", "--step", "--grid", "--tol", "--margin", "--strict"},
+    "signal gen": {"--modes", "--periodic", "--t0", "--horizon", "--seed", "--tau-lower",
+                   "--tau-upper", "--bounds-from", "--out-file"},
+    "signal check": {"--signal", "--horizon", "--tau-lower", "--tau-upper", "--bounds-from"},
+    "reproduce": {"--out", "--seed", "--step", "--grid", "--tol", "--margin"},
 }
 
 
-def test_each_subcommand_registers_exactly_its_options():
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
+def registered_options(parser, prefix=""):
+    """Command name ("signal gen" for a nested one) -> the option strings its
+    parser registers besides -h/--help, for every command under parser."""
+    sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if sub is None:
+        return {prefix: {s for action in parser._actions for s in action.option_strings} - HELP}
+    commands = {}
     for name, subparser in sub.choices.items():
-        options = {s for action in subparser._actions for s in action.option_strings}
-        assert options == SUBCOMMAND_OPTIONS[name] | HELP, name
+        commands.update(registered_options(subparser, f"{prefix} {name}".strip()))
+    return commands
+
+
+def test_each_subcommand_registers_exactly_its_options():
+    assert registered_options(build_parser()) == SUBCOMMAND_OPTIONS
+
+
+def readme_flag_lists():
+    """Command -> the flags of its bullet in the README list "Flags of each
+    subcommand"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("Flags of each subcommand", 1)[1].split("\n\n", 2)[1]
+    bullets = re.split(r"^- ", section, flags=re.MULTILINE)[1:]
+    return {re.match(r"`([a-z ]+)`", bullet).group(1): set(re.findall(r"`(--[a-z0-9-]+)", bullet))
+            for bullet in bullets}
+
+
+def test_the_readme_flag_list_matches_the_parser():
+    assert readme_flag_lists() == registered_options(build_parser())
 
 
 # flags each subcommand used to accept and ignore
@@ -516,6 +571,14 @@ def test_each_subcommand_registers_exactly_its_options():
     ["reproduce", "--plot"],
     ["reproduce", "--search-weights"],
     ["reproduce", "--example", "saddle2d"],
+    ["reproduce", "--strict"],
+    ["analyze", "--strict"],
+    ["signal", "check", "--signal", "s.csv", "--periodic", "9"],
+    ["signal", "check", "--signal", "s.csv", "--modes", "7"],
+    ["signal", "check", "--signal", "s.csv", "--t0", "5"],
+    ["signal", "check", "--signal", "s.csv", "--seed", "3"],
+    ["signal", "check", "--signal", "s.csv", "--out-file", "x.csv"],
+    ["signal", "gen", "--signal", "x"],
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -652,7 +715,10 @@ def readme_commands():
 
 
 def test_the_readme_cli_block_has_examples_of_every_subcommand():
-    commands = [shlex.split(line)[1] for line in readme_commands()]
+    commands = []
+    for line in readme_commands():
+        words = shlex.split(line)[1:]
+        commands.append(" ".join(words[:2] if words[0] == "signal" else words[:1]))
     assert set(commands) == set(SUBCOMMAND_OPTIONS)
 
 

@@ -86,3 +86,19 @@ def test_reproduction_evaluates_each_full_grid_jacobian_once(tmp_path, monkeypat
     assert reproduce.run_reproduction(tmp_path, step=1e-2, grid=5) == 0
     assert "all_pass=True" in capsys.readouterr().out
     assert sum(full_grid) == 2
+
+
+def test_reproduction_reads_the_simulation_verdicts(tmp_path, capsys):
+    # the control's check repeats the detail of its simulation, which names
+    # the mode, the activation, its length and the broken leave bound
+    assert reproduce.run_reproduction(tmp_path, step=1e-2, grid=5) == 0
+    out = capsys.readouterr().out
+    summary = json.loads((tmp_path / "reproduction.json").read_text())
+    checks = {c["name"]: c for c in summary["checks"]}
+    control = json.loads((tmp_path / "control_simulation.json").read_text())
+    detail = ("bounds violated by signal in mode 1, activation 0: "
+              "activation lasts 1 > 0.39608")
+    assert control["signal_within_bounds"] == {"ok": False, "detail": detail}
+    assert checks["control_flagged_by_checker"]["detail"] == detail
+    assert f"[PASS] control_flagged_by_checker: {detail}" in out
+    assert "strict" not in summary["provenance"]

@@ -338,9 +338,6 @@ def test_generate_periodic_examples():
     assert [m for _, m in sig.events] == [1, 2, 1, 2]
     single = generate_periodic([1, 2], 0.7, 0.0, 1.4)
     assert len(single.events) == 2
-    mapped = generate_periodic([1, 2], {1: 0.2, 2: 0.3}, 0.0, 1.0)
-    lengths = [b[0] - a[0] for a, b in zip(mapped.events, mapped.events[1:])]
-    assert lengths == pytest.approx([0.2, 0.3, 0.2])
 
 
 def test_generate_periodic_counts_switches_over_horizon_10():

@@ -605,7 +605,8 @@ def test_equal_dwell_alternation_contracts_even_past_the_leave_bound(bundle):
 def test_unequal_dwell_does_diverge(bundle):
     # a genuinely violating schedule: mode 1 held 8x longer than mode 2 lets
     # the antidiagonal component grow by about e^(0.5*0.8-2*0.1) per period
-    sig = generate_periodic([1, 2], {1: 0.8, 2: 0.1}, 0.0, 10.0)
+    events = [(0.9 * k + 0.8 * j, 1 + j) for k in range(12) for j in (0, 1)]
+    sig = SwitchingSignal(0.0, tuple(e for e in events if e[0] < 10.0), 10.0)
     ta = integrate(bundle.system, sig, [2.0, -1.0], step=1e-3)
     tb = integrate(bundle.system, sig, [-2.0, 1.0], step=1e-3)
     d = distance_trace(ta, tb)

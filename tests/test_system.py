@@ -132,7 +132,9 @@ def test_box_first_outside_finds_the_first_point_out(bundle):
     assert box.first_outside(points) == 2
     assert box.first_outside(points[[0, 1, 3]]) == 2  # nan is outside
     assert box.first_outside(points[:2]) is None
-    assert box.first_outside(points[2:3], slack=0.2) is None
+    # the box is widened by 1e-12
+    assert box.first_outside([[5.0 + 5e-13, -5.0 - 5e-13]]) is None
+    assert box.first_outside([[5.0 + 2e-12, 0.0]]) == 0
 
 
 def test_empty_sampling_request_rejected(bundle):
