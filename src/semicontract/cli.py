@@ -36,6 +36,8 @@ from .testdata import bundled_config_path
 
 CONFIG_EXIT = 2
 VERDICT_EXIT = 1
+# simulate's periodic dwell [s] when no signal flag is given
+DEFAULT_DWELL = 0.35
 
 
 def _flag_type(kind, ok, rule: str):
@@ -149,7 +151,7 @@ def _simulation_signal(args, mode_ids, bounds: DwellBounds | None) -> SwitchingS
         if bounds is None:
             raise InfeasibleError("a random compliant signal needs the certified bounds")
         return generate_random(mode_ids, bounds, 0.0, args.horizon, seed=args.seed)
-    return generate_periodic(mode_ids, args.periodic, 0.0, args.horizon)
+    return generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, args.horizon)
 
 
 def cmd_simulate(args) -> int:
@@ -225,6 +227,14 @@ def _bounds_from_args(args, modes) -> DwellBounds:
 
 
 def cmd_signal_gen(args) -> int:
+    # flags only the seeded random generator reads
+    random_flags = {"--seed": args.seed, "--tau-lower": args.tau_lower,
+                    "--tau-upper": args.tau_upper, "--bounds-from": args.bounds_from}
+    given = [flag for flag, value in random_flags.items() if value is not None]
+    if args.periodic and given:
+        print(f"usage error: --periodic cannot be combined with {given[0]}, which only "
+              "the seeded random generator reads", file=sys.stderr)
+        return CONFIG_EXIT
     if args.horizon - args.t0 <= TIME_EPS:
         return _config_error(f"--horizon {args.horizon} must exceed --t0 {args.t0}")
     if args.periodic:
@@ -232,7 +242,7 @@ def cmd_signal_gen(args) -> int:
     else:
         try:
             bounds = _bounds_from_args(args, args.modes)
-            sig = generate_random(args.modes, bounds, args.t0, args.horizon, seed=args.seed)
+            sig = generate_random(args.modes, bounds, args.t0, args.horizon, seed=args.seed or 0)
         except ConfigError as exc:
             return _config_error(exc)
         except ValueError as exc:
@@ -312,11 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate a trajectory pair under a signal")
     _add_options(p_sim, "--config", "--out", "--seed", "--step", "--grid", "--samples",
                  "--margin", "--plot", "--search-weights", "--horizon")
-    p_sim.add_argument("--periodic", type=POSITIVE, default=0.35,
-                       help="periodic dwell time per mode [s]")
-    p_sim.add_argument("--random-signal", action="store_true",
-                       help="seeded random signal satisfying the certified bounds")
-    p_sim.add_argument("--signal", default=None, help="signal CSV to replay")
+    signal_flags = p_sim.add_mutually_exclusive_group()
+    signal_flags.add_argument("--periodic", type=POSITIVE, default=None,
+                              help="periodic dwell time per mode [s] "
+                                   f"({DEFAULT_DWELL} when no signal flag is given)")
+    signal_flags.add_argument("--random-signal", action="store_true",
+                              help="seeded random signal satisfying the certified bounds")
+    signal_flags.add_argument("--signal", default=None, help="signal CSV to replay")
     p_sim.add_argument("--initial", nargs=2, default=["2,-1", "-2,1"],
                        metavar=("XA", "XB"), help="two initial states, comma-separated")
     p_sim.set_defaults(fn=cmd_simulate)
@@ -329,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--t0", type=FINITE, default=0.0)
     p_gen.add_argument("--out-file", default=None)
     _add_options(p_gen, "--seed", "--horizon", "--tau-lower", "--tau-upper", "--bounds-from")
-    p_gen.set_defaults(fn=cmd_signal_gen)
+    # seed None tells an omitted --seed (0) from a given one, which --periodic refuses
+    p_gen.set_defaults(fn=cmd_signal_gen, seed=None)
     p_check = actions.add_parser("check", help="check a signal CSV against dwell bounds")
     p_check.add_argument("--signal", required=True, help="signal CSV to check")
     _add_options(p_check, "--horizon", "--tau-lower", "--tau-upper", "--bounds-from")

@@ -118,61 +118,89 @@ class WindowCheck:
     checked_windows: int
 
 
-def _windows(sig: SwitchingSignal, mode: int):
-    """Yield (t_a, t_b, count, total) of dwell_stats for every switching-time
-    window, in (start, end) order. Windows start and end on activation
-    boundaries, so each activation of the mode lies wholly inside or outside
-    one and adds its whole length: dwell_stats' own additions in its order,
-    at O(K) per start."""
+def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
+    """((t_a, t_b), N, T) of the switching-time window that maximises
+    sign * (tau * N - T), in O(K) for K activations.
+
+    Windows start and end on activation boundaries, so each activation of the
+    mode lies wholly inside or outside one: the window over activations
+    i..j-1 has N = C(j) - C(i) and T = S(j) - S(i), with C counting and S
+    summing the mode's activations among the first k. Its score is therefore
+    key(j) - key(i) with key(k) = sign * (tau * C(k) - S(k)), and one
+    suffix-maximum pass finds the largest difference. Every float is m * 2^e,
+    so the keys are exact integers at one common power-of-two scale. Ties go
+    to the first window in (start, end) order. T is then the left-to-right
+    float sum of the window's lengths, dwell_stats' own additions."""
     if mode not in sig.modes:
         raise KeyError(f"mode {mode} never appears in the signal")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be a finite number > 0, got {tau}")
     acts = sig.activations()
-    for i, first in enumerate(acts):
-        count, total = 0, 0.0
-        for act in acts[i:]:
-            if act.mode == mode:
-                count += 1
-                total += act.length
-            yield first.start, act.end, count, total
+    ratios = [x.as_integer_ratio() for x in (tau, *(a.length for a in acts if a.mode == mode))]
+    scale = max(den for _, den in ratios)  # every denominator is a power of two
+    tau_int, *length_ints = (num * (scale // den) for num, den in ratios)
+    keys, key, lengths = [0], 0, iter(length_ints)
+    for act in acts:
+        if act.mode == mode:
+            key += sign * (tau_int - next(lengths))
+        keys.append(key)
+    # starts go from last to first and high is max(keys[i + 1:]), so >= keeps
+    # the smallest start of the largest gap
+    best, start, high = -math.inf, 0, keys[-1]
+    for i in range(len(acts) - 1, -1, -1):
+        if high - keys[i] >= best:
+            best, start = high - keys[i], i
+        high = max(high, keys[i])
+    end = next(j for j in range(start + 1, len(keys)) if keys[j] - keys[start] == best)
+    count, total = 0, 0.0
+    for act in acts[start:end]:
+        if act.mode == mode:
+            count += 1
+            total += act.length
+    return (acts[start].start, acts[end - 1].end), count, total
 
 
-def _worst_window(sig, mode, violation) -> WindowCheck:
-    # violation(n, t) > 0 means the window violates; worst = first max violation
-    worst, worst_window, checked = -math.inf, (sig.start_time, sig.horizon), 0
-    for t_a, t_b, n, t in _windows(sig, mode):
-        value = violation(n, t)
-        checked += 1
-        if value > worst:
-            worst, worst_window = value, (t_a, t_b)
-    return WindowCheck(bool(worst <= 1e-12), worst, worst_window, checked)
+def _checked(sig: SwitchingSignal, worst: float, window: tuple) -> WindowCheck:
+    k = len(sig.events)  # activations, so k + 1 boundaries and k(k + 1)/2 windows
+    return WindowCheck(bool(worst <= 1e-12), worst, window, k * (k + 1) // 2)
 
 
 def verify_mdadt(sig: SwitchingSignal, mode: int, tau_lower: float,
                  n_lower: float) -> WindowCheck:
     """Average dwell time: N(t_a,t_b) <= n_lower + T(t_a,t_b)/tau_lower over all
-    windows with switching-time endpoints (statistics change only there)."""
+    windows with switching-time endpoints (statistics change only there).
+    O(K) by _worst: the worst window maximises N - T/tau_lower exactly, the
+    first in (start, end) order on a tie."""
     if tau_lower <= 0 or n_lower <= 0:
         raise ValueError("tau_lower and n_lower must be positive")
-    return _worst_window(sig, mode, lambda n, t: n - n_lower - t / tau_lower)
+    window, n, t = _worst(sig, mode, tau_lower, +1)
+    return _checked(sig, n - n_lower - t / tau_lower, window)
 
 
 def verify_mdalt(sig: SwitchingSignal, mode: int, tau_upper: float,
                  n_upper: float) -> WindowCheck:
     """Average leave time: N(t_a,t_b) >= n_upper + T(t_a,t_b)/tau_upper over all
-    switching-time windows. n_upper may be any real (see tightest_mdalt_offset)."""
+    switching-time windows. n_upper may be any real (see tightest_mdalt_offset).
+    O(K) by _worst: the worst window maximises T/tau_upper - N exactly, the
+    first in (start, end) order on a tie."""
     if tau_upper <= 0:
         raise ValueError("tau_upper must be positive")
-    return _worst_window(sig, mode, lambda n, t: n_upper + t / tau_upper - n)
+    window, n, t = _worst(sig, mode, tau_upper, -1)
+    return _checked(sig, n_upper + t / tau_upper - n, window)
 
 
 def tightest_mdadt_offset(sig: SwitchingSignal, mode: int, tau_lower: float) -> float:
-    """Smallest n_lower making verify_mdadt pass for the given tau_lower."""
-    return max(0.0, max((n - t / tau_lower for _, _, n, t in _windows(sig, mode)), default=0.0))
+    """Smallest n_lower making verify_mdadt pass for the given tau_lower:
+    N - T/tau_lower on verify_mdadt's worst window, and at least 0. O(K)."""
+    _, n, t = _worst(sig, mode, tau_lower, +1)
+    return max(0.0, n - t / tau_lower)
 
 
 def tightest_mdalt_offset(sig: SwitchingSignal, mode: int, tau_upper: float) -> float:
-    """Largest n_upper making verify_mdalt pass for the given tau_upper."""
-    return min((n - t / tau_upper for _, _, n, t in _windows(sig, mode)), default=math.inf)
+    """Largest n_upper making verify_mdalt pass for the given tau_upper:
+    N - T/tau_upper on verify_mdalt's worst window. O(K)."""
+    _, n, t = _worst(sig, mode, tau_upper, -1)
+    return n - t / tau_upper
 
 
 @dataclass(frozen=True)

@@ -508,6 +508,51 @@ def test_signal_gen_horizon_not_after_t0_is_a_config_error(tmp_path, capsys, t0,
     assert not out.exists()
 
 
+# flags only the seeded random generator reads, which --periodic used to ignore
+@pytest.mark.parametrize("flags", [["--seed", "0"], ["--seed", "3"], ["--tau-lower", "0.2"],
+                                   ["--tau-upper", "0.5"], ["--bounds-from", "report.json"]])
+def test_signal_gen_periodic_with_a_random_generator_flag_is_a_usage_error(tmp_path, capsys,
+                                                                          flags):
+    out = tmp_path / "signal.csv"
+    code = main(["signal", "gen", "--periodic", "0.35", *flags, "--out-file", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage error: --periodic cannot be combined with {flags[0]}, which only the seeded "
+        "random generator reads\n")
+    assert not out.exists()
+
+
+def test_signal_gen_without_seed_uses_seed_0(tmp_path):
+    signals = [tmp_path / "default.csv", tmp_path / "seed0.csv"]
+    for out, seed in zip(signals, [[], ["--seed", "0"]]):
+        assert main(["signal", "gen", "--tau-lower", "0.2", "--tau-upper", "0.5", *seed,
+                     "--out-file", str(out)]) == 0
+    assert signals[0].read_bytes() == signals[1].read_bytes()
+
+
+# simulate used to read --signal, else --random-signal, else --periodic
+@pytest.mark.parametrize("argv, second, first", [
+    (["--periodic", "0.35", "--random-signal"], "--random-signal", "--periodic"),
+    (["--periodic", "0.35", "--signal", "s.csv"], "--signal", "--periodic"),
+    (["--random-signal", "--signal", "s.csv"], "--signal", "--random-signal"),
+])
+def test_simulate_takes_one_signal_flag(argv, second, first, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *argv])
+    assert exc.value.code == 2
+    assert f"argument {second}: not allowed with argument {first}" in capsys.readouterr().err
+
+
+def test_simulate_without_a_signal_flag_runs_the_035_periodic_signal(tmp_path):
+    assert build_parser().parse_args(["simulate"]).periodic is None
+    runs = [tmp_path / "default", tmp_path / "periodic"]
+    for out, flags in zip(runs, [[], ["--periodic", "0.35"]]):
+        assert main(["simulate", *flags, "--horizon", "2", "--step", "2e-3",
+                     "--out", str(out)]) == 0
+    for name in ("simulation.json", "distance.csv", "signal.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 def test_simulate_deterministic_csv(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for out in (a_dir, b_dir):

@@ -1,6 +1,6 @@
 import gc
-import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,62 +40,51 @@ def brute_force_stats(sig, mode, t_a, t_b):
     return count, total
 
 
-# Reference window scans: one dwell_stats call per switching-time window,
-# O(K^3) overall. The scans in semicontract.signals must agree with these
-# exactly (==), including which window is reported worst.
+# Reference window scans: every switching-time window, O(K^2) overall, with
+# exact rational scores. The worst window is the first exact maximum of
+# sign * (tau * N - T) in (start, end) order; the reported value is the scan's
+# own float formula on dwell_stats of that window. The O(K) scans in
+# semicontract.signals must agree with these exactly (==), ties included.
 
-def _grid_times(sig):
-    times = [sig.start_time, *sig.switch_times, sig.horizon]
-    unique = []
-    for t in times:
-        if not unique or t - unique[-1] > 1e-12:
-            unique.append(t)
-    return unique
+def exact_worst_window(sig, mode, tau, sign):
+    """(window, count, float total, windows checked) of the first window that
+    maximises sign * (tau * N - T) in exact arithmetic."""
+    acts, tau = sig.activations(), Fraction(tau)
+    best, window, checked = None, None, 0
+    for i in range(len(acts)):
+        count, total = 0, Fraction(0)
+        for act in acts[i:]:
+            if act.mode == mode:
+                count += 1
+                total += Fraction(act.length)
+            score = sign * (tau * count - total)
+            checked += 1
+            if best is None or score > best:
+                best, window = score, (acts[i].start, act.end)
+    stats = dwell_stats(sig, mode, *window)
+    return window, stats.count, stats.total_time, checked
 
 
 def reference_verify_mdadt(sig, mode, tau_lower, n_lower):
-    return _reference_scan_windows(sig, mode, lambda n, t: n - n_lower - t / tau_lower, sense=+1)
+    window, n, t, checked = exact_worst_window(sig, mode, tau_lower, +1)
+    value = n - n_lower - t / tau_lower
+    return WindowCheck(bool(value <= 1e-12), value, window, checked)
 
 
 def reference_verify_mdalt(sig, mode, tau_upper, n_upper):
-    return _reference_scan_windows(sig, mode, lambda n, t: n_upper + t / tau_upper - n, sense=+1)
-
-
-def _reference_scan_windows(sig, mode, violation, sense):
-    # violation(n, t) > 0 means the window violates; worst = max violation
-    times = _grid_times(sig)
-    worst = -math.inf
-    worst_window = (times[0], times[-1])
-    checked = 0
-    for i in range(len(times) - 1):
-        for j in range(i + 1, len(times)):
-            stats = dwell_stats(sig, mode, times[i], times[j])
-            value = sense * violation(stats.count, stats.total_time)
-            checked += 1
-            if value > worst:
-                worst = value
-                worst_window = (times[i], times[j])
-    return WindowCheck(bool(worst <= 1e-12), worst, worst_window, checked)
+    window, n, t, checked = exact_worst_window(sig, mode, tau_upper, -1)
+    value = n_upper + t / tau_upper - n
+    return WindowCheck(bool(value <= 1e-12), value, window, checked)
 
 
 def reference_tightest_mdadt_offset(sig, mode, tau_lower):
-    times = _grid_times(sig)
-    worst = 0.0
-    for i in range(len(times) - 1):
-        for j in range(i + 1, len(times)):
-            stats = dwell_stats(sig, mode, times[i], times[j])
-            worst = max(worst, stats.count - stats.total_time / tau_lower)
-    return worst
+    _, n, t, _ = exact_worst_window(sig, mode, tau_lower, +1)
+    return max(0.0, n - t / tau_lower)
 
 
 def reference_tightest_mdalt_offset(sig, mode, tau_upper):
-    times = _grid_times(sig)
-    best = math.inf
-    for i in range(len(times) - 1):
-        for j in range(i + 1, len(times)):
-            stats = dwell_stats(sig, mode, times[i], times[j])
-            best = min(best, stats.count - stats.total_time / tau_upper)
-    return best
+    _, n, t, _ = exact_worst_window(sig, mode, tau_upper, -1)
+    return n - t / tau_upper
 
 
 def random_signal(rng, n_modes=3, horizon=8.0):
@@ -276,6 +265,22 @@ def test_window_scans_equal_the_reference_on_periodic_signals(n_modes, dwell, ho
     # equal dwells make many windows tie for the worst value
     sig = generate_periodic(list(range(1, n_modes + 1)), dwell, 0.0, horizon)
     assert_scans_match_reference(sig, tau)
+
+
+@pytest.mark.parametrize("switches, window", [(1000, (349.65, 350.1)),
+                                               (3000, (1049.6499999999999, 1050.1))])
+def test_long_periodic_signals_keep_their_worst_window(switches, window):
+    # the windows the O(K^2) float scan reported; only the censored last
+    # activation of mode 1 counts, and the earlier of the two tied starts wins
+    sig = generate_periodic([1, 2], 0.35, 0.0, 0.35 * switches + 0.1)
+    assert verify_mdadt(sig, 1, tau_lower=0.3, n_lower=1.0).worst_window == window
+
+
+def test_a_scan_of_1e5_activations_checks_every_window():
+    sig = generate_periodic([1, 2], 0.35, 0.0, 0.35 * (10**5 - 1) + 0.1)
+    k = len(sig.events)
+    assert k == 10**5
+    assert verify_mdadt(sig, 1, tau_lower=0.3, n_lower=1.0).checked_windows == k * (k + 1) // 2
 
 
 def test_window_scans_reject_a_mode_that_never_appears():
