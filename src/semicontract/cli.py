@@ -38,6 +38,8 @@ CONFIG_EXIT = 2
 VERDICT_EXIT = 1
 # simulate's periodic dwell [s] when no signal flag is given
 DEFAULT_DWELL = 0.35
+TAU_FLAGS = ["--tau-lower", "--tau-upper"]
+BOUNDS_FROM_CLASH = "whose bound the report supplies"
 
 
 def _flag_type(kind, ok, rule: str):
@@ -214,6 +216,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _refused(args, flag: str, others: list, why: str) -> bool:
+    """Whether one of the flags others (read from args by their argparse
+    dest) is given with flag; if so, print a usage error naming the first."""
+    given = [other for other in others if getattr(args, other[2:].replace("-", "_")) is not None]
+    if given:
+        print(f"usage error: {flag} cannot be combined with {given[0]}, {why}", file=sys.stderr)
+    return bool(given)
+
+
 def _bounds_from_args(args, modes) -> DwellBounds:
     if args.bounds_from:
         try:
@@ -227,13 +238,10 @@ def _bounds_from_args(args, modes) -> DwellBounds:
 
 
 def cmd_signal_gen(args) -> int:
-    # flags only the seeded random generator reads
-    random_flags = {"--seed": args.seed, "--tau-lower": args.tau_lower,
-                    "--tau-upper": args.tau_upper, "--bounds-from": args.bounds_from}
-    given = [flag for flag, value in random_flags.items() if value is not None]
-    if args.periodic and given:
-        print(f"usage error: --periodic cannot be combined with {given[0]}, which only "
-              "the seeded random generator reads", file=sys.stderr)
+    if args.periodic and _refused(args, "--periodic", ["--seed", *TAU_FLAGS, "--bounds-from"],
+                                  "which only the seeded random generator reads"):
+        return CONFIG_EXIT
+    if args.bounds_from and _refused(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH):
         return CONFIG_EXIT
     if args.horizon - args.t0 <= TIME_EPS:
         return _config_error(f"--horizon {args.horizon} must exceed --t0 {args.t0}")
@@ -256,6 +264,8 @@ def cmd_signal_gen(args) -> int:
 
 
 def cmd_signal_check(args) -> int:
+    if args.bounds_from and _refused(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH):
+        return CONFIG_EXIT
     try:
         sig = read_signal_csv(args.signal, horizon=args.horizon)
         modes = list(sig.modes)

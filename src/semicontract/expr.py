@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -456,18 +455,18 @@ def evaluate_checked(e: Expr, x):
     return value
 
 
-def to_python_source(e: Expr, var: str = "x[{}]", names=None, numpy: bool = False) -> str:
+def to_python_source(e: Expr, var: str = "x[{}]", numpy: bool = False, args=None) -> str:
     """Render an expression as scalar Python source, using the math module for
     the function set; variable x{i} becomes var.format(i - 1) (x[0].. by
-    default, locals x0.. with "x{}"), and a subexpression whose plain source
-    is a key of `names` the local named by its value. With numpy=True the
-    functions are numpy's ufuncs and x^n is np.power(x, float(n)), the
-    operations of Expr.evaluate, so the source evaluates ndarrays to the same
-    bits. Used to compile the hot evaluation paths (the integrators' kernels,
-    the batched Jacobian); the AST evaluator remains the reference."""
-    if names and (name := names.get(to_python_source(e, var))):
-        return name
-    r = partial(to_python_source, var=var, names=names, numpy=numpy)
+    default, locals x0.. with "x{}"). With numpy=True the functions are
+    numpy's ufuncs and x^n is np.power(x, float(n)), the operations of
+    Expr.evaluate, so the source evaluates ndarrays to the same bits. `args`,
+    when given, are the rendered children of e (in _children order), which
+    stand in for rendering them again. Used to compile the hot evaluation
+    paths (the integrators' kernels, the batched Jacobian); the AST evaluator
+    remains the reference."""
+    if args is None:
+        args = [to_python_source(c, var, numpy) for c in _children(e)]
     if isinstance(e, Const):
         # the generated kernels see only the math module, not inf or nan
         if math.isnan(e.value):
@@ -477,22 +476,17 @@ def to_python_source(e: Expr, var: str = "x[{}]", names=None, numpy: bool = Fals
         return repr(e.value)
     if isinstance(e, Var):
         return var.format(e.index - 1)
-    if isinstance(e, Add):
-        return f"({r(e.left)} + {r(e.right)})"
-    if isinstance(e, Sub):
-        return f"({r(e.left)} - {r(e.right)})"
-    if isinstance(e, Mul):
-        return f"({r(e.left)} * {r(e.right)})"
-    if isinstance(e, Div):
-        return f"({r(e.left)} / {r(e.right)})"
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+        return f"({args[0]} {op} {args[1]})"
     if isinstance(e, Neg):
-        return f"(-{r(e.arg)})"
+        return f"(-{args[0]})"
     if isinstance(e, Pow):
         if numpy:
-            return f"np.power({r(e.base)}, {float(e.exponent)!r})"
-        return f"({r(e.base)} ** {e.exponent})"
+            return f"np.power({args[0]}, {float(e.exponent)!r})"
+        return f"({args[0]} ** {e.exponent})"
     if isinstance(e, Call):
-        return f"{'np' if numpy else 'math'}.{e.func}({r(e.arg)})"
+        return f"{'np' if numpy else 'math'}.{e.func}({args[0]})"
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
@@ -502,33 +496,41 @@ def to_python_statements(exprs, targets, var: str = "x[{}]", numpy: bool = False
     that occurs more than once (not counting repeats inside a repeat) is
     computed once, into a local _s0, _s1, .. Constant-only subtrees stay
     inline for CPython to fold. A subexpression is named by its plain source,
-    so the operations and every target's value are those of
-    to_python_source's rendering."""
+    rendered once per node, so the operations and every target's value are
+    those of to_python_source's rendering."""
+    plain: dict = {}  # id(node) -> (plain source, whether it reads a variable)
+
+    def key(e):
+        if id(e) not in plain:
+            kids = [key(c) for c in _children(e)]
+            plain[id(e)] = (to_python_source(e, var, args=[k for k, _ in kids]),
+                            isinstance(e, Var) or any(reads for _, reads in kids))
+        return plain[id(e)]
+
     counts: dict = {}
     stack = list(exprs)
     while stack:
         e = stack.pop()
-        if isinstance(e, Var) or "@" not in to_python_source(e, "@{}"):
-            continue  # a variable, or a subtree without variables
-        key = to_python_source(e, var)
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] == 1:
-            stack += _children(e)
+        k, reads = key(e)
+        if reads and not isinstance(e, Var):  # neither a variable nor free of them
+            counts[k] = counts.get(k, 0) + 1
+            if counts[k] == 1:
+                stack += _children(e)
     names: dict = {}
     lines = []
-    for target, e in zip(targets, exprs):
+
+    def text(e):
         # post-order, so a shared subexpression is named after those inside it
-        stack = [(e, False)]
-        while stack:
-            node, expanded = stack.pop()
-            key = to_python_source(node, var)
-            if key in names:
-                continue
-            if not expanded:
-                stack += [(node, True)] + [(c, False) for c in reversed(_children(node))]
-            elif counts.get(key, 0) > 1:
-                name = f"_s{len(names)}"
-                lines.append(f"{name} = {to_python_source(node, var, names, numpy)}")
-                names[key] = name
-        lines.append(f"{target} = {to_python_source(e, var, names, numpy)}")
+        k = key(e)[0]
+        if k not in names:
+            source = to_python_source(e, var, numpy, [text(c) for c in _children(e)])
+            if counts.get(k, 0) < 2:
+                return source
+            names[k] = f"_s{len(names)}"
+            lines.append(f"{names[k]} = {source}")
+        return names[k]
+
+    for target, e in zip(targets, exprs):
+        lines.append(f"{target} = {text(e)}")
+    del key, text  # each refers to itself: free the memo now, not at the next gc cycle
     return lines

@@ -67,14 +67,6 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
     invariance results, and the family is evaluated over the subspaces that
     certify.
     """
-    if not bundle.subspaces:
-        raise InfeasibleError("configuration declares no subspaces")
-    missing = sorted({spec.name for spec in bundle.subspaces}
-                     - {spec.subspace for spec in bundle.certificates})
-    if missing and not search_weights:
-        raise InfeasibleError(
-            f"no certificates for subspaces {missing}; supply P matrices or use weight search"
-        )
     if certs is None:
         samples = replace(samples)
         certs = certificates_from_report(bundle, samples, search_weights)
@@ -251,20 +243,27 @@ def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
                              search_weights: bool = False):
     """Build each subspace's certificate, in subspace name order: from the
     configured P matrices, or by scalar-weight search when search_weights is
-    set or a subspace has none. This is the analysis' own certificate source;
-    every array it computes stays with samples. Returns subspace name ->
-    certificate, or the NotInvariantError of a subspace whose complement is
-    not invariant under some mode."""
+    set or a certificate entry has none. analyze, simulate and reproduce take
+    their certificates here, so InfeasibleError (no subspaces, or a subspace
+    without an entry and no search_weights) stops each alike. Every array it
+    computes stays with samples. Returns subspace name -> certificate, or
+    the NotInvariantError of a subspace whose complement is not invariant."""
+    if not bundle.subspaces:
+        raise InfeasibleError("configuration declares no subspaces")
     system = bundle.system
     results = {}
     cert_specs = {spec.subspace: spec for spec in bundle.certificates}
+    missing = sorted({spec.name for spec in bundle.subspaces} - set(cert_specs))
+    if missing and not search_weights:
+        raise InfeasibleError(f"no certificates for subspaces {missing}; supply P matrices "
+                              "or use weight search")
     for spec in sorted(bundle.subspaces, key=lambda spec: spec.name):
         s = spec.subspace
         cspec = cert_specs.get(spec.name)
         constants = {key: getattr(cspec, key, None) for key in
                      ("beta_stable", "beta_unstable", "eta_stable", "eta_unstable")}
         try:
-            if search_weights or cspec is None or not cspec.weights:
+            if search_weights or not cspec.weights:
                 results[spec.name] = search_scalar_weights(system, s, samples, **constants)
             else:
                 results[spec.name] = build_certificate(system, s, cspec.weights, samples,

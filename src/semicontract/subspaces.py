@@ -11,7 +11,7 @@ from .linalg import NotPositiveDefiniteError, frobenius, gen_sym_eig, sym_eig
 
 # Residual below which a candidate basis vector is dropped as dependent.
 RANK_TOL = 1e-10
-# Relative bound on ||P @ complement|| for a weight to share the subspace kernel.
+# Relative bound on ||P (I - Pi)|| for a weight to share the subspace kernel.
 KERNEL_TOL = 1e-8
 # Relative residual up to which the complement counts as invariant under a mode.
 INVARIANCE_TOL = 1e-9
@@ -19,11 +19,10 @@ INVARIANCE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Subspace of R^n with orthonormal basis and orthonormal complement basis."""
+    """Subspace of R^n with an orthonormal basis."""
 
     ambient: int
-    basis: np.ndarray       # (n, h), orthonormal columns spanning the subspace
-    complement: np.ndarray  # (n, n-h), orthonormal columns spanning the orthogonal complement
+    basis: np.ndarray  # (n, h), orthonormal columns spanning the subspace
 
     @property
     def dim(self) -> int:
@@ -31,9 +30,8 @@ class Subspace:
 
 
 def orthonormalize(vectors, ambient: int | None = None) -> Subspace:
-    """Modified Gram-Schmidt basis for span(vectors) plus a deterministic
-    complement completed from canonical vectors in index order; ValueError
-    on a vector of another length, a non-finite one, or an all-zero set."""
+    """Modified Gram-Schmidt basis for span(vectors); ValueError on a vector
+    of another length, a non-finite one, or an all-zero set."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     if not vectors:
         raise ValueError("need at least one spanning vector")
@@ -52,22 +50,7 @@ def orthonormalize(vectors, ambient: int | None = None) -> Subspace:
             basis.append(w / norm)
     if not basis:
         raise ValueError("all spanning vectors are numerically zero")
-    complement: list[np.ndarray] = []
-    for i in range(n):
-        if len(basis) + len(complement) == n:
-            break
-        w = np.zeros(n)
-        w[i] = 1.0
-        for b in basis:
-            w -= (b @ w) * b
-        for b in complement:
-            w -= (b @ w) * b
-        norm = np.linalg.norm(w)
-        if norm >= RANK_TOL:
-            complement.append(w / norm)
-    v_mat = np.stack(basis, axis=1)
-    u_mat = np.stack(complement, axis=1) if complement else np.zeros((n, 0))
-    return Subspace(n, v_mat, u_mat)
+    return Subspace(n, np.stack(basis, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +83,13 @@ def reduce_weight(p, s: Subspace) -> WeightedSeminorm:
         raise ValueError(f"weight must be {n}x{n}, got {p.shape}")
     p = (p + p.T) / 2.0
     scale = max(frobenius(p), 1e-300)
-    if s.complement.shape[1] > 0:
-        leak = frobenius(p @ s.complement)
-        if leak > KERNEL_TOL * scale:
-            raise ValueError(
-                f"weight does not annihilate the complement (residual {leak:.3e}, "
-                f"allowed {KERNEL_TOL * scale:.3e})"
-            )
+    # ||P (I - Pi)|| = ||P U|| for any orthonormal frame U of the complement
+    leak = frobenius(p @ (np.eye(n) - s.basis @ s.basis.T))
+    if leak > KERNEL_TOL * scale:
+        raise ValueError(
+            f"weight does not annihilate the complement (residual {leak:.3e}, "
+            f"allowed {KERNEL_TOL * scale:.3e})"
+        )
     reduced = s.basis.T @ p @ s.basis
     reduced = (reduced + reduced.T) / 2.0
     lam_min = sym_eig(reduced).eigenvalues[0]

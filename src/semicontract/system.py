@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -265,6 +266,10 @@ def load_config(source) -> ConfigBundle:
         subspaces = []
         for entry in doc.get("subspaces", []):
             name = str(entry["name"])
+            # a name reaches CSV headers, SVG text and verdict names ({name}:rate:mode1)
+            if not re.fullmatch(r"[A-Za-z0-9_.-]+", name):
+                raise ConfigError(f"subspace {name!r}: a name is a non-empty run of ASCII "
+                                  "letters, digits, '_', '-' or '.'")
             try:
                 subspaces.append(SubspaceSpec(name, orthonormalize(entry["span"], ambient=n)))
             except ValueError as exc:

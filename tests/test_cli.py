@@ -162,6 +162,42 @@ def test_simulate_skips_the_bounds_when_a_complement_is_not_invariant(tmp_path, 
     assert "signal_within_bounds" not in {v["name"] for v in report["verdicts"]}
 
 
+def saddle4d_without_subspaces(tmp_path):
+    doc = json.loads(bundled_config_path("saddle4d").read_text())
+    doc["subspaces"], doc["certificates"] = [], []
+    config = tmp_path / "bare.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
+# simulate takes its certificates by analyze's rule: saddle4d configures no P
+# matrices, so only --search-weights certifies it
+@pytest.mark.parametrize("config, flags, reason", [
+    (lambda tmp_path: bundled_config_path("saddle4d"), [],
+     "no certificates for subspaces ['antidiag', 'diag']; supply P matrices or use weight "
+     "search"),
+    (lambda tmp_path: bundled_config_path("saddle4d"), ["--search-weights"], None),
+    (saddle4d_without_subspaces, ["--search-weights"], "configuration declares no subspaces"),
+])
+def test_simulate_skips_the_bounds_where_analyze_refuses(tmp_path, capsys, config, flags,
+                                                         reason):
+    config = str(config(tmp_path))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--initial", "1,0,0,0", "0,1,0,0",
+                 "--grid", "3", "--horizon", "1", "--step", "2e-3", *flags,
+                 "--out", str(out)]) == 0
+    report = strict_json((out / "simulation.json").read_text())
+    if reason is None:
+        assert capsys.readouterr().err == ""
+        assert report["signal_within_bounds"]["ok"] is True
+    else:
+        assert capsys.readouterr().err == (
+            f"certificate unavailable, skipping bounds check: {reason}\n")
+        assert "signal_within_bounds" not in report
+        assert main(["analyze", "--config", config, "--grid", "3", *flags]) == 1
+        assert capsys.readouterr().err == f"analysis failed: {reason}\n"
+
+
 def test_analyze_config_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid json")
@@ -215,6 +251,12 @@ BAD_CONFIGS = {
                         "subspace 'diag': spanning vector [nan, 1.0] is not finite"),
     "subspace_without_span": (edited("subspaces", 0, span=None), "bad configuration: 'span'"),
     "subspace_without_name": (edited("subspaces", 0, name=None), "bad configuration: 'name'"),
+    "subspace_name_with_markup": (edited("subspaces", 0, name="d<i&ag"),
+                                  "subspace 'd<i&ag': a name is a non-empty run of ASCII "
+                                  "letters, digits, '_', '-' or '.'"),
+    "subspace_name_with_a_comma": (edited("subspaces", 0, name="a,b"),
+                                   "subspace 'a,b': a name is a non-empty run of ASCII "
+                                   "letters, digits, '_', '-' or '.'"),
     "certificate_without_subspace": (edited("certificates", 0, subspace=None),
                                      "bad configuration: 'subspace'"),
     "weight_key_not_a_mode_id": (edited("certificates", 0, P={"x": [[1.0, 0.0], [0.0, 1.0]]}),
@@ -520,6 +562,23 @@ def test_signal_gen_periodic_with_a_random_generator_flag_is_a_usage_error(tmp_p
         f"usage error: --periodic cannot be combined with {flags[0]}, which only the seeded "
         "random generator reads\n")
     assert not out.exists()
+
+
+# a report supplies both bounds, which --bounds-from used to let win silently
+@pytest.mark.parametrize("action", ["gen", "check"])
+@pytest.mark.parametrize("flag", ["--tau-lower", "--tau-upper"])
+def test_signal_bounds_from_with_a_tau_flag_is_a_usage_error(tmp_path, capsys, action, flag):
+    signal = tmp_path / "signal.csv"
+    assert main(["signal", "gen", "--periodic", "0.35", "--out-file", str(signal)]) == 0
+    capsys.readouterr()
+    argv = ["signal", action, "--bounds-from", str(tmp_path / "absent.json"), flag, "0.3"]
+    argv += ["--signal", str(signal)] if action == "check" else ["--out-file", str(signal)]
+    before = signal.read_bytes()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: --bounds-from cannot be combined with {flag}, whose bound the report "
+        "supplies\n")
+    assert signal.read_bytes() == before
 
 
 def test_signal_gen_without_seed_uses_seed_0(tmp_path):

@@ -1,16 +1,29 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicontract.expr import (
+    FUNCTIONS,
+    Add,
     Call,
     Const,
+    Div,
     EvaluationError,
+    Mul,
+    Neg,
     ParseError,
     Pow,
+    Sub,
     Var,
     differentiate,
     evaluate_checked,
     parse_expr,
+    to_python_source,
+    to_python_statements,
 )
 
 
@@ -139,3 +152,73 @@ def test_call_nodes_are_hashable_values():
     a = Call("sin", Var(1))
     b = Call("sin", Var(1))
     assert a == b and hash(a) == hash(b)
+
+
+# expressions over x1, x2 whose constants include both zeros and the non-finite values
+EXPRS = st.recursive(
+    st.builds(Var, st.integers(1, 2))
+    | st.builds(Const, st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan])),
+    lambda inner: st.one_of(
+        *(st.builds(node, inner, inner) for node in (Add, Sub, Mul, Div)),
+        st.builds(Neg, inner),
+        st.builds(Pow, inner, st.integers(-2, 3)),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), inner),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def expression_lists(draw):
+    """Targets drawn from a small pool, so that whole expressions repeat, each
+    possibly differentiated (derivatives share their operands' nodes) or
+    summed with another pool member."""
+    pool = draw(st.lists(EXPRS, min_size=1, max_size=3))
+    exprs = []
+    for _ in range(draw(st.integers(1, 5))):
+        e = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            e = differentiate(e, draw(st.integers(1, 2)))
+        if draw(st.booleans()):
+            e = Add(e, draw(st.sampled_from(pool)))
+        exprs.append(e)
+    return exprs
+
+
+def _run(lines, x, numpy):
+    namespace = {"math": math, "np": np, "x0": x[0], "x1": x[1]}
+    with np.errstate(all="ignore"):
+        exec("\n".join(lines), namespace)
+    return namespace
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_lists(), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       st.booleans())
+def test_statements_name_each_repeat_once_and_keep_every_bit(exprs, x, numpy):
+    targets = [f"t{i}" for i in range(len(exprs))]
+    lines = to_python_statements(exprs, targets, "x{}", numpy=numpy)
+    assigned = [line.split(" = ", 1) for line in lines]
+    names = [name for name, _ in assigned if name.startswith("_s")]
+    # each _sN is assigned exactly once, in order, before the targets use them
+    assert names == [f"_s{i}" for i in range(len(names))]
+    assert [name for name, _ in assigned if not name.startswith("_s")] == targets
+    for name, source in assigned:
+        if name.startswith("_s"):
+            # a named subexpression reads a variable, directly or through a name,
+            # is more than a variable, and is used twice (a repeat inside a
+            # repeat counts once)
+            assert re.search(r"\bx\d|\b_s\d", source) and not re.fullmatch(r"x\d+", source)
+            assert sum(len(re.findall(rf"\b{name}\b", rhs)) for _, rhs in assigned) >= 2
+    x = [np.array(x), np.array(x[::-1])] if numpy else x
+    plain = [to_python_source(e, "x{}", numpy=numpy) for e in exprs]
+    try:
+        expected = [_run([f"v = {source}"], x, numpy)["v"] for source in plain]
+    except (ArithmeticError, ValueError):  # math-module domain and range errors
+        with pytest.raises((ArithmeticError, ValueError)):
+            _run(lines, x, numpy)
+        return
+    namespace = _run(lines, x, numpy)
+    for target, value in zip(targets, expected):
+        assert np.asarray(namespace[target], float).tobytes() == \
+            np.asarray(value, float).tobytes()
