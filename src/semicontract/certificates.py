@@ -347,16 +347,14 @@ def build_certificate(system: SwitchedSystem, s: Subspace, weights_by_mode: dict
                       beta_unstable: float | None = None,
                       eta_stable: float | None = None,
                       eta_unstable: float | None = None) -> SubspaceCertificate:
-    """Assemble a certificate from explicit weights, deriving any constants not
-    supplied from the tightest feasible values."""
+    """Assemble a certificate from explicit weight matrices (mode id -> (n, n)
+    array), deriving any constants not supplied from the tightest feasible
+    values."""
     missing = [mode.id for mode in system.modes if mode.id not in weights_by_mode]
     if missing:
         raise ValueError(f"missing weight for mode {missing[0]}")
     invariance = _invariance(system, s, samples)
-    weights = {}
-    for mode in system.modes:
-        p = weights_by_mode[mode.id]
-        weights[mode.id] = p if isinstance(p, WeightedSeminorm) else reduce_weight(p, s)
+    weights = {mode.id: reduce_weight(weights_by_mode[mode.id], s) for mode in system.modes}
     return _certificate(system, s, weights, invariance, samples, beta_stable,
                         beta_unstable, eta_stable, eta_unstable)
 

@@ -11,15 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError, dwell_bounds_family
+from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError
 from .ioutil import atomic_write_json
 from .linalg import PSD_TOL
-from .report import analyze, bounds_from_report, certificates_from_report, config_digest, \
-    make_samples
+from .report import analyze, bounds_from_report, config_digest, make_samples
 from .reproduce import run_reproduction
 from .signals import (
     TIME_EPS,
-    SwitchingSignal,
     generate_periodic,
     generate_random,
     read_signal_csv,
@@ -141,45 +139,33 @@ def _initial_state(text: str, dimension: int) -> np.ndarray:
     return x
 
 
-def _simulation_signal(args, mode_ids, bounds: DwellBounds | None) -> SwitchingSignal:
-    if args.signal:
-        sig = read_signal_csv(args.signal, horizon=args.horizon)
-        unknown = sorted(set(sig.modes) - set(mode_ids))
-        if unknown:
-            raise ConfigError(f"the signal enters mode {unknown[0]}, which the configuration "
-                              f"lacks (modes {mode_ids})")
-        return sig
-    if args.random_signal:
-        if bounds is None:
-            raise InfeasibleError("a random compliant signal needs the certified bounds")
-        return generate_random(mode_ids, bounds, 0.0, args.horizon, seed=args.seed)
-    return generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, args.horizon)
-
-
 def cmd_simulate(args) -> int:
+    if args.random_signal and not args.bounds_from:
+        print("usage error: --random-signal needs --bounds-from", file=sys.stderr)
+        return CONFIG_EXIT
     try:
         bundle = _load(args)
+        mode_ids = [m.id for m in bundle.system.modes]
         x_a0, x_b0 = (_initial_state(text, bundle.system.dimension) for text in args.initial)
         if np.array_equal(x_a0, x_b0):
             raise ConfigError(f"initial states {args.initial[0]!r} and {args.initial[1]!r} "
                               "are equal, so the distance ratio is undefined")
+        bounds = _report_bounds(args.bounds_from, bundle) if args.bounds_from else None
     except ConfigError as exc:
         return _config_error(exc)
-    samples = make_samples(bundle, args.grid, args.samples, args.seed)
     try:
-        certs = certificates_from_report(bundle, samples, args.search_weights)
-        rejected = [c for c in certs.values() if isinstance(c, InfeasibleError)]
-        if rejected:
-            raise rejected[0]
-        bounds = dwell_bounds_family(certs.values(), margin=args.margin)
-    except (InfeasibleError, ValueError) as exc:
-        print(f"certificate unavailable, skipping bounds check: {exc}", file=sys.stderr)
-        bounds = None
-    try:
-        sig = _simulation_signal(args, [m.id for m in bundle.system.modes], bounds)
+        if args.signal:
+            sig = read_signal_csv(args.signal, horizon=args.horizon)
+            if unknown := sorted(set(sig.modes) - set(mode_ids)):
+                raise ConfigError(f"the signal enters mode {unknown[0]}, which the "
+                                  f"configuration lacks (modes {mode_ids})")
+        elif args.random_signal:
+            sig = generate_random(mode_ids, bounds, 0.0, args.horizon, seed=args.seed)
+        else:
+            sig = generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, args.horizon)
     except (ConfigError, OSError) as exc:
         return _config_error(exc)
-    except (InfeasibleError, ValueError) as exc:
+    except ValueError as exc:  # bounds no signal can meet
         print(f"no signal to simulate: {exc}", file=sys.stderr)
         return VERDICT_EXIT
     try:
@@ -225,13 +211,19 @@ def _refused(args, flag: str, others: list, why: str) -> bool:
     return bool(given)
 
 
+def _report_bounds(path, bundle=None) -> DwellBounds:
+    """The family dwell bounds of the analysis report at path, as
+    bounds_from_report(doc, bundle) reads them."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from None
+    return bounds_from_report(doc, bundle)
+
+
 def _bounds_from_args(args, modes) -> DwellBounds:
     if args.bounds_from:
-        try:
-            doc = json.loads(Path(args.bounds_from).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read report {args.bounds_from}: {exc}") from None
-        return bounds_from_report(doc)
+        return _report_bounds(args.bounds_from)
     lower = {q: args.tau_lower for q in modes} if args.tau_lower is not None else {}
     upper = {q: args.tau_upper for q in modes} if args.tau_upper is not None else {}
     return DwellBounds(lower, upper, "flags", 0.0)
@@ -330,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="integrate a trajectory pair under a signal")
-    _add_options(p_sim, "--config", "--out", "--seed", "--step", "--grid", "--samples",
-                 "--margin", "--plot", "--search-weights", "--horizon")
+    _add_options(p_sim, "--config", "--out", "--seed", "--step", "--plot", "--horizon",
+                 "--bounds-from")
     signal_flags = p_sim.add_mutually_exclusive_group()
     signal_flags.add_argument("--periodic", type=POSITIVE, default=None,
                               help="periodic dwell time per mode [s] "
                                    f"({DEFAULT_DWELL} when no signal flag is given)")
     signal_flags.add_argument("--random-signal", action="store_true",
-                              help="seeded random signal satisfying the certified bounds")
+                              help="seeded random signal within the --bounds-from bounds")
     signal_flags.add_argument("--signal", default=None, help="signal CSV to replay")
     p_sim.add_argument("--initial", nargs=2, default=["2,-1", "-2,1"],
                        metavar=("XA", "XB"), help="two initial states, comma-separated")

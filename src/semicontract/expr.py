@@ -23,6 +23,10 @@ FUNCTIONS = {
     "exp": np.exp,
     "tanh": np.tanh,
 }
+# Deepest expression tree (a leaf is one level) and deepest parenthesis
+# nesting accepted: CPython compiles at most 200 nested parentheses, and
+# to_python_source renders each tree level as at most one parenthesis level.
+MAX_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -324,6 +328,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -346,27 +351,23 @@ class _Parser:
             raise ParseError(f"unexpected trailing {value!r}", self.text, pos)
         return e
 
+    # a nesting level costs three frames (expr -> factor -> atom -> expr), so
+    # the MAX_DEPTH levels that atom accepts stay well inside the recursion limit
     def expr(self) -> Expr:
-        e = self.term()
+        e, op = None, None
         while True:
+            term = self.factor()
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                e = Add(e, rhs) if value == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
+            while kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.factor()
-                e = Mul(e, rhs) if value == "*" else Div(e, rhs)
-            else:
+                term = Mul(term, rhs) if value == "*" else Div(term, rhs)
+                kind, value, _ = self.peek()
+            e = term if op is None else Add(e, term) if op == "+" else Sub(e, term)
+            if kind != "op" or value not in "+-":
                 return e
+            op = value
+            self.advance()
 
     def factor(self) -> Expr:
         kind, value, _ = self.peek()
@@ -393,6 +394,7 @@ class _Parser:
         kind, value, pos = self.advance()
         if kind == "number":
             return Const(float(value))
+        func = None
         if kind == "name":
             m = re.fullmatch(r"x(\d+)", value)
             if m:
@@ -404,17 +406,19 @@ class _Parser:
                         pos,
                     )
                 return Var(index)
-            if value in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(value, arg)
-            raise ParseError(f"unknown identifier {value!r}", self.text, pos)
-        if kind == "op" and value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ParseError(f"unexpected token {value!r}", self.text, pos)
+            if value not in FUNCTIONS:
+                raise ParseError(f"unknown identifier {value!r}", self.text, pos)
+            func = value
+            _, _, pos = self.expect_op("(")
+        elif kind != "op" or value != "(":
+            raise ParseError(f"unexpected token {value!r}", self.text, pos)
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"parentheses nested more than {MAX_DEPTH} deep", self.text, pos)
+        e = self.expr()
+        self.expect_op(")")
+        self.nesting -= 1
+        return Call(func, e) if func else e
 
 
 def parse_expr(text: str, n: int) -> Expr:
@@ -433,6 +437,20 @@ def differentiate(e: Expr, index: int) -> Expr:
 
 def _children(e: Expr) -> list:
     return [c for c in (getattr(e, f) for f in e.__dataclass_fields__) if isinstance(c, Expr)]
+
+
+def depth(e: Expr) -> int:
+    """Levels of e's tree, a leaf being one, computed without recursion."""
+    levels: dict = {}  # id(node) -> its depth
+    stack = [e]
+    while stack:
+        kids = _children(stack[-1])
+        pending = [c for c in kids if id(c) not in levels]
+        if pending:
+            stack += pending
+        else:
+            levels[id(stack.pop())] = 1 + max((levels[id(c)] for c in kids), default=0)
+    return levels[id(e)]
 
 
 def _find_nonfinite(e: Expr, x) -> Expr:

@@ -226,28 +226,42 @@ def _bounds_section(bounds: DwellBounds) -> dict:
     }
 
 
-def bounds_from_report(report) -> DwellBounds:
+def bounds_from_report(report, bundle: ConfigBundle | None = None) -> DwellBounds:
     """The family dwell bounds an analysis report records (read back as
-    written by _bounds_section); a report without them, such as one whose
-    family does not separate, raises ConfigError."""
+    written by _bounds_section). A report without them, such as one whose
+    family does not separate, raises ConfigError; with bundle, so does a
+    report made from another configuration or edited to leave one of its
+    modes without bounds."""
     try:
         section = report["family"]["dwell_bounds"]
-        return DwellBounds({int(q): v for q, v in section["lower"].items()},
-                           {int(q): v for q, v in section["upper"].items()},
-                           "report", section.get("margin", 0.0))
+        bounds = DwellBounds({int(q): v for q, v in section["lower"].items()},
+                             {int(q): v for q, v in section["upper"].items()},
+                             "report", section.get("margin", 0.0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"report holds no family dwell bounds ({exc!r})") from None
+    if bundle is None:
+        return bounds
+    provenance = report.get("provenance")  # report is a JSON object from here on
+    recorded = provenance.get("config_sha256") if isinstance(provenance, dict) else None
+    if recorded != config_digest(bundle.raw):
+        raise ConfigError(f"report was made from another configuration (config_sha256 "
+                          f"{recorded}, not {config_digest(bundle.raw)})")
+    for mode in bundle.system.modes:
+        if mode.id not in bounds.lower and mode.id not in bounds.upper:
+            raise ConfigError(f"report has no dwell bounds for mode {mode.id}")
+    return bounds
 
 
 def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
                              search_weights: bool = False):
     """Build each subspace's certificate, in subspace name order: from the
     configured P matrices, or by scalar-weight search when search_weights is
-    set or a certificate entry has none. analyze, simulate and reproduce take
-    their certificates here, so InfeasibleError (no subspaces, or a subspace
-    without an entry and no search_weights) stops each alike. Every array it
-    computes stays with samples. Returns subspace name -> certificate, or
-    the NotInvariantError of a subspace whose complement is not invariant."""
+    set or a certificate entry has none. analyze and reproduce take their
+    certificates here, so InfeasibleError (no subspaces, or a subspace without
+    an entry and no search_weights) stops both alike; simulate reads the
+    bounds of an analysis report instead. Every array it computes stays with
+    samples. Returns subspace name -> certificate, or the NotInvariantError
+    of a subspace whose complement is not invariant."""
     if not bundle.subspaces:
         raise InfeasibleError("configuration declares no subspaces")
     system = bundle.system

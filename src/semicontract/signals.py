@@ -3,12 +3,15 @@ verification, per-activation checks, and compliant signal generators."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .certificates import DwellBounds
+from .ioutil import atomic_write_text
 from .system import ConfigError
 
 TIME_EPS = 1e-12
@@ -297,8 +300,6 @@ def generate_random(modes, bounds: DwellBounds, t0: float, horizon: float,
 
 
 def write_signal_csv(sig: SwitchingSignal, path) -> None:
-    from .ioutil import atomic_write_text
-
     lines = ["time,mode"]
     for t, mode in sig.events:
         lines.append(f"{t!r},{mode}")
@@ -308,9 +309,6 @@ def write_signal_csv(sig: SwitchingSignal, path) -> None:
 def read_signal_csv(path, horizon: float) -> SwitchingSignal:
     """Read a `time,mode` signal CSV that runs until the horizon; a file that
     does not hold a valid signal raises ConfigError."""
-    import csv
-    from pathlib import Path
-
     with Path(path).open(encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         rows = list(reader)

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from .expr import (
+    MAX_DEPTH,
     Expr,
     EvaluationError,
+    depth,
     differentiate,
     evaluate_checked,
     parse_expr,
@@ -49,15 +51,28 @@ class Mode:
 
 
 def make_mode(mode_id: int, field_exprs) -> Mode:
-    """Build a mode, differentiating the field symbolically."""
+    """Build a mode, differentiating the field symbolically. A field
+    component or Jacobian entry deeper than MAX_DEPTH, which no generated
+    kernel could compile, raises ConfigError."""
     if mode_id < 1:
         raise ValueError("mode ids are positive integers")
     exprs = tuple(field_exprs)
     n = len(exprs)
+    for i, e in enumerate(exprs):
+        _check_depth(e, f"mode {mode_id}, field component {i + 1}")
     jac = tuple(
         tuple(differentiate(exprs[i], j + 1) for j in range(n)) for i in range(n)
     )
+    for i, row in enumerate(jac):
+        for j, e in enumerate(row):
+            _check_depth(e, f"mode {mode_id}, Jacobian entry ({i + 1}, {j + 1})")
     return Mode(mode_id, exprs, jac)
+
+
+def _check_depth(e: Expr, what: str) -> None:
+    if (levels := depth(e)) > MAX_DEPTH:
+        raise ConfigError(f"{what} is an expression {levels} levels deep, more than the "
+                          f"{MAX_DEPTH} a generated kernel can hold")
 
 
 def eval_jacobian(mode: Mode, x) -> np.ndarray:

@@ -211,7 +211,7 @@ def certificate_for(bundle, grid41, weights, key, ids):
     system = bundle.system
     s = weights[key][1].subspace
     return build_certificate(
-        system, s, {q: weights[key][q] for q in ids}, grid41,
+        system, s, {q: weights[key][q].weight for q in ids}, grid41,
         beta_stable=1.6084, beta_unstable=0.6217, eta_stable=1.5, eta_unstable=0.6,
     )
 

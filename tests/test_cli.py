@@ -21,6 +21,15 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.fixture(scope="module")
+def saddle2d_report(tmp_path_factory):
+    """The report of a default analyze of the bundled saddle2d, whose family
+    dwell bounds simulate --bounds-from checks a run against."""
+    out = tmp_path_factory.mktemp("analysis")
+    assert main(["analyze", "--out", str(out)]) == 0
+    return out / "report.json"
+
+
 def test_analyze_bundled_config_passes(tmp_path):
     code = main(["analyze", "--grid", "21", "--out", str(tmp_path)])
     assert code == 0
@@ -149,17 +158,23 @@ def test_invariance_is_judged_at_its_own_tolerance_whatever_tol(tmp_path):
 
 
 def test_simulate_skips_the_bounds_when_a_complement_is_not_invariant(tmp_path, capsys):
+    # without a report the run has no bounds verdict; the report analyze writes
+    # for this configuration holds no family bounds, so simulate refuses it
+    config = str(axis_config(tmp_path))
     out = tmp_path / "out"
-    argv = ["simulate", "--config", str(axis_config(tmp_path)), "--grid", "11",
-            "--horizon", "2", "--step", "2e-3", "--out", str(out)]
+    argv = ["simulate", "--config", config, "--horizon", "2", "--step", "2e-3",
+            "--out", str(out)]
     assert main(argv) == 0
-    err = capsys.readouterr().err
-    assert err.startswith("certificate unavailable, skipping bounds check: "
-                          "complement is not invariant under mode 1 (residual ")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == ""
     report = strict_json((out / "simulation.json").read_text())
     assert "signal_within_bounds" not in report
     assert "signal_within_bounds" not in {v["name"] for v in report["verdicts"]}
+    assert main(["analyze", "--config", config, "--search-weights", "--grid", "11",
+                 "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    assert main([*argv, "--bounds-from", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: report holds no family dwell bounds")
 
 
 def saddle4d_without_subspaces(tmp_path):
@@ -170,8 +185,9 @@ def saddle4d_without_subspaces(tmp_path):
     return config
 
 
-# simulate takes its certificates by analyze's rule: saddle4d configures no P
-# matrices, so only --search-weights certifies it
+# where analyze refuses, there is no report, and simulate runs without a
+# bounds verdict; saddle4d configures no P matrices, so only --search-weights
+# certifies it
 @pytest.mark.parametrize("config, flags, reason", [
     (lambda tmp_path: bundled_config_path("saddle4d"), [],
      "no certificates for subspaces ['antidiag', 'diag']; supply P matrices or use weight "
@@ -183,19 +199,23 @@ def test_simulate_skips_the_bounds_where_analyze_refuses(tmp_path, capsys, confi
                                                          reason):
     config = str(config(tmp_path))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", config, "--initial", "1,0,0,0", "0,1,0,0",
-                 "--grid", "3", "--horizon", "1", "--step", "2e-3", *flags,
-                 "--out", str(out)]) == 0
+    argv = ["simulate", "--config", config, "--initial", "1,0,0,0", "0,1,0,0",
+            "--horizon", "1", "--step", "2e-3", "--out", str(out)]
+    code = main(["analyze", "--config", config, "--grid", "3", *flags, "--out", str(tmp_path)])
+    if reason is None:
+        assert code == 0
+        argv += ["--bounds-from", str(tmp_path / "report.json")]
+    else:
+        assert code == 1
+        assert capsys.readouterr().err == f"analysis failed: {reason}\n"
+        assert not (tmp_path / "report.json").exists()
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
     report = strict_json((out / "simulation.json").read_text())
     if reason is None:
-        assert capsys.readouterr().err == ""
         assert report["signal_within_bounds"]["ok"] is True
     else:
-        assert capsys.readouterr().err == (
-            f"certificate unavailable, skipping bounds check: {reason}\n")
         assert "signal_within_bounds" not in report
-        assert main(["analyze", "--config", config, "--grid", "3", *flags]) == 1
-        assert capsys.readouterr().err == f"analysis failed: {reason}\n"
 
 
 def test_analyze_config_error_exit_2(tmp_path):
@@ -227,6 +247,21 @@ def with_a_weight_for_mode_3(doc):
 
 def with_a_weight_for_mode_1_only(doc):
     del doc["certificates"][0]["P"]["2"]
+
+
+def with_a_first_component(text):
+    """A change that sets mode 1's first field component to text."""
+    def change(doc):
+        doc["modes"][0]["field"][0] = text
+    return change
+
+
+def too_deep(what, levels):
+    return (f"mode 1, {what} is an expression {levels} levels deep, more than the 200 a "
+            "generated kernel can hold")
+
+
+PARENTHESES_300 = "(" * 300 + "x1" + ")" * 300
 
 
 def edited(section, index, **fields):
@@ -290,10 +325,22 @@ BAD_CONFIGS = {
                                     "two subspaces are named 'diag'"),
     "two_certificates_for_one_subspace": (edited("certificates", 1, subspace="diag"),
                                           "subspace 'diag' has two certificates"),
+    # each used to fail with a RecursionError or a SyntaxError in a generated kernel
+    "sum_of_600_terms": (with_a_first_component("+".join(["x1"] * 600)),
+                         too_deep("field component 1", 600)),
+    "sum_of_1200_terms": (with_a_first_component("+".join(["x1"] * 1200)),
+                          too_deep("field component 1", 1200)),
+    "sum_of_210_terms": (with_a_first_component("+".join(["x1"] * 210)),
+                         too_deep("field component 1", 210)),
+    "product_of_120_factors": (with_a_first_component("*".join(["x1"] * 120)),
+                               too_deep("Jacobian entry (1, 1)", 238)),
+    "300_nested_parentheses": (with_a_first_component(PARENTHESES_300),
+                               "bad configuration: parentheses nested more than 200 deep at "
+                               f"position 200: {PARENTHESES_300!r}"),
 }
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--horizon", "1"]])
+@pytest.mark.parametrize("command", [["analyze", "--grid", "5"], ["simulate", "--horizon", "1"]])
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_a_bad_config_is_a_config_error(tmp_path, capsys, command, case):
     doc = json.loads(bundled_config_path("saddle2d").read_text())
@@ -302,7 +349,7 @@ def test_a_bad_config_is_a_config_error(tmp_path, capsys, command, case):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main([*command, "--config", str(config), "--grid", "5", "--out", str(out)]) == 2
+    assert main([*command, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
@@ -315,10 +362,10 @@ def test_strict_flag_reports_open_bounds(tmp_path):
     assert report["subspaces"][0]["dwell_bounds"]["margin"] == 0.0
 
 
-def test_simulate_periodic_035_decays(tmp_path):
+def test_simulate_periodic_035_decays(tmp_path, saddle2d_report):
     code = main([
         "simulate", "--periodic", "0.35", "--horizon", "6", "--step", "2e-3",
-        "--out", str(tmp_path), "--plot",
+        "--bounds-from", str(saddle2d_report), "--out", str(tmp_path), "--plot",
     ])
     assert code == 0
     report = strict_json((tmp_path / "simulation.json").read_text())
@@ -330,10 +377,10 @@ def test_simulate_periodic_035_decays(tmp_path):
     assert header == "time,norm_full,norm_antidiag,norm_diag"
 
 
-def test_simulate_dwell_1_flags_bounds_violation(tmp_path, capsys):
+def test_simulate_dwell_1_flags_bounds_violation(tmp_path, capsys, saddle2d_report):
     code = main([
         "simulate", "--periodic", "1.0", "--horizon", "6", "--step", "2e-3",
-        "--out", str(tmp_path),
+        "--bounds-from", str(saddle2d_report), "--out", str(tmp_path),
     ])
     assert code == 1
     err = capsys.readouterr().err
@@ -345,15 +392,73 @@ def test_simulate_dwell_1_flags_bounds_violation(tmp_path, capsys):
     assert report["signal_within_bounds"] == {"ok": False, "detail": detail}
 
 
-def test_simulate_random_signal_compliant(tmp_path):
+def test_simulate_random_signal_compliant(tmp_path, saddle2d_report):
     code = main([
         "simulate", "--random-signal", "--seed", "7", "--horizon", "6",
-        "--step", "2e-3", "--out", str(tmp_path),
+        "--step", "2e-3", "--bounds-from", str(saddle2d_report), "--out", str(tmp_path),
     ])
     assert code == 0
     report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["signal_within_bounds"]["ok"] is True
     assert report["distance_ratio"] < 1.0
+
+
+def test_simulate_checks_the_bounds_the_report_states(tmp_path, capsys, saddle2d_report):
+    # the 0.35 s periodic signal meets the analysed bounds but not a report
+    # whose upper bounds were edited down to 0.34
+    doc = json.loads(saddle2d_report.read_text())
+    doc["family"]["dwell_bounds"]["upper"] = {"1": 0.34, "2": 0.34}
+    edited_report = tmp_path / "edited.json"
+    edited_report.write_text(json.dumps(doc))
+    argv = ["simulate", "--periodic", "0.35", "--horizon", "2", "--step", "2e-3"]
+    assert main([*argv, "--bounds-from", str(saddle2d_report), "--out", str(tmp_path)]) == 0
+    assert main([*argv, "--bounds-from", str(edited_report), "--out", str(tmp_path)]) == 1
+    detail = ("bounds violated by signal in mode 1, activation 0: "
+              "activation lasts 0.35 > 0.34")
+    assert capsys.readouterr().err.splitlines()[-1] == detail
+    report = strict_json((tmp_path / "simulation.json").read_text())
+    assert report["signal_within_bounds"] == {"ok": False, "detail": detail}
+
+
+@pytest.mark.parametrize("signal_flag", ["--periodic", "--random-signal"])
+def test_simulate_refuses_a_report_without_bounds_for_a_mode(tmp_path, capsys, saddle2d_report,
+                                                             signal_flag):
+    doc = json.loads(saddle2d_report.read_text())
+    for side in ("lower", "upper"):
+        del doc["family"]["dwell_bounds"][side]["2"]
+    edited_report = tmp_path / "edited.json"
+    edited_report.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["simulate", signal_flag, *(["0.35"] if signal_flag == "--periodic" else []),
+            "--horizon", "2", "--bounds-from", str(edited_report), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: report has no dwell bounds for mode 2\n"
+    assert not out.exists()
+
+
+def saddle2d_with_another_comment(tmp_path):
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    doc["comment"] = "the same system, another document"
+    config = tmp_path / "other.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
+@pytest.mark.parametrize("config, initial", [
+    (saddle2d_with_another_comment, ["2,-1", "-2,1"]),
+    (lambda tmp_path: bundled_config_path("saddle4d"), ["1,0,0,0", "0,1,0,0"]),
+])
+def test_simulate_refuses_a_report_for_another_configuration(tmp_path, capsys, saddle2d_report,
+                                                             config, initial):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config(tmp_path)), "--initial", *initial,
+                 "--horizon", "1", "--bounds-from", str(saddle2d_report),
+                 "--out", str(out)]) == 2
+    recorded = strict_json(saddle2d_report.read_text())["provenance"]["config_sha256"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: report was made from another configuration "
+                          f"(config_sha256 {recorded}, not ")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -384,37 +489,40 @@ def test_simulate_reports_leaving_the_domain(tmp_path, capsys):
     assert report["domain_exit"] == {"trajectory": "a", "time": pytest.approx(0.24)}
 
 
-def test_simulate_random_signal_without_certified_bounds_exits_1(tmp_path, capsys):
-    doc = json.loads(bundled_config_path("saddle2d").read_text())
-    doc["subspaces"] = doc["subspaces"][:1]
-    doc["certificates"] = doc["certificates"][:1]
-    config = tmp_path / "single.json"
-    config.write_text(json.dumps(doc))
-    code = main(["simulate", "--config", str(config), "--random-signal", "--grid", "11",
-                 "--horizon", "2", "--out", str(tmp_path)])
-    assert code == 1
-    assert "no signal to simulate" in capsys.readouterr().err
-    assert not (tmp_path / "simulation.json").exists()
+def test_simulate_random_signal_without_certified_bounds_exits_2(tmp_path, capsys):
+    # --random-signal draws within a report's family bounds: without a report
+    # it is a usage error, and a report whose family does not separate has none
+    out = tmp_path / "out"
+    assert main(["simulate", "--random-signal", "--horizon", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "usage error: --random-signal needs --bounds-from")
+    report = non_separating_report(tmp_path)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(tmp_path / "single.json"), "--random-signal",
+                 "--bounds-from", str(report), "--horizon", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: report holds no family dwell bounds")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("signal_flags", [["--periodic", "0.35"], ["--random-signal"],
                                           ["--signal", "events.csv"]])
 def test_simulate_too_short_for_the_rate_fit_is_a_config_error(tmp_path, capsys, monkeypatch,
-                                                              signal_flags):
+                                                              saddle2d_report, signal_flags):
     # 2 steps of 1e-3: the fit window [t0 + 0.2 (T - t0), T] holds two samples
     monkeypatch.chdir(tmp_path)
     (tmp_path / "events.csv").write_text("time,mode\n0.0,1\n")
+    if "--random-signal" in signal_flags:
+        signal_flags = [*signal_flags, "--bounds-from", str(saddle2d_report)]
     out = tmp_path / "out"
-    code = main(["simulate", *signal_flags, "--horizon", "0.002", "--grid", "11",
-                 "--out", str(out)])
+    code = main(["simulate", *signal_flags, "--horizon", "0.002", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ") and "--horizon" in err and "--step" in err
     assert not out.exists()
     # one more step puts 3 samples in the window
-    assert main(["simulate", *signal_flags, "--horizon", "0.003", "--grid", "11",
-                 "--out", str(out)]) == 0
+    assert main(["simulate", *signal_flags, "--horizon", "0.003", "--out", str(out)]) == 0
 
 
 def test_simulate_fits_the_rate_on_the_last_80_percent_of_a_late_signal(tmp_path):
@@ -423,7 +531,7 @@ def test_simulate_fits_the_rate_on_the_last_80_percent_of_a_late_signal(tmp_path
     assert main(["signal", "gen", "--periodic", "0.35", "--t0", "5", "--horizon", "10",
                  "--out-file", str(signal)]) == 0
     assert main(["simulate", "--signal", str(signal), "--horizon", "10", "--step", "1e-2",
-                 "--grid", "5", "--out", str(tmp_path)]) == 0
+                 "--out", str(tmp_path)]) == 0
     report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["rate_fit"]["window"] == [6.0, 10.0]
 
@@ -625,9 +733,8 @@ HELP = {"-h", "--help"}
 SUBCOMMAND_OPTIONS = {
     "analyze": {"--config", "--out", "--seed", "--grid", "--samples", "--tol", "--margin",
                 "--search-weights"},
-    "simulate": {"--config", "--out", "--seed", "--step", "--grid", "--samples", "--margin",
-                 "--plot", "--search-weights", "--horizon", "--periodic",
-                 "--random-signal", "--signal", "--initial"},
+    "simulate": {"--config", "--out", "--seed", "--step", "--plot", "--horizon",
+                 "--bounds-from", "--periodic", "--random-signal", "--signal", "--initial"},
     "signal gen": {"--modes", "--periodic", "--t0", "--horizon", "--seed", "--tau-lower",
                    "--tau-upper", "--bounds-from", "--out-file"},
     "signal check": {"--signal", "--horizon", "--tau-lower", "--tau-upper", "--bounds-from"},
@@ -683,6 +790,11 @@ def test_the_readme_flag_list_matches_the_parser():
     ["signal", "check", "--signal", "s.csv", "--seed", "3"],
     ["signal", "check", "--signal", "s.csv", "--out-file", "x.csv"],
     ["signal", "gen", "--signal", "x"],
+    # simulate reads its bounds from a report, not from a second analysis
+    ["simulate", "--margin", "1"],
+    ["simulate", "--grid", "5"],
+    ["simulate", "--samples", "10"],
+    ["simulate", "--search-weights"],
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -710,7 +822,6 @@ BAD_FLAG_VALUES = [
     (["signal", "check", "--tau-upper", "x"], "--tau-upper"),
     (["analyze", "--margin", "nan"], "--margin"),
     (["analyze", "--margin", "-2"], "--margin"),
-    (["simulate", "--margin", "1"], "--margin"),
     (["reproduce", "--margin", "inf"], "--margin"),
     (["analyze", "--tol", "nan"], "--tol"),
     (["reproduce", "--tol", "-1"], "--tol"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from semicontract.expr import (
     FUNCTIONS,
+    MAX_DEPTH,
     Add,
     Call,
     Const,
@@ -19,6 +20,7 @@ from semicontract.expr import (
     Pow,
     Sub,
     Var,
+    depth,
     differentiate,
     evaluate_checked,
     parse_expr,
@@ -222,3 +224,24 @@ def test_statements_name_each_repeat_once_and_keep_every_bit(exprs, x, numpy):
     for target, value in zip(targets, expected):
         assert np.asarray(namespace[target], float).tobytes() == \
             np.asarray(value, float).tobytes()
+
+
+def test_depth_counts_tree_levels_without_recursion():
+    assert depth(Var(1)) == 1
+    assert depth(parse_expr("sin(x1)*x2 - 3", 2)) == 4
+    chain = Var(1)
+    for _ in range(9_999):
+        chain = Neg(chain)
+    assert depth(chain) == 10_000  # far past the recursion limit
+    assert depth(Add(chain, chain)) == 10_001
+
+
+@pytest.mark.parametrize("opening", ["(", "sin("])
+def test_parentheses_nest_at_most_max_depth_deep(opening):
+    text = opening * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert depth(parse_expr(text, 1)) == (1 if opening == "(" else MAX_DEPTH + 1)
+    # the error names the opening parenthesis one level too deep
+    position = MAX_DEPTH * len(opening) + len(opening) - 1
+    with pytest.raises(ParseError, match=f"^parentheses nested more than {MAX_DEPTH} deep at "
+                                         f"position {position}: "):
+        parse_expr(opening + text + ")", 1)

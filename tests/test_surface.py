@@ -71,3 +71,15 @@ def test_the_package_import_graph_has_no_cycle():
                 edges.update(name if name in modules else "__init__" for name in names)
     assert "subspaces" in graph["system"]
     graphlib.TopologicalSorter(graph).prepare()  # CycleError names the cycle
+
+
+def test_every_import_is_at_module_level():
+    # the cycle test reads the module-level imports only, so an import inside
+    # a function or a block could hide a cycle
+    nested = []
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body:
+                nested.append(f"{path.name}:{node.lineno}")
+    assert nested == []

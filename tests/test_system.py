@@ -3,8 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semicontract import sim
 from semicontract.expr import (
     FUNCTIONS,
+    MAX_DEPTH,
     Add,
     Call,
     Const,
@@ -248,3 +250,19 @@ def test_modes_equal_up_to_the_sign_of_a_zero_get_their_own_kernels():
         for mode in order:
             jac = eval_jacobian(mode, np.zeros((3, 2)))
             assert np.array_equal(np.signbit(jac), np.signbit(ast_jacobian(mode, np.zeros((3, 2)))))
+
+
+def test_the_deepest_mode_a_kernel_can_hold_compiles():
+    # CPython compiles at most MAX_DEPTH = 200 nested parentheses, one per tree
+    # level; d/dx1 of a product of 101 factors x1 is 200 levels deep
+    product = "*".join(["x1"] * 101)
+    mode = make_mode(1, [parse_expr(product, 2), parse_expr("+".join(["x2"] * MAX_DEPTH), 2)])
+    assert eval_jacobian(mode, np.array([[1.0, 0.5]])).tolist() == [[[101.0, 0.0], [0.0, 200.0]]]
+    assert sim._rk4_kernel(mode)([1.0, 0.5], [0.0, 1e-3])
+    assert sim._rk4_kernel(mode, True)([1.0, 0.0], [0.0, 1e-3], [(1.0, 0.5), (1.0, 0.5)])
+    with pytest.raises(ConfigError, match=r"^mode 1, Jacobian entry \(1, 1\) is an expression "
+                                          "202 levels deep"):
+        make_mode(1, [parse_expr(product + "*x1", 2), Var(2)])
+    with pytest.raises(ConfigError, match="^mode 1, field component 2 is an expression 201 "
+                                          "levels deep"):
+        make_mode(1, [Var(1), parse_expr("+".join(["x2"] * (MAX_DEPTH + 1)), 2)])
