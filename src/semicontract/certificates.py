@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, frobenius, gen_sym_eig, psd_check, sym_eig
+from .linalg import PSD_TOL, frobenius, gen_sym_eig, sym_eig
 from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, _project, \
     _reduced_growth, check_invariance, check_separating, projector, reduce_weight
-from .system import Mode, SampleSet, SwitchedSystem
+from .system import Mode, SampleSet, SwitchedSystem, constant_range_error
 
 # Jump-factor comparisons default to the granularity of 4-decimal published
 # constants rather than the 1e-9 semidefinite default; an exact reciprocal
@@ -89,7 +89,8 @@ class RateCheck:
 def check_rate(mode: Mode, w: WeightedSeminorm, eta: float, stable: bool,
                samples: SampleSet, tol: float = PSD_TOL) -> RateCheck:
     """Verify the reduced rate condition R A11 + A11^T R <= -/+ 2 eta R at every
-    sample, and spot-check its full-space n x n equivalent on 10 samples."""
+    sample. It alone decides: its congruent n x n form P A Pi + Pi A^T P <=
+    -/+ 2 eta P is the oracle of the tests."""
     if eta <= 0:
         raise ValueError("rate constants must be positive")
     values = growth_values(mode, w, samples)
@@ -98,30 +99,8 @@ def check_rate(mode: Mode, w: WeightedSeminorm, eta: float, stable: bool,
     bound = -eta if stable else eta
     slack = tol * max(1.0, abs(bound))
     ok = sup <= bound + slack
-    _cross_check_full_form(mode, w, bound, samples, values, tol)
     return RateCheck(bool(ok), sup, bound, bound + slack - sup, tol,
                      samples.points[worst])
-
-
-def _cross_check_full_form(mode, w, bound, samples, reduced_values, tol):
-    # The n x n form P A Pi + Pi A^T P <= 2 bound P and the reduced form are
-    # congruent, so their verdicts must agree away from the tolerance boundary.
-    pi = w.subspace.basis @ w.subspace.basis.T
-    p = w.weight
-    indices = np.unique(np.linspace(0, len(samples) - 1, min(10, len(samples))).astype(int))
-    a = samples.jacobians(mode)[indices]
-    m = 2.0 * bound * p - (p @ a @ pi + pi @ np.swapaxes(a, -1, -2) @ p)
-    full_ok = psd_check((m + np.swapaxes(m, -1, -2)) / 2.0, tol)
-    scale = max(1.0, abs(bound))
-    reduced = reduced_values[indices]
-    reduced_ok = reduced <= bound + tol * scale
-    disagree = (full_ok != reduced_ok) & (np.abs(reduced - bound) > 1e-6 * scale)
-    if np.any(disagree):
-        j = int(np.argmax(disagree))
-        raise RuntimeError(
-            f"full-space and reduced rate conditions disagree at sample {indices[j]}: "
-            f"full={bool(full_ok[j])}, reduced={bool(reduced_ok[j])}"
-        )
 
 
 def _require_same_subspace(w_from: WeightedSeminorm, w_to: WeightedSeminorm):
@@ -195,14 +174,8 @@ class SubspaceCertificate:
     jump_ratios: dict        # (q, r) -> tightest_beta(weights[q], weights[r]), q != r
 
     def __post_init__(self):
-        if self.beta_stable is not None and self.beta_stable < 1.0:
-            raise ValueError(f"stable jump factor must be >= 1, got {self.beta_stable}")
-        if self.beta_unstable is not None and not (0.0 < self.beta_unstable < 1.0):
-            raise ValueError(f"unstable jump factor must lie in (0,1), got {self.beta_unstable}")
-        for name in ("eta_stable", "eta_unstable"):
-            value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if broken := constant_range_error(self):
+            raise ValueError(f"certificate constant {broken}")
         if not 0.0 < self.m_lower <= self.m_upper:
             raise ValueError("weight scale bounds must satisfy 0 < m_lower <= m_upper")
 
@@ -285,10 +258,6 @@ class DecayConstants:
     value_prefactor: float
     norm_prefactor: float
     norm_rate: float       # value_rate / 2
-
-    def __post_init__(self):
-        if self.norm_prefactor < 1.0 - 1e-12:
-            raise ValueError("norm prefactor below 1 is impossible")
 
 
 def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,

@@ -291,9 +291,7 @@ def cmd_signal_check(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = Path(args.out) if args.out else Path("reproduction")
-    return run_reproduction(out_dir, seed=args.seed, step=args.step,
-                            grid=args.grid or 41, tol=args.tol, margin=args.margin)
+    return run_reproduction(Path(args.out or "reproduction"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,16 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_signal_check)
 
     p_rep = sub.add_parser("reproduce", help="run the bundled example end to end")
-    _add_options(p_rep, "--out", "--seed", "--step", "--grid", "--tol", "--margin")
-    # default seed gives a random experiment whose switch-boundary envelope is
-    # monotone; boundary-level monotonicity is realization-dependent
-    p_rep.set_defaults(fn=cmd_reproduce, seed=19)
+    _add_options(p_rep, "--out")
+    p_rep.set_defaults(fn=cmd_reproduce)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # each command reports what it cannot read itself
+        print(f"output error: {exc}", file=sys.stderr)
+        return CONFIG_EXIT
 
 
 if __name__ == "__main__":

@@ -54,15 +54,19 @@ DOCUMENTED_MISMATCHES = {
 
 # the result entries of each simulation that reproduction.json repeats
 SIMULATION_SUMMARY = ("terminal_distance", "distance_ratio", "rate_fit", "step_halving")
+# the seed of the random experiment, whose envelope at the switches decays
+# monotonically; that check depends on the realisation
+SEED = 19
 
 
-def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3, grid: int = 41,
-                     tol: float = PSD_TOL, margin: float = DEFAULT_MARGIN) -> int:
+def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
+    """Run and check the example at seed SEED, tolerance PSD_TOL and margin
+    DEFAULT_MARGIN; 0 iff every check passes."""
     t_start = time.monotonic()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = load_config(bundled_config_path("saddle2d"))
-    samples = make_samples(bundle, grid, None, seed)
+    samples = make_samples(bundle, grid, None, SEED)
     checks: list[dict] = []
 
     def check(name, value, expected, tolerance):
@@ -82,7 +86,7 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3, grid: in
 
     # certificate analysis
     certs = certificates_from_report(bundle, samples)
-    report = analyze(bundle, samples, tol=tol, margin=margin, certs=certs)
+    report = analyze(bundle, samples, PSD_TOL, DEFAULT_MARGIN, certs=certs)
     atomic_write_json(out_dir / "report.json", report)
     check_flag("analysis_all_conditions", report["all_pass"],
                "every invariance/rate/coupling/separating verdict")
@@ -111,8 +115,8 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3, grid: in
     experiments = [
         ("periodic_dwell_0.35", generate_periodic([1, 2], 0.35, 0.0, horizon),
          out_dir / "periodic" / "simulation.json", "periodic switching, dwell 0.35"),
-        (f"random_seed_{seed}", generate_random([1, 2], bounds, 0.0, horizon, seed=seed),
-         out_dir / "random" / "simulation.json", f"random compliant switching, seed {seed}"),
+        (f"random_seed_{SEED}", generate_random([1, 2], bounds, 0.0, horizon, seed=SEED),
+         out_dir / "random" / "simulation.json", f"random compliant switching, seed {SEED}"),
         ("control_dwell_1.0", generate_periodic([1, 2], 1.0, 0.0, horizon),
          out_dir / "control_simulation.json", None),
     ]
@@ -162,8 +166,8 @@ def run_reproduction(out_dir: Path, seed: int = 19, step: float = 1e-3, grid: in
     summary = {
         "example": "saddle2d",
         "elapsed_seconds": time.monotonic() - t_start,
-        "provenance": {"seed": seed, "step": step, "grid": grid,
-                       "tol": tol, "margin": margin,
+        "provenance": {"seed": SEED, "step": step, "grid": grid,
+                       "tol": PSD_TOL, "margin": DEFAULT_MARGIN,
                        "initial_states": [x_a0.tolist(), x_b0.tolist()]},
         "simulation": {name: {key: res[key] for key in SIMULATION_SUMMARY}
                        for name, res in simulations.items()},

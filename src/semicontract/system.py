@@ -323,7 +323,22 @@ def load_config(source) -> ConfigBundle:
         if spec.weights and unweighted:
             raise ConfigError(f"the certificate of subspace {spec.subspace!r} weights some "
                               f"modes but not mode {unweighted[0]}")
+        if broken := constant_range_error(spec):
+            raise ConfigError(f"the certificate of subspace {spec.subspace!r} has {broken}")
     return ConfigBundle(system, tuple(subspaces), tuple(certificates), doc)
+
+
+def constant_range_error(constants) -> str | None:
+    """The first constant of constants (a CertificateSpec or certificate; None
+    means derived) outside its range, named by its configuration key."""
+    for key, value, ok, rule in (
+            ("beta_S", constants.beta_stable, lambda v: v >= 1.0, ">= 1"),
+            ("beta_U", constants.beta_unstable, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            ("eta_S", constants.eta_stable, lambda v: v > 0.0, "> 0"),
+            ("eta_U", constants.eta_unstable, lambda v: v > 0.0, "> 0")):
+        if value is not None and not ok(value):
+            return f"{key} = {value!r}, not {rule}"
+    return None
 
 
 def _opt_float(entry: dict, key: str):

@@ -111,6 +111,27 @@ def test_analyze_single_subspace_not_separating(tmp_path):
     assert any(v["name"] == "family:separating" and not v["ok"] for v in report["verdicts"])
 
 
+def test_analyze_reports_a_failed_jump_factor_verdict(tmp_path, capsys):
+    # equal weights make every jump ratio 1, above the unstable factor 0.5;
+    # the family still separates, and its decay constants at the reference
+    # dwell have a norm prefactor below 1, which only the coupling verdicts judge
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    for cert in doc["certificates"]:
+        cert["P"]["2"] = cert["P"]["1"]
+        cert.update(beta_S=1.0, beta_U=0.5)
+    config = tmp_path / "equal_weights.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(config), "--grid", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("failed conditions: antidiag:coupling:1->2, "
+                                       "diag:coupling:2->1\n")
+    report = strict_json((out / "report.json").read_text())
+    assert [v["name"] for v in report["verdicts"] if not v["ok"]] == \
+        ["antidiag:coupling:1->2", "diag:coupling:2->1"]
+    decay = report["family"]["decay_at_reference_dwell"]["per_subspace"]
+    assert decay["diag"]["norm_prefactor"] < 1.0
+
+
 def axis_config(tmp_path):
     """saddle2d with antidiag spanned by [1, 0]: its complement span [0, 1]
     is invariant under neither mode."""
@@ -337,6 +358,20 @@ BAD_CONFIGS = {
     "300_nested_parentheses": (with_a_first_component(PARENTHESES_300),
                                "bad configuration: parentheses nested more than 200 deep at "
                                f"position 200: {PARENTHESES_300!r}"),
+    # each used to stop analyze with "analysis failed" (exit 1)
+    "stable_jump_factor_below_1": (edited("certificates", 0, beta_S=0.9),
+                                   "the certificate of subspace 'diag' has beta_S = 0.9, "
+                                   "not >= 1"),
+    "unstable_jump_factor_of_0": (edited("certificates", 0, beta_U=0),
+                                  "the certificate of subspace 'diag' has beta_U = 0.0, "
+                                  "not in (0, 1)"),
+    "unstable_jump_factor_of_1": (edited("certificates", 0, beta_U=1),
+                                  "the certificate of subspace 'diag' has beta_U = 1.0, "
+                                  "not in (0, 1)"),
+    "stable_rate_of_0": (edited("certificates", 0, eta_S=0),
+                         "the certificate of subspace 'diag' has eta_S = 0.0, not > 0"),
+    "unstable_rate_of_0": (edited("certificates", 1, eta_U=-0.0),
+                           "the certificate of subspace 'antidiag' has eta_U = 0.0, not > 0"),
 }
 
 
@@ -352,6 +387,24 @@ def test_a_bad_config_is_a_config_error(tmp_path, capsys, command, case):
     assert main([*command, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--grid", "5", "--out"],
+    ["simulate", "--horizon", "1", "--out"],
+    ["reproduce", "--out"],
+    ["signal", "gen", "--periodic", "0.35", "--out-file"],
+], ids=["analyze", "simulate", "reproduce", "signal gen"])
+def test_an_output_path_below_a_file_is_an_output_error(tmp_path, capsys, argv):
+    blocker = tmp_path / "f"
+    blocker.touch()
+    target = blocker / "x.csv" if argv[-1] == "--out-file" else blocker
+    assert main([*argv, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert str(blocker) in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert blocker.is_file() and blocker.read_bytes() == b""
 
 
 def test_strict_flag_reports_open_bounds(tmp_path):
@@ -738,7 +791,7 @@ SUBCOMMAND_OPTIONS = {
     "signal gen": {"--modes", "--periodic", "--t0", "--horizon", "--seed", "--tau-lower",
                    "--tau-upper", "--bounds-from", "--out-file"},
     "signal check": {"--signal", "--horizon", "--tau-lower", "--tau-upper", "--bounds-from"},
-    "reproduce": {"--out", "--seed", "--step", "--grid", "--tol", "--margin"},
+    "reproduce": {"--out"},
 }
 
 
@@ -795,6 +848,12 @@ def test_the_readme_flag_list_matches_the_parser():
     ["simulate", "--grid", "5"],
     ["simulate", "--samples", "10"],
     ["simulate", "--search-weights"],
+    # reproduce runs only at its published settings
+    ["reproduce", "--seed", "19"],
+    ["reproduce", "--step", "1e-3"],
+    ["reproduce", "--grid", "41"],
+    ["reproduce", "--tol", "1e-9"],
+    ["reproduce", "--margin", "1e-6"],
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -810,8 +869,6 @@ BAD_FLAG_VALUES = [
     (["simulate", "--step", "0"], "--step"),
     (["simulate", "--horizon", "inf"], "--horizon"),
     (["simulate", "--periodic", "nan"], "--periodic"),
-    (["reproduce", "--step", "-1e-3"], "--step"),
-    (["reproduce", "--grid", "0"], "--grid"),
     (["signal", "gen", "--modes", "1,x"], "--modes"),
     (["signal", "gen", "--modes", "0,1"], "--modes"),
     (["signal", "gen", "--modes", "1,1"], "--modes"),
@@ -822,12 +879,9 @@ BAD_FLAG_VALUES = [
     (["signal", "check", "--tau-upper", "x"], "--tau-upper"),
     (["analyze", "--margin", "nan"], "--margin"),
     (["analyze", "--margin", "-2"], "--margin"),
-    (["reproduce", "--margin", "inf"], "--margin"),
     (["analyze", "--tol", "nan"], "--tol"),
-    (["reproduce", "--tol", "-1"], "--tol"),
     (["analyze", "--seed", "-1"], "--seed"),
     (["simulate", "--seed", "-1"], "--seed"),
-    (["reproduce", "--seed", "-1"], "--seed"),
     (["signal", "gen", "--seed", "-1"], "--seed"),
     (["signal", "gen", "--t0", "nan"], "--t0"),
     (["signal", "gen", "--t0", "inf"], "--t0"),

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 from semicontract import report, reproduce, system
 from semicontract.cli import main
@@ -102,3 +104,30 @@ def test_reproduction_reads_the_simulation_verdicts(tmp_path, capsys):
     assert checks["control_flagged_by_checker"]["detail"] == detail
     assert f"[PASS] control_flagged_by_checker: {detail}" in out
     assert "strict" not in summary["provenance"]
+
+
+# every output of run_reproduction(out_dir, step=1e-2, grid=5), as
+# reproduction_digest gives it
+TINY_GOLDEN = Path(__file__).parent / "data" / "reproduce_step1e-2_grid5.json"
+VOLATILE_KEYS = ("generated_at", "elapsed_seconds")
+
+
+def reproduction_digest(out_dir: Path) -> dict:
+    """Every JSON file under out_dir (relative path -> document without its
+    top-level generated_at and elapsed_seconds) and the sha256 of every other
+    file (the CSV traces and SVG plots)."""
+    digest = {"json": {}, "sha256": {}}
+    for path in sorted(p for p in Path(out_dir).rglob("*") if p.is_file()):
+        name = path.relative_to(out_dir).as_posix()
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            digest["json"][name] = {k: v for k, v in doc.items() if k not in VOLATILE_KEYS}
+        else:
+            digest["sha256"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digest
+
+
+def test_the_tiny_reproduction_writes_its_golden_outputs(tmp_path, capsys):
+    assert reproduce.run_reproduction(tmp_path, step=1e-2, grid=5) == 0
+    assert "all_pass=True" in capsys.readouterr().out
+    assert reproduction_digest(tmp_path) == json.loads(TINY_GOLDEN.read_text(encoding="utf-8"))
