@@ -12,7 +12,7 @@ import numpy as np
 from .linalg import PSD_TOL, frobenius, gen_sym_eig, sym_eig
 from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, _project, \
     _reduced_growth, check_invariance, check_separating, projector, reduce_weight
-from .system import Mode, SampleSet, SwitchedSystem, constant_range_error
+from .system import Mode, SampleSet, SwitchedSystem
 
 # Jump-factor comparisons default to the granularity of 4-decimal published
 # constants rather than the 1e-9 semidefinite default; an exact reciprocal
@@ -164,7 +164,7 @@ class SubspaceCertificate:
     weights: dict            # mode id -> WeightedSeminorm, all sharing ker = complement
     tags: dict               # mode id -> "S" | "U"
     sup_growth: dict         # mode id -> sampled sup of the reduced rate
-    beta_stable: float | None   # jump factor leaving a semi-contracting mode (> 1)
+    beta_stable: float | None   # jump factor leaving a semi-contracting mode (>= 1)
     beta_unstable: float | None  # jump factor leaving an expanding mode (in (0,1))
     eta_stable: float | None     # decay rate on semi-contracting modes (> 0)
     eta_unstable: float | None   # growth bound on expanding modes (> 0)
@@ -174,8 +174,6 @@ class SubspaceCertificate:
     jump_ratios: dict        # (q, r) -> tightest_beta(weights[q], weights[r]), q != r
 
     def __post_init__(self):
-        if broken := constant_range_error(self):
-            raise ValueError(f"certificate constant {broken}")
         if not 0.0 < self.m_lower <= self.m_upper:
             raise ValueError("weight scale bounds must satisfy 0 < m_lower <= m_upper")
 
@@ -338,8 +336,9 @@ def _certificate(system, s, weights, invariance, samples, beta_stable, beta_unst
     unstable = [q for q, t in tags.items() if t == UNSTABLE]
     ratios = {(q, r): tightest_beta(weights[q], weights[r])
               for q in weights for r in weights if r != q}
-    if beta_stable is None:
-        beta_stable = tightest_jump_factor(ratios, stable)
+    if beta_stable is None and (tight := tightest_jump_factor(ratios, stable)) is not None:
+        # R_to <= beta R_from for beta < 1 implies it for beta = 1, the paper's range
+        beta_stable = max(tight, 1.0)
     if beta_unstable is None:
         beta_unstable = tightest_jump_factor(ratios, unstable)
         if beta_unstable is not None and beta_unstable >= 1.0:

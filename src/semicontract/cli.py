@@ -21,8 +21,6 @@ from .signals import (
     generate_periodic,
     generate_random,
     read_signal_csv,
-    tightest_mdadt_offset,
-    tightest_mdalt_offset,
     verify_mdadt,
     verify_mdalt,
     verify_per_activation,
@@ -105,8 +103,7 @@ def _emit_report(report: dict, args, name: str) -> None:
     if args.out:
         atomic_write_json(Path(args.out) / name, report)
     else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        print(json.dumps(report, indent=2))
 
 
 def cmd_analyze(args) -> int:
@@ -260,30 +257,26 @@ def cmd_signal_check(args) -> int:
         return CONFIG_EXIT
     try:
         sig = read_signal_csv(args.signal, horizon=args.horizon)
-        modes = list(sig.modes)
-        bounds = _bounds_from_args(args, modes)
+        bounds = _bounds_from_args(args, sig.modes)
         check = verify_per_activation(sig, bounds)
     except (ValueError, OSError) as exc:  # a mode without bounds is a ValueError
         return _config_error(exc)
     report = {"per_activation": {"ok": check.ok, "detail": check.reason}}
     ok = check.ok
-    for q in modes:
-        lengths = [a.length for a in sig.activations() if a.mode == q]
+    for q in sig.modes:
+        lengths = [a.length for a in sig.activations if a.mode == q]
         entry = {"activations": len(lengths), "min_dwell": min(lengths),
                  "max_dwell": max(lengths)}
-        if q in bounds.lower:
-            res = verify_mdadt(sig, q, bounds.lower[q], n_lower=1.0)
-            entry["mdadt"] = {"ok": res.ok, "tau": bounds.lower[q],
-                              "tightest_offset": tightest_mdadt_offset(sig, q, bounds.lower[q])}
-            ok = ok and res.ok
-        if q in bounds.upper:
-            res = verify_mdalt(sig, q, bounds.upper[q], n_upper=0.0)
-            entry["mdalt"] = {"ok": res.ok, "tau": bounds.upper[q],
-                              "tightest_offset": tightest_mdalt_offset(sig, q, bounds.upper[q])}
-            ok = ok and res.ok
+        # dwell offset n_lower = 1 and leave offset n_upper = 0
+        for kind, verify, taus, offset in (("mdadt", verify_mdadt, bounds.lower, 1.0),
+                                           ("mdalt", verify_mdalt, bounds.upper, 0.0)):
+            if q in taus:
+                res = verify(sig, q, taus[q], offset)
+                entry[kind] = {"ok": res.ok, "tau": taus[q],
+                               "tightest_offset": res.tightest_offset}
+                ok = ok and res.ok
         report[f"mode_{q}"] = entry
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    print(json.dumps(report, indent=2))
     if not ok:
         print(f"signal check failed: {check.reason}", file=sys.stderr)
         return VERDICT_EXIT

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -229,9 +230,9 @@ def _bounds_section(bounds: DwellBounds) -> dict:
 def bounds_from_report(report, bundle: ConfigBundle | None = None) -> DwellBounds:
     """The family dwell bounds an analysis report records (read back as
     written by _bounds_section). A report without them, such as one whose
-    family does not separate, raises ConfigError; with bundle, so does a
-    report made from another configuration or edited to leave one of its
-    modes without bounds."""
+    family does not separate, or with a bound that is not a finite number
+    > 0, raises ConfigError; with bundle, so does a report made from another
+    configuration or edited to leave one of its modes without bounds."""
     try:
         section = report["family"]["dwell_bounds"]
         bounds = DwellBounds({int(q): v for q, v in section["lower"].items()},
@@ -239,6 +240,11 @@ def bounds_from_report(report, bundle: ConfigBundle | None = None) -> DwellBound
                              "report", section.get("margin", 0.0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"report holds no family dwell bounds ({exc!r})") from None
+    for side, taus in (("lower", bounds.lower), ("upper", bounds.upper)):
+        for q, tau in taus.items():
+            if type(tau) not in (int, float) or not 0 < tau < math.inf:
+                raise ConfigError(f"report has the {side} dwell bound {tau!r} for mode {q}, "
+                                  "not a finite number > 0")
     if bundle is None:
         return bounds
     provenance = report.get("provenance")  # report is a JSON object from here on

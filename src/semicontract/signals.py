@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,9 @@ class SwitchingSignal:
     """Right-continuous piecewise-constant mode schedule.
 
     events[k] = (t_k, mode entered at t_k); the first event is at start_time
-    and the mode stays constant on [t_k, t_{k+1}).
+    and the mode stays constant on [t_k, t_{k+1}). modes, switch_times,
+    boundaries and activations are built on first read and kept, so every
+    check of a signal reads one list; equality and hashing read the fields.
     """
 
     start_time: float
@@ -56,31 +59,30 @@ class SwitchingSignal:
         if self.horizon - self.events[-1][0] <= TIME_EPS:
             raise ValueError(f"the last activation must last more than {TIME_EPS:g} s, got "
                              f"switch at {self.events[-1][0]} before horizon {self.horizon}")
-        previous_t, previous_m = None, None
-        for t, mode in self.events:
+        for _, mode in self.events:
             if mode < 1 or int(mode) != mode:
                 raise ValueError(f"mode ids are positive integers, got {mode}")
-            if previous_t is not None:
-                if t - previous_t <= TIME_EPS:
-                    raise ValueError(f"dwell times must be positive, got switch at {t} after {previous_t}")
-                if mode == previous_m:
-                    raise ValueError(f"consecutive events enter the same mode {mode}")
-            previous_t, previous_m = t, mode
+        for (previous_t, previous_m), (t, mode) in zip(self.events, self.events[1:]):
+            if t - previous_t <= TIME_EPS:
+                raise ValueError(f"dwell times must be positive, got switch at {t} after {previous_t}")
+            if mode == previous_m:
+                raise ValueError(f"consecutive events enter the same mode {mode}")
 
-    @property
+    @cached_property
     def modes(self) -> tuple:
         return tuple(sorted({mode for _, mode in self.events}))
 
-    @property
+    @cached_property
     def switch_times(self) -> tuple:
         return tuple(t for t, _ in self.events[1:])
 
-    @property
+    @cached_property
     def boundaries(self) -> tuple:
         """Activation boundaries: the start, each switch and the horizon, each
         more than TIME_EPS after the one before."""
         return (self.start_time, *self.switch_times, self.horizon)
 
+    @cached_property
     def activations(self) -> tuple:
         last = len(self.events) - 1
         return tuple(Activation(mode, tk, end, censored=(k == last))
@@ -101,9 +103,8 @@ def dwell_stats(sig: SwitchingSignal, mode: int, t_a: float, t_b: float) -> Dwel
         raise KeyError(f"mode {mode} never appears in the signal")
     if not (sig.start_time - TIME_EPS <= t_a < t_b <= sig.horizon + TIME_EPS):
         raise ValueError(f"window [{t_a}, {t_b}) outside the signal span")
-    count = 0
-    total = 0.0
-    for act in sig.activations():
+    count, total = 0, 0.0
+    for act in sig.activations:
         if act.mode != mode:
             continue
         overlap = min(act.end, t_b) - max(act.start, t_a)
@@ -115,10 +116,15 @@ def dwell_stats(sig: SwitchingSignal, mode: int, t_a: float, t_b: float) -> Dwel
 
 @dataclass(frozen=True)
 class WindowCheck:
+    """One average dwell- or leave-time condition, judged by one scan for its
+    worst window. tightest_offset is the offset at which the condition just
+    holds, N - T/tau on that window (at least 0 for the dwell condition)."""
+
     ok: bool
     worst_value: float   # most violating value of the checked inequality's slack
     worst_window: tuple  # (t_a, t_b) attaining it
     checked_windows: int
+    tightest_offset: float
 
 
 def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
@@ -138,7 +144,7 @@ def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
         raise KeyError(f"mode {mode} never appears in the signal")
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be a finite number > 0, got {tau}")
-    acts = sig.activations()
+    acts = sig.activations
     ratios = [x.as_integer_ratio() for x in (tau, *(a.length for a in acts if a.mode == mode))]
     scale = max(den for _, den in ratios)  # every denominator is a power of two
     tau_int, *length_ints = (num * (scale // den) for num, den in ratios)
@@ -163,9 +169,9 @@ def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
     return (acts[start].start, acts[end - 1].end), count, total
 
 
-def _checked(sig: SwitchingSignal, worst: float, window: tuple) -> WindowCheck:
+def _checked(sig: SwitchingSignal, worst: float, window: tuple, offset: float) -> WindowCheck:
     k = len(sig.events)  # activations, so k + 1 boundaries and k(k + 1)/2 windows
-    return WindowCheck(bool(worst <= 1e-12), worst, window, k * (k + 1) // 2)
+    return WindowCheck(bool(worst <= 1e-12), worst, window, k * (k + 1) // 2, offset)
 
 
 def verify_mdadt(sig: SwitchingSignal, mode: int, tau_lower: float,
@@ -173,35 +179,37 @@ def verify_mdadt(sig: SwitchingSignal, mode: int, tau_lower: float,
     """Average dwell time: N(t_a,t_b) <= n_lower + T(t_a,t_b)/tau_lower over all
     windows with switching-time endpoints (statistics change only there).
     O(K) by _worst: the worst window maximises N - T/tau_lower exactly, the
-    first in (start, end) order on a tie."""
+    first in (start, end) order on a tie. Its tightest_offset is the smallest
+    n_lower that passes, max(0, N - T/tau_lower) on that window."""
     if tau_lower <= 0 or n_lower <= 0:
         raise ValueError("tau_lower and n_lower must be positive")
     window, n, t = _worst(sig, mode, tau_lower, +1)
-    return _checked(sig, n - n_lower - t / tau_lower, window)
+    return _checked(sig, n - n_lower - t / tau_lower, window, max(0.0, n - t / tau_lower))
 
 
 def verify_mdalt(sig: SwitchingSignal, mode: int, tau_upper: float,
                  n_upper: float) -> WindowCheck:
     """Average leave time: N(t_a,t_b) >= n_upper + T(t_a,t_b)/tau_upper over all
-    switching-time windows. n_upper may be any real (see tightest_mdalt_offset).
-    O(K) by _worst: the worst window maximises T/tau_upper - N exactly, the
-    first in (start, end) order on a tie."""
+    switching-time windows. n_upper may be any real. O(K) by _worst: the
+    worst window maximises T/tau_upper - N exactly, the first in (start, end)
+    order on a tie. Its tightest_offset is the largest n_upper that passes,
+    N - T/tau_upper on that window."""
     if tau_upper <= 0:
         raise ValueError("tau_upper must be positive")
     window, n, t = _worst(sig, mode, tau_upper, -1)
-    return _checked(sig, n_upper + t / tau_upper - n, window)
+    return _checked(sig, n_upper + t / tau_upper - n, window, n - t / tau_upper)
 
 
 def tightest_mdadt_offset(sig: SwitchingSignal, mode: int, tau_lower: float) -> float:
-    """Smallest n_lower making verify_mdadt pass for the given tau_lower:
-    N - T/tau_lower on verify_mdadt's worst window, and at least 0. O(K)."""
+    """Smallest n_lower making verify_mdadt pass for the given tau_lower: its
+    tightest_offset, by a second O(K) scan that only perfbench and the tests run."""
     _, n, t = _worst(sig, mode, tau_lower, +1)
     return max(0.0, n - t / tau_lower)
 
 
 def tightest_mdalt_offset(sig: SwitchingSignal, mode: int, tau_upper: float) -> float:
-    """Largest n_upper making verify_mdalt pass for the given tau_upper:
-    N - T/tau_upper on verify_mdalt's worst window. O(K)."""
+    """Largest n_upper making verify_mdalt pass for the given tau_upper: its
+    tightest_offset, by a second O(K) scan that only perfbench and the tests run."""
     _, n, t = _worst(sig, mode, tau_upper, -1)
     return n - t / tau_upper
 
@@ -225,7 +233,7 @@ def verify_per_activation(sig: SwitchingSignal, bounds: DwellBounds) -> Activati
         if mode not in bounds.lower and mode not in bounds.upper:
             raise ValueError(f"no dwell bounds for mode {mode}")
     counters = {mode: 0 for mode in sig.modes}
-    for act in sig.activations():
+    for act in sig.activations:
         index = counters[act.mode]
         counters[act.mode] += 1
         upper = bounds.upper.get(act.mode)
@@ -253,10 +261,7 @@ def generate_periodic(mode_order, dwell: float, t0: float, horizon: float) -> Sw
     events = []
     k = 0
     while horizon - (t := t0 + k * dwell) > TIME_EPS:
-        mode = mode_order[k % len(mode_order)]
-        if events and events[-1][1] == mode:
-            raise ValueError("mode order repeats a mode consecutively")
-        events.append((t, mode))
+        events.append((t, mode_order[k % len(mode_order)]))
         k += 1
         if len(mode_order) == 1:
             break
@@ -300,10 +305,7 @@ def generate_random(modes, bounds: DwellBounds, t0: float, horizon: float,
 
 
 def write_signal_csv(sig: SwitchingSignal, path) -> None:
-    lines = ["time,mode"]
-    for t, mode in sig.events:
-        lines.append(f"{t!r},{mode}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "time,mode\n" + "".join(f"{t!r},{mode}\n" for t, mode in sig.events))
 
 
 def read_signal_csv(path, horizon: float) -> SwitchingSignal:
@@ -319,9 +321,6 @@ def read_signal_csv(path, horizon: float) -> SwitchingSignal:
             raise ConfigError(f"signal file {path} has no {column!r} column")
     try:
         events = tuple((float(r["time"]), int(r["mode"])) for r in rows)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad signal file {path}: {exc}") from None
-    try:
         return SwitchingSignal(events[0][0], events, horizon)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad signal file {path}: {exc}") from None

@@ -329,8 +329,9 @@ def load_config(source) -> ConfigBundle:
 
 
 def constant_range_error(constants) -> str | None:
-    """The first constant of constants (a CertificateSpec or certificate; None
-    means derived) outside its range, named by its configuration key."""
+    """The first constant of a CertificateSpec (None means derived) outside
+    its range, named by its configuration key. Derived constants are in range
+    by construction."""
     for key, value, ok, rule in (
             ("beta_S", constants.beta_stable, lambda v: v >= 1.0, ">= 1"),
             ("beta_U", constants.beta_unstable, lambda v: 0.0 < v < 1.0, "in (0, 1)"),

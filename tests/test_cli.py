@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import re
 import shlex
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from semicontract import cli, signals
 from semicontract.cli import build_parser, main
+from semicontract.signals import SwitchingSignal
 from semicontract.testdata import bundled_config_path
 
 
@@ -130,6 +133,24 @@ def test_analyze_reports_a_failed_jump_factor_verdict(tmp_path, capsys):
         ["antidiag:coupling:1->2", "diag:coupling:2->1"]
     decay = report["family"]["decay_at_reference_dwell"]["per_subspace"]
     assert decay["diag"]["norm_prefactor"] < 1.0
+
+
+def test_analyze_raises_a_derived_stable_jump_factor_below_1_to_1(tmp_path, capsys):
+    # swapped diag weights drop on the switch out of the stable mode 1, so the
+    # tightest stable factor is 1/1.6084; the report states it and judges 1.0
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    diag = next(cert for cert in doc["certificates"] if cert["subspace"] == "diag")
+    diag["P"]["1"], diag["P"]["2"] = diag["P"]["2"], diag["P"]["1"]
+    del diag["beta_S"]
+    config = tmp_path / "swapped.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(config), "--grid", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "failed conditions: diag:coupling:2->1\n"
+    report = strict_json((out / "report.json").read_text())
+    constants = next(s for s in report["subspaces"] if s["name"] == "diag")["constants"]
+    assert constants["beta_stable"] == 1.0
+    assert constants["tightest_beta_stable"] == pytest.approx(0.6217402757046272)
 
 
 def axis_config(tmp_path):
@@ -960,6 +981,42 @@ def test_signal_bounds_from_a_bad_report_is_a_config_error(tmp_path, capsys, cas
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (None, "the lower dwell bound 0.0 for mode 1"),
+    (("upper", "2", -0.3), "the upper dwell bound -0.3 for mode 2"),
+    (("lower", "2", "0.2"), "the lower dwell bound '0.2' for mode 2"),
+])
+@pytest.mark.parametrize("command", ["signal check", "signal gen", "simulate"])
+def test_a_report_bound_that_is_not_positive_is_a_config_error(tmp_path, capsys, edit,
+                                                               message, command):
+    # beta_S = 1 makes ln(beta_S) and so every lower bound 0 at margin 0
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    for cert in doc["certificates"]:
+        cert["beta_S"] = 1.0
+    config = tmp_path / "beta1.json"
+    config.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(config), "--grid", "5", "--margin", "0",
+                 "--out", str(tmp_path)]) == 1
+    report = tmp_path / "report.json"
+    if edit:
+        side, mode, value = edit
+        doc = json.loads(report.read_text())
+        doc["family"]["dwell_bounds"]["lower"] = {"1": 0.2, "2": 0.2}
+        doc["family"]["dwell_bounds"][side][mode] = value
+        report.write_text(json.dumps(doc))
+    signal = tmp_path / "sig.csv"
+    assert main(["signal", "gen", "--periodic", "0.35", "--horizon", "5",
+                 "--out-file", str(signal)]) == 0
+    capsys.readouterr()
+    argv = {"signal check": ["signal", "check", "--signal", str(signal)],
+            "signal gen": ["signal", "gen", "--out-file", str(tmp_path / "gen.csv")],
+            "simulate": ["simulate", "--config", str(config), "--random-signal",
+                         "--out", str(tmp_path)]}[command]
+    assert main([*argv, "--horizon", "5", "--bounds-from", str(report)]) == 2
+    assert capsys.readouterr().err == f"config error: report has {message}, " \
+                                      "not a finite number > 0\n"
+
+
 def test_signal_check_reads_bounds_from_a_report(tmp_path, capsys):
     assert main(["analyze", "--grid", "11", "--out", str(tmp_path)]) == 0
     signal = tmp_path / "sig.csv"
@@ -972,6 +1029,62 @@ def test_signal_check_reads_bounds_from_a_report(tmp_path, capsys):
     checked = strict_json(capsys.readouterr().out)
     assert checked["mode_1"]["mdadt"]["tau"] == bounds["lower"]["1"]
     assert checked["mode_2"]["mdalt"]["tau"] == bounds["upper"]["2"]
+
+
+SIGNAL_CHECK_GOLDEN = Path(__file__).parent / "data" / "signal_check_golden.json"
+TAU_BOUNDS = ["--tau-lower", "0.1584", "--tau-upper", "0.3960"]
+# case -> (signal gen flags, signal check bound flags); {report} is the report
+# of a default analyze of saddle2d
+SIGNAL_CHECK_CASES = {
+    "random_passes": (["--seed", "3", *TAU_BOUNDS], TAU_BOUNDS),
+    "periodic_dwell_1_fails": (["--periodic", "1.0"], TAU_BOUNDS),
+    "bounds_from_report": (["--periodic", "0.35"], ["--bounds-from", "{report}"]),
+}
+
+
+def signal_check_outputs(tmp_path, capsys, report, case) -> dict:
+    """Exit code, stdout and stderr of signal check on the case's generated
+    10 s signal."""
+    gen_flags, check_flags = SIGNAL_CHECK_CASES[case]
+    signal = tmp_path / f"{case}.csv"
+    assert main(["signal", "gen", *gen_flags, "--horizon", "10", "--out-file", str(signal)]) == 0
+    capsys.readouterr()
+    flags = [flag.replace("{report}", str(report)) for flag in check_flags]
+    code = main(["signal", "check", "--signal", str(signal), "--horizon", "10", *flags])
+    captured = capsys.readouterr()
+    return {"exit": code, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNAL_CHECK_CASES))
+def test_signal_check_output_equals_its_golden(tmp_path, capsys, saddle2d_report, case):
+    # stdout, stderr and exit code are the command's contract: a change to how
+    # the scans run must keep every byte
+    golden = json.loads(SIGNAL_CHECK_GOLDEN.read_text(encoding="utf-8"))
+    assert signal_check_outputs(tmp_path, capsys, saddle2d_report, case) == golden[case]
+
+
+def test_signal_check_builds_the_activations_once_and_scans_once_per_bound(
+        tmp_path, capsys, monkeypatch):
+    signal = tmp_path / "sig.csv"
+    assert main(["signal", "gen", "--periodic", "0.35", "--out-file", str(signal)]) == 0
+    builds, scans = [], []
+    build, scan = SwitchingSignal.activations.func, signals._worst
+
+    def counted_build(sig):
+        builds.append(sig)
+        return build(sig)
+
+    counted = functools.cached_property(counted_build)
+    counted.__set_name__(SwitchingSignal, "activations")
+    monkeypatch.setattr(SwitchingSignal, "activations", counted)
+    monkeypatch.setattr(signals, "_worst", lambda sig, mode, tau, sign:
+                        scans.append((mode, tau, sign)) or scan(sig, mode, tau, sign))
+    assert main(["signal", "check", "--signal", str(signal), *TAU_BOUNDS]) == 0
+    assert len(builds) == 1
+    assert sorted(scans) == [(q, tau, sign) for q in (1, 2)
+                             for tau, sign in ((0.1584, 1), (0.396, -1))]
+    assert not hasattr(cli, "tightest_mdadt_offset")
+    assert not hasattr(cli, "tightest_mdalt_offset")
 
 
 def readme_commands():

@@ -49,7 +49,7 @@ def brute_force_stats(sig, mode, t_a, t_b):
 def exact_worst_window(sig, mode, tau, sign):
     """(window, count, float total, windows checked) of the first window that
     maximises sign * (tau * N - T) in exact arithmetic."""
-    acts, tau = sig.activations(), Fraction(tau)
+    acts, tau = sig.activations, Fraction(tau)
     best, window, checked = None, None, 0
     for i in range(len(acts)):
         count, total = 0, Fraction(0)
@@ -68,23 +68,14 @@ def exact_worst_window(sig, mode, tau, sign):
 def reference_verify_mdadt(sig, mode, tau_lower, n_lower):
     window, n, t, checked = exact_worst_window(sig, mode, tau_lower, +1)
     value = n - n_lower - t / tau_lower
-    return WindowCheck(bool(value <= 1e-12), value, window, checked)
+    return WindowCheck(bool(value <= 1e-12), value, window, checked,
+                       max(0.0, n - t / tau_lower))
 
 
 def reference_verify_mdalt(sig, mode, tau_upper, n_upper):
     window, n, t, checked = exact_worst_window(sig, mode, tau_upper, -1)
     value = n_upper + t / tau_upper - n
-    return WindowCheck(bool(value <= 1e-12), value, window, checked)
-
-
-def reference_tightest_mdadt_offset(sig, mode, tau_lower):
-    _, n, t, _ = exact_worst_window(sig, mode, tau_lower, +1)
-    return max(0.0, n - t / tau_lower)
-
-
-def reference_tightest_mdalt_offset(sig, mode, tau_upper):
-    _, n, t, _ = exact_worst_window(sig, mode, tau_upper, -1)
-    return n - t / tau_upper
+    return WindowCheck(bool(value <= 1e-12), value, window, checked, n - t / tau_upper)
 
 
 def random_signal(rng, n_modes=3, horizon=8.0):
@@ -122,7 +113,7 @@ def test_every_activation_lasts_more_than_time_eps():
         SwitchingSignal(0.0, ((1e-13, 1), (1.0, 2)), 2.0)
     sig = SwitchingSignal(0.5, ((0.5, 1), (1.0, 2), (1.5, 1)), 2.0)
     assert sig.boundaries == (0.5, 1.0, 1.5, 2.0)
-    assert [(a.start, a.end) for a in sig.activations()] == [(0.5, 1.0), (1.0, 1.5), (1.5, 2.0)]
+    assert [(a.start, a.end) for a in sig.activations] == [(0.5, 1.0), (1.0, 1.5), (1.5, 2.0)]
 
 
 def test_dwell_stats_periodic_example():
@@ -244,11 +235,14 @@ def test_verify_enumeration_matches_brute_force_grid_windows():
 
 
 def assert_scans_match_reference(sig, tau):
+    # each reference check carries its exact offset, so the scans' offsets
+    # and the tightest_* functions that repeat them match it too
     for q in sig.modes:
-        assert verify_mdadt(sig, q, tau, 1.0) == reference_verify_mdadt(sig, q, tau, 1.0)
-        assert verify_mdalt(sig, q, tau, 0.0) == reference_verify_mdalt(sig, q, tau, 0.0)
-        assert tightest_mdadt_offset(sig, q, tau) == reference_tightest_mdadt_offset(sig, q, tau)
-        assert tightest_mdalt_offset(sig, q, tau) == reference_tightest_mdalt_offset(sig, q, tau)
+        adt, alt = verify_mdadt(sig, q, tau, 1.0), verify_mdalt(sig, q, tau, 0.0)
+        assert adt == reference_verify_mdadt(sig, q, tau, 1.0)
+        assert alt == reference_verify_mdalt(sig, q, tau, 0.0)
+        assert tightest_mdadt_offset(sig, q, tau) == adt.tightest_offset
+        assert tightest_mdalt_offset(sig, q, tau) == alt.tightest_offset
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,6 +302,15 @@ def test_tightest_offsets_are_feasible_boundaries():
             assert not verify_mdalt(sig, q, tau, n_ub + 1e-9).ok
 
 
+def test_equal_signals_stay_equal_whatever_they_have_built():
+    a = generate_periodic([1, 2], 0.35, 0.0, 2.0)
+    b = SwitchingSignal(a.start_time, a.events, a.horizon)
+    assert len(a.activations) == 6
+    assert "activations" in vars(a) and "activations" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_per_activation_examples():
     sig = generate_periodic([1, 2], 0.35, 0.0, 10.0)
     assert verify_per_activation(sig, EXAMPLE_BOUNDS).ok
@@ -322,7 +325,7 @@ def test_per_activation_examples():
 def test_per_activation_censored_tail():
     # horizon cuts the last activation short; the lower bound must not fire
     sig = generate_periodic([1, 2], 0.35, 0.0, 0.8)
-    acts = sig.activations()
+    acts = sig.activations
     assert acts[-1].censored and acts[-1].length < 0.1584
     assert verify_per_activation(sig, EXAMPLE_BOUNDS).ok
 
@@ -364,7 +367,7 @@ def test_generate_random_compliant_and_seeded():
     assert verify_per_activation(a, EXAMPLE_BOUNDS).ok
     assert verify_per_activation(c, EXAMPLE_BOUNDS).ok
     margin = 1e-6
-    for act in a.activations():
+    for act in a.activations:
         if not act.censored:
             assert 0.1584 + margin <= act.length <= 0.3960 - margin
 
