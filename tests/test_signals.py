@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from semicontract.certificates import DwellBounds
 from semicontract.signals import (
+    TIME_EPS,
+    ActivationCheck,
     SwitchingSignal,
     WindowCheck,
     dwell_stats,
@@ -338,6 +340,77 @@ def test_per_activation_implies_average_conditions():
         for q in (1, 2):
             assert verify_mdadt(sig, q, EXAMPLE_BOUNDS.lower[q], 1.0).ok
             assert verify_mdalt(sig, q, EXAMPLE_BOUNDS.upper[q], 0.0).ok
+
+
+def reference_per_activation(sig, bounds):
+    """verify_per_activation as a plain loop over the events: each activation
+    runs from its event to the next event (the horizon for the last one)."""
+    ends = [t for t, _ in sig.events[1:]] + [sig.horizon]
+    seen = {}
+    for k, ((start, mode), end) in enumerate(zip(sig.events, ends)):
+        index = seen.get(mode, 0)
+        seen[mode] = index + 1
+        length = end - start
+        upper, lower = bounds.upper.get(mode), bounds.lower.get(mode)
+        if upper is not None and length > upper + TIME_EPS:
+            return ActivationCheck(False, mode, index, f"activation lasts {length:.6g} > {upper:.6g}")
+        if lower is not None and k < len(sig.events) - 1 and length < lower - TIME_EPS:
+            return ActivationCheck(False, mode, index, f"activation lasts {length:.6g} < {lower:.6g}")
+    return ActivationCheck(True, None, None, "all activations within bounds")
+
+
+def assert_per_activation_matches_reference(sig, bounds):
+    got, want = verify_per_activation(sig, bounds), reference_per_activation(sig, bounds)
+    assert (got.ok, got.mode, got.activation_index, got.reason) == \
+        (want.ok, want.mode, want.activation_index, want.reason)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_per_activation_equals_a_reference_loop_on_random_signals(seed, n_modes):
+    rng = np.random.default_rng(seed)
+    sig = random_signal(rng, n_modes=n_modes, horizon=6.0)
+    lower, upper = {}, {}
+    for q in sig.modes:
+        # each mode gets a lower bound, an upper bound or both
+        kind = int(rng.integers(0, 3))
+        if kind != 1:
+            lower[q] = float(rng.uniform(0.02, 0.4))
+        if kind != 0:
+            upper[q] = float(rng.uniform(0.4, 1.3))
+    assert_per_activation_matches_reference(sig, DwellBounds(lower, upper, "test", 0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from([-2, -1, 0, 1, 2])),
+                min_size=1, max_size=12),
+       st.floats(0.0, 0.158))
+def test_per_activation_equals_a_reference_loop_at_the_eps_edges(steps, tail):
+    # each activation lasts tau_lower or tau_upper plus -2..2 TIME_EPS, and the
+    # censored tail may be shorter than tau_lower
+    tau_lower, tau_upper = 0.1584, 0.396
+    events, t = [], 0.0
+    for k, (at_upper, shift) in enumerate(steps):
+        events.append((t, 1 + k % 2))
+        t += (tau_upper if at_upper else tau_lower) + shift * TIME_EPS
+    events.append((t, 1 + len(steps) % 2))
+    sig = SwitchingSignal(0.0, tuple(events), t + tail + 2 * TIME_EPS)
+    bounds = DwellBounds({1: tau_lower, 2: tau_lower}, {1: tau_upper, 2: tau_upper}, "test", 0.0)
+    assert_per_activation_matches_reference(sig, bounds)
+
+
+def test_the_checks_leave_no_per_signal_state_behind():
+    # perfbench reuses one signal object across ops, so a check that kept
+    # results on the signal would hide work a fresh signal check pays
+    sig = generate_periodic([1, 2], 0.35, 0.0, 5.0)
+    verify_per_activation(sig, EXAMPLE_BOUNDS)
+    for q in sig.modes:
+        verify_mdadt(sig, q, 0.1584, 1.0)
+        verify_mdalt(sig, q, 0.396, 0.0)
+        tightest_mdadt_offset(sig, q, 0.1584)
+        tightest_mdalt_offset(sig, q, 0.396)
+    assert set(vars(sig)) == {"start_time", "events", "horizon",
+                              "modes", "switch_times", "boundaries", "activations"}
 
 
 def test_generate_periodic_examples():
