@@ -139,34 +139,42 @@ def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
     suffix-maximum pass finds the largest difference. Every float is m * 2^e,
     so the keys are exact integers at one common power-of-two scale. Ties go
     to the first window in (start, end) order. T is then the left-to-right
-    float sum of the window's lengths, dwell_stats' own additions."""
+    float sum of the window's lengths, dwell_stats' own additions.
+
+    One activation costs one read of its mode, start and end (no property
+    call), one as_integer_ratio and one integer multiply-subtract if it is of
+    the mode, one key addition and append, and two comparisons in the reverse
+    pass (no builtin call per start)."""
     if mode not in sig.modes:
         raise KeyError(f"mode {mode} never appears in the signal")
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be a finite number > 0, got {tau}")
     acts = sig.activations
-    ratios = [x.as_integer_ratio() for x in (tau, *(a.length for a in acts if a.mode == mode))]
+    lengths = [a.end - a.start if a.mode == mode else None for a in acts]
+    ratios = [x.as_integer_ratio() for x in (tau, *(x for x in lengths if x is not None))]
     scale = max(den for _, den in ratios)  # every denominator is a power of two
-    tau_int, *length_ints = (num * (scale // den) for num, den in ratios)
-    keys, key, lengths = [0], 0, iter(length_ints)
-    for act in acts:
-        if act.mode == mode:
-            key += sign * (tau_int - next(lengths))
+    tau_int = ratios[0][0] * (scale // ratios[0][1])
+    steps = iter([sign * (tau_int - num * (scale // den)) for num, den in ratios[1:]])
+    keys, key = [0], 0
+    for x in lengths:
+        if x is not None:
+            key += next(steps)
         keys.append(key)
     # starts go from last to first and high is max(keys[i + 1:]), so >= keeps
     # the smallest start of the largest gap
     best, start, high = -math.inf, 0, keys[-1]
     for i in range(len(acts) - 1, -1, -1):
-        if high - keys[i] >= best:
-            best, start = high - keys[i], i
-        high = max(high, keys[i])
-    end = next(j for j in range(start + 1, len(keys)) if keys[j] - keys[start] == best)
-    count, total = 0, 0.0
-    for act in acts[start:end]:
-        if act.mode == mode:
-            count += 1
-            total += act.length
-    return (acts[start].start, acts[end - 1].end), count, total
+        key = keys[i]
+        if high - key >= best:
+            best, start = high - key, i
+        if key > high:
+            high = key
+    end = keys.index(keys[start] + best, start + 1)
+    window = [x for x in lengths[start:end] if x is not None]
+    total = 0.0
+    for x in window:
+        total += x
+    return (acts[start].start, acts[end - 1].end), len(window), total
 
 
 def _checked(sig: SwitchingSignal, worst: float, window: tuple, offset: float) -> WindowCheck:
@@ -232,18 +240,19 @@ def verify_per_activation(sig: SwitchingSignal, bounds: DwellBounds) -> Activati
     for mode in sig.modes:
         if mode not in bounds.lower and mode not in bounds.upper:
             raise ValueError(f"no dwell bounds for mode {mode}")
-    counters = {mode: 0 for mode in sig.modes}
+    counters = dict.fromkeys(sig.modes, 0)
+    lower_of, upper_of = bounds.lower.get, bounds.upper.get
     for act in sig.activations:
-        index = counters[act.mode]
-        counters[act.mode] += 1
-        upper = bounds.upper.get(act.mode)
-        if upper is not None and act.length > upper + TIME_EPS:
-            return ActivationCheck(False, act.mode, index,
-                                   f"activation lasts {act.length:.6g} > {upper:.6g}")
-        lower = bounds.lower.get(act.mode)
-        if lower is not None and not act.censored and act.length < lower - TIME_EPS:
-            return ActivationCheck(False, act.mode, index,
-                                   f"activation lasts {act.length:.6g} < {lower:.6g}")
+        mode, length = act.mode, act.end - act.start
+        upper = upper_of(mode)
+        if upper is not None and length > upper + TIME_EPS:
+            return ActivationCheck(False, mode, counters[mode],
+                                   f"activation lasts {length:.6g} > {upper:.6g}")
+        lower = lower_of(mode)
+        if lower is not None and not act.censored and length < lower - TIME_EPS:
+            return ActivationCheck(False, mode, counters[mode],
+                                   f"activation lasts {length:.6g} < {lower:.6g}")
+        counters[mode] += 1
     return ActivationCheck(True, None, None, "all activations within bounds")
 
 
