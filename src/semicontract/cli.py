@@ -262,7 +262,7 @@ def cmd_signal_check(args) -> int:
     except (ValueError, OSError) as exc:  # a mode without bounds is a ValueError
         return _config_error(exc)
     report = {"per_activation": {"ok": check.ok, "detail": check.reason}}
-    ok = check.ok
+    failure = None if check.ok else check.reason  # the first failed check
     for q in sig.modes:
         lengths = [a.length for a in sig.activations if a.mode == q]
         entry = {"activations": len(lengths), "min_dwell": min(lengths),
@@ -272,13 +272,17 @@ def cmd_signal_check(args) -> int:
                                            ("mdalt", verify_mdalt, bounds.upper, 0.0)):
             if q in taus:
                 res = verify(sig, q, taus[q], offset)
-                entry[kind] = {"ok": res.ok, "tau": taus[q],
+                entry[kind] = {"ok": res.ok, "tau": taus[q], "worst_window": res.worst_window,
+                               "worst_value": res.worst_value,
                                "tightest_offset": res.tightest_offset}
-                ok = ok and res.ok
+                if not (res.ok or failure):
+                    t_a, t_b = res.worst_window
+                    failure = (f"mode {q} {kind} at tau {taus[q]:.6g} fails on window "
+                               f"[{t_a:.6g}, {t_b:.6g}]")
         report[f"mode_{q}"] = entry
     print(json.dumps(report, indent=2))
-    if not ok:
-        print(f"signal check failed: {check.reason}", file=sys.stderr)
+    if failure:
+        print(f"signal check failed: {failure}", file=sys.stderr)
         return VERDICT_EXIT
     return 0
 

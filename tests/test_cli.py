@@ -1087,6 +1087,32 @@ def test_signal_check_builds_the_activations_once_and_scans_once_per_bound(
     assert not hasattr(cli, "tightest_mdalt_offset")
 
 
+def test_signal_check_names_the_failed_average_condition(tmp_path, capsys):
+    # mode 1 lasts 9e-13 s past tau_upper each time: within TIME_EPS of the
+    # per-activation bound, but three of them break the leave-time condition
+    lengths = {1: 0.396 + 9e-13, 2: 0.2}
+    rows, t = [], 0.0
+    for k in range(6):
+        rows.append(f"{t!r},{1 + k % 2}\n")
+        t += lengths[1 + k % 2]
+    signal = tmp_path / "edge.csv"
+    signal.write_text("time,mode\n" + "".join(rows))
+    code = main(["signal", "check", "--signal", str(signal), "--horizon", "1.8",
+                 "--tau-lower", "0.1584", "--tau-upper", "0.396"])
+    captured = capsys.readouterr()
+    checked = strict_json(captured.out)
+    mdalt = checked["mode_1"]["mdalt"]
+    assert code == 1
+    assert checked["per_activation"]["ok"] is True
+    assert mdalt["ok"] is False and mdalt["tightest_offset"] == pytest.approx(-6.8e-12, rel=0.01)
+    sig = signals.read_signal_csv(signal, horizon=1.8)
+    res = signals.verify_mdalt(sig, 1, 0.396, 0.0)
+    assert mdalt["worst_window"] == list(res.worst_window) == [0.0, sig.events[-1][0]]
+    assert mdalt["worst_value"] == res.worst_value
+    assert captured.err == ("signal check failed: mode 1 mdalt at tau 0.396 fails on "
+                            "window [0, 1.588]\n")
+
+
 def readme_commands():
     """The `semicontract ...` commands of the README's CLI block, with
     backslash continuations joined."""
