@@ -275,13 +275,13 @@ def cmd_signal_check(args) -> int:
                 entry[kind] = {"ok": res.ok, "tau": taus[q], "worst_window": res.worst_window,
                                "worst_value": res.worst_value,
                                "tightest_offset": res.tightest_offset}
-                if not (res.ok or failure):
+                if not res.ok and failure is None:
                     t_a, t_b = res.worst_window
                     failure = (f"mode {q} {kind} at tau {taus[q]:.6g} fails on window "
                                f"[{t_a:.6g}, {t_b:.6g}]")
         report[f"mode_{q}"] = entry
     print(json.dumps(report, indent=2))
-    if failure:
+    if failure is not None:
         print(f"signal check failed: {failure}", file=sys.stderr)
         return VERDICT_EXIT
     return 0

@@ -153,8 +153,8 @@ def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
     lengths = [a.end - a.start if a.mode == mode else None for a in acts]
     ratios = [x.as_integer_ratio() for x in (tau, *(x for x in lengths if x is not None))]
     scale = max(den for _, den in ratios)  # every denominator is a power of two
-    tau_int = ratios[0][0] * (scale // ratios[0][1])
-    steps = iter([sign * (tau_int - num * (scale // den)) for num, den in ratios[1:]])
+    tau_int, *length_ints = (num * (scale // den) for num, den in ratios)
+    steps = iter([sign * (tau_int - n) for n in length_ints])
     keys, key = [0], 0
     for x in lengths:
         if x is not None:
