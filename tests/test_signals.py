@@ -359,12 +359,6 @@ def reference_per_activation(sig, bounds):
     return ActivationCheck(True, None, None, "all activations within bounds")
 
 
-def assert_per_activation_matches_reference(sig, bounds):
-    got, want = verify_per_activation(sig, bounds), reference_per_activation(sig, bounds)
-    assert (got.ok, got.mode, got.activation_index, got.reason) == \
-        (want.ok, want.mode, want.activation_index, want.reason)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_per_activation_equals_a_reference_loop_on_random_signals(seed, n_modes):
@@ -378,7 +372,8 @@ def test_per_activation_equals_a_reference_loop_on_random_signals(seed, n_modes)
             lower[q] = float(rng.uniform(0.02, 0.4))
         if kind != 0:
             upper[q] = float(rng.uniform(0.4, 1.3))
-    assert_per_activation_matches_reference(sig, DwellBounds(lower, upper, "test", 0.0))
+    bounds = DwellBounds(lower, upper, "test", 0.0)
+    assert verify_per_activation(sig, bounds) == reference_per_activation(sig, bounds)
 
 
 @settings(max_examples=80, deadline=None)
@@ -396,7 +391,7 @@ def test_per_activation_equals_a_reference_loop_at_the_eps_edges(steps, tail):
     events.append((t, 1 + len(steps) % 2))
     sig = SwitchingSignal(0.0, tuple(events), t + tail + 2 * TIME_EPS)
     bounds = DwellBounds({1: tau_lower, 2: tau_lower}, {1: tau_upper, 2: tau_upper}, "test", 0.0)
-    assert_per_activation_matches_reference(sig, bounds)
+    assert verify_per_activation(sig, bounds) == reference_per_activation(sig, bounds)
 
 
 def test_the_checks_leave_no_per_signal_state_behind():
