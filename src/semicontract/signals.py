@@ -171,7 +171,7 @@ def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
             high = key
     end = keys.index(keys[start] + best, start + 1)
     window = [x for x in lengths[start:end] if x is not None]
-    total = 0.0
+    total = 0.0  # not sum(), which compensates float additions from Python 3.12
     for x in window:
         total += x
     return (acts[start].start, acts[end - 1].end), len(window), total
