@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, frobenius, gen_sym_eig, sym_eig
+from .linalg import PSD_TOL, frobenius, gen_sym_eig
 from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, _project, \
     _reduced_growth, check_invariance, check_separating, projector, reduce_weight
 from .system import Mode, SampleSet, SwitchedSystem
@@ -113,7 +113,8 @@ def _require_same_subspace(w_from: WeightedSeminorm, w_to: WeightedSeminorm):
 def tightest_beta(w_from: WeightedSeminorm, w_to: WeightedSeminorm) -> float:
     """Smallest beta with R_to <= beta R_from: the largest generalized
     eigenvalue of (R_to, R_from)."""
-    _require_same_subspace(w_from, w_to)
+    if w_from.subspace is not w_to.subspace:
+        _require_same_subspace(w_from, w_to)
     if w_from.reduced.shape == (1, 1):
         return float(w_to.reduced[0, 0] / w_from.reduced[0, 0])
     return float(gen_sym_eig(w_to.reduced, w_from.reduced)[-1])
@@ -150,8 +151,7 @@ def tightest_jump_factor(ratios: dict, modes) -> float | None:
 def tightest_m_bounds(w: WeightedSeminorm) -> tuple[float, float]:
     """Extremal eigenvalues of the reduced weight: the tightest constants with
     m_lower * Pi <= P <= m_upper * Pi."""
-    eigs = sym_eig(w.reduced).eigenvalues
-    return float(eigs[0]), float(eigs[-1])
+    return float(w.eigenvalues[0]), float(w.eigenvalues[-1])
 
 
 @dataclass(frozen=True, eq=False)

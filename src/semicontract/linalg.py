@@ -37,9 +37,11 @@ def as_square_symmetric(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     a_t = np.swapaxes(a, -1, -2)
-    scale = np.linalg.norm(a, axis=(-2, -1))
-    if np.any(np.linalg.norm(a - a_t, axis=(-2, -1)) > SYMMETRY_TOL * np.maximum(1.0, scale)):
-        raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL} of its scale")
+    # an exact match passes the norm rule, so only an inexact one needs the norms
+    if not np.array_equal(a, a_t):
+        scale = np.linalg.norm(a, axis=(-2, -1))
+        if np.any(np.linalg.norm(a - a_t, axis=(-2, -1)) > SYMMETRY_TOL * np.maximum(1.0, scale)):
+            raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL} of its scale")
     return (a + a_t) / 2.0
 
 
@@ -68,7 +70,11 @@ def sym_eig(a) -> SymEigResult:
 
 def cholesky(p) -> np.ndarray:
     """Lower-triangular L with L L^T = P. Raises if P is not positive definite."""
-    p = as_square_symmetric(p, "cholesky input")
+    return _cholesky(as_square_symmetric(p, "cholesky input"))
+
+
+def _cholesky(p) -> np.ndarray:
+    # cholesky of an already validated symmetric P
     try:
         return np.linalg.cholesky(p)
     except np.linalg.LinAlgError as exc:
@@ -88,7 +94,7 @@ def gen_sym_eig(s, p) -> np.ndarray:
         raise ValueError(f"dimension mismatch: S is {s.shape}, P is {p.shape}")
     if np.linalg.eigvalsh(p)[0] <= 1e-12 * frobenius(p):
         raise NotPositiveDefiniteError("P is not positive definite at the working tolerance")
-    lower = cholesky(p)
+    lower = _cholesky(p)
     x = _solve_each(lower, s)
     m = np.swapaxes(_solve_each(lower, np.swapaxes(x, -1, -2)), -1, -2)
     return np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)

@@ -70,9 +70,10 @@ class WeightedSeminorm:
     """Positive-semidefinite weight whose kernel is the subspace complement,
     together with its positive-definite reduced block on the subspace."""
 
-    weight: np.ndarray   # (n, n)
+    weight: np.ndarray       # (n, n)
     subspace: Subspace
-    reduced: np.ndarray  # (h, h), basis^T @ weight @ basis
+    reduced: np.ndarray      # (h, h), basis^T @ weight @ basis
+    eigenvalues: np.ndarray  # (h,), the reduced block's, ascending
 
 
 def reduce_weight(p, s: Subspace) -> WeightedSeminorm:
@@ -92,12 +93,12 @@ def reduce_weight(p, s: Subspace) -> WeightedSeminorm:
         )
     reduced = s.basis.T @ p @ s.basis
     reduced = (reduced + reduced.T) / 2.0
-    lam_min = sym_eig(reduced).eigenvalues[0]
-    if lam_min <= 1e-12 * max(1.0, frobenius(reduced)):
+    eigs = sym_eig(reduced).eigenvalues
+    if eigs[0] <= 1e-12 * max(1.0, frobenius(reduced)):
         raise NotPositiveDefiniteError(
-            f"reduced weight block is singular (lambda_min {lam_min:.3e})"
+            f"reduced weight block is singular (lambda_min {eigs[0]:.3e})"
         )
-    return WeightedSeminorm(p, s, reduced)
+    return WeightedSeminorm(p, s, reduced, eigs)
 
 
 def seminorm_eval(proj: Projector, v) -> float:
@@ -124,8 +125,22 @@ def log_seminorm(w: WeightedSeminorm, a):
 
 
 def _project(basis, a) -> np.ndarray:
-    # A11 = B^T A B for one A or each A of a stack; it does not depend on the weight
-    return np.einsum("ia,...ij,jb->...ab", basis, a, basis)
+    # A11 = B^T A B for one A or each A of a stack; it does not depend on the
+    # weight. The bits of np.einsum("ia,...ij,jb->...ab", basis, a, basis):
+    # its n^2 terms (B[i,a] A[i,j]) B[j,b], added in its row-major (i, j)
+    # order onto +0.0, each term over the whole stack with the samples last
+    # and in two buffers that serve every term; returned C-contiguous, as
+    # einsum's result is
+    n, h = basis.shape
+    stack = np.moveaxis(a.reshape(-1, n, n), 0, -1).copy()
+    out = np.zeros((h, h, stack.shape[-1]))
+    half, term = np.empty((h, 1, stack.shape[-1])), np.empty(out.shape)
+    left, right = basis[:, :, None, None], basis[:, None, :, None]
+    for i in range(n):
+        for j in range(n):
+            np.multiply(left[i], stack[i, j], out=half)
+            out += np.multiply(half, right[j], out=term)
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(a.shape[:-2] + (h, h))
 
 
 def _reduced_growth(r, a11):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semicontract.linalg import (
+    SYMMETRY_TOL,
     NotPositiveDefiniteError,
     SymEigResult,
     as_square_symmetric,
@@ -153,6 +155,58 @@ def test_sym_eig_deterministic():
     r1, r2 = sym_eig(a), sym_eig(a)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
+
+
+def norm_rule_symmetric(a, name="matrix"):
+    """Reference for as_square_symmetric: the norm rule on every input, with
+    no shortcut for an exact match."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
+    a_t = np.swapaxes(a, -1, -2)
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    if np.any(np.linalg.norm(a - a_t, axis=(-2, -1)) > SYMMETRY_TOL * np.maximum(1.0, scale)):
+        raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL} of its scale")
+    return (a + a_t) / 2.0
+
+
+def outcome(validate, a):
+    try:
+        out = validate(a, "m")
+    except ValueError as exc:
+        return "error", str(exc)
+    return out.shape, out.tobytes()
+
+
+@st.composite
+def near_symmetric_stacks(draw):
+    """Exactly symmetric stacks, then one entry of one matrix moved so that
+    its asymmetry ||A - A^T||_F lands near SYMMETRY_TOL * max(1, ||A||_F)."""
+    n = draw(st.integers(1, 4))
+    lead = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
+    elements = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 1e150])
+    half = draw(hnp.arrays(float, lead + (n, n), elements=elements))
+    a = np.triu(half) + np.swapaxes(np.triu(half, 1), -1, -2)
+    if n > 1 and draw(st.booleans()):
+        where = draw(st.tuples(*(st.integers(0, k - 1) for k in lead))) if lead else ()
+        target = a[where]
+        # a[i, j] + d has asymmetry sqrt(2) |d| in the Frobenius norm
+        ratio = draw(st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0]) | st.floats(0.0, 3.0))
+        bound = SYMMETRY_TOL * max(1.0, np.linalg.norm(target))
+        target[0, n - 1] += draw(st.sampled_from([1.0, -1.0])) * ratio * bound / math.sqrt(2.0)
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_symmetric_stacks() | hnp.arrays(
+    float, hnp.array_shapes(min_dims=1, max_dims=4, max_side=3),
+    elements=st.floats(allow_infinity=True, allow_nan=True)))
+def test_as_square_symmetric_follows_the_norm_rule(a):
+    # the same bytes, or the same ValueError, as the rule without the shortcut
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome(as_square_symmetric, a) == outcome(norm_rule_symmetric, a)
 
 
 def test_sym_eig_rejects_bad_input():

@@ -193,6 +193,19 @@ def test_analyze_computes_each_array_once(monkeypatch, bundle4d):
     assert strip_time(second) == strip_time(first)
 
 
+def test_analyze_solves_each_reduced_weight_once(monkeypatch, bundle4d):
+    samples = make_samples(bundle4d, 5, None, 0)
+    calls = count_calls(monkeypatch, linalg, "sym_eig")
+    analyze(bundle4d, samples, search_weights=True)
+    # per subspace, reduce_weight solves the unit weight and each mode's
+    # weight once, and the m-bounds read those eigenvalues back; the two 4 x 4
+    # solves are the separating test, once by the report and once by
+    # dwell_bounds_family
+    shapes = [np.shape(a) for a, in calls]
+    assert shapes.count((2, 2)) == 2 * (1 + len(bundle4d.system.modes)) == 6
+    assert shapes.count((4, 4)) == 2 and len(shapes) == 8
+
+
 def test_a_later_analysis_sees_changed_sample_points(bundle4d):
     samples = make_samples(bundle4d, 5, None, 0)
     before = analyze(bundle4d, samples, search_weights=True)

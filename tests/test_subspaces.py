@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semicontract.expr import parse_expr
 from semicontract.linalg import NotPositiveDefiniteError, frobenius
 from semicontract.subspaces import (
+    _project,
     check_invariance,
     check_separating,
     log_seminorm,
@@ -187,6 +189,42 @@ def test_log_seminorm_identity_weight_is_l2_measure_of_reduced_block():
         a11 = s.basis.T @ a @ s.basis
         expected = float(np.max(np.linalg.eigvalsh((a11 + a11.T) / 2.0)))
         assert log_seminorm(w, a) == pytest.approx(expected, abs=1e-8)
+
+
+# entries with both zeros, infinities, NaN and magnitudes from subnormal to
+# near overflow, so that the sign of a zero sum and every overflow count
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def basis_and_stack(draw):
+    n = draw(st.integers(1, 5))
+    h = draw(st.integers(1, n))
+    lead = draw(st.sampled_from([(), (0,), (1,), (7,), (2, 3), (0, 2)]))
+    basis = draw(hnp.arrays(float, (n, h), elements=EDGE_FLOATS))
+    return basis, draw(hnp.arrays(float, lead + (n, n), elements=EDGE_FLOATS))
+
+
+def canonical_nan(x):
+    return np.where(np.isnan(x), np.nan, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(basis_and_stack())
+def test_project_has_the_bits_of_einsum(case):
+    basis, a = case
+    with np.errstate(all="ignore"):
+        got = _project(basis, a)
+        want = np.einsum("ia,...ij,jb->...ab", basis, a, basis)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    # bytes, so that the sign of a zero counts
+    if not (np.isnan(basis).any() or np.isnan(a).any()):
+        assert got.tobytes() == want.tobytes()
+    # a NaN operand that meets another NaN in a sum keeps whichever operand the
+    # compiled loop reads first, which einsum does not fix either; the package
+    # never projects a non-finite stack (eval_jacobian rejects one)
+    assert canonical_nan(got).tobytes() == canonical_nan(want).tobytes()
 
 
 def test_log_seminorm_scale_invariance():
