@@ -79,9 +79,9 @@ def tightest_eta(mode: Mode, w: WeightedSeminorm, samples: SampleSet) -> float:
 @dataclass(frozen=True, eq=False)
 class RateCheck:
     ok: bool
-    sup_growth: float
+    value: float           # sup over samples of the reduced rate
     bound: float           # -eta for the stable check, +eta for the unstable one
-    margin: float          # bound + tolerance - sup_growth
+    margin: float          # bound + tolerance - value
     tolerance: float
     worst_point: np.ndarray
 
@@ -261,8 +261,9 @@ class DecayConstants:
 def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
                     tau_upper: float | None) -> DecayConstants:
     """Decay rate and prefactors for average dwell times satisfying the bounds
-    strictly: tau_lower above the stable bound, tau_upper below the unstable one.
-    The chatter bounds of both average-dwell conditions are 1."""
+    strictly: tau_lower above the stable bound, tau_upper below the unstable one;
+    tau_lower may be None only at beta_S = 1, tau_upper only without expanding
+    modes. The chatter bounds of both average-dwell conditions are 1."""
     terms = []
     log_sum = 0.0
     if cert.stable_modes:
@@ -270,7 +271,9 @@ def decay_constants(cert: SubspaceCertificate, tau_lower: float | None,
         eta = cert.eta_stable
         if eta is None:
             raise ValueError("certificate has no stable rate")
-        jump = math.log(beta) / tau_lower if (tau_lower is not None and beta > 1.0) else 0.0
+        if tau_lower is None and beta > 1.0:
+            raise ValueError("a stable jump factor above 1 needs an average dwell time")
+        jump = math.log(beta) / tau_lower if beta > 1.0 else 0.0
         term = -2.0 * eta + jump
         if term >= 0:
             raise InfeasibleError("average dwell time violates the stable bound")
@@ -402,7 +405,8 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
             ratio = ESCALATION
         if ratio <= 1.0:
             raise InfeasibleError("escalation ratio must exceed 1 for a strict drop")
-    weights = {m.id: reduce_weight((ratio if m.id in unstable else 1.0) * pi, s)
+    # a mode at ratio 1 keeps the unit weight: 1.0 * pi has the bits of pi
+    weights = {m.id: reduce_weight(ratio * pi, s) if m.id in unstable else unit
                for m in system.modes}
     return _certificate(system, s, weights, invariance, samples, beta_stable,
                         beta_unstable, eta_stable, eta_unstable)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -17,18 +17,18 @@ from .certificates import (
     DwellBounds,
     InfeasibleError,
     NotInvariantError,
+    _per_tag_bounds,
     build_certificate,
     check_rate,
     coupling_check,
     decay_constants,
-    dwell_bounds_family,
     dwell_bounds_subspace,
     search_scalar_weights,
     tightest_eta,
     tightest_jump_factor,
 )
 from .linalg import PSD_TOL
-from .subspaces import INVARIANCE_TOL, check_separating, projector
+from .subspaces import check_separating, projector
 from .system import ConfigBundle, ConfigError, SampleSet, sample_domain
 
 SCHEMA_VERSION = 1
@@ -83,17 +83,9 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
         verdicts.append({"name": check, "ok": bool(ok)})
 
     def invariance_section(name, invariance) -> dict:
-        section = {}
         for mode in system.modes:
-            inv = invariance[mode.id]
-            record(f"{name}:invariance:mode{mode.id}", inv.ok)
-            section[str(mode.id)] = {
-                "ok": inv.ok,
-                "worst_residual": inv.worst_residual,
-                "worst_point": inv.worst_point.tolist(),
-                "tolerance": INVARIANCE_TOL,
-            }
-        return section
+            record(f"{name}:invariance:mode{mode.id}", invariance[mode.id].ok)
+        return {str(mode.id): _fields(invariance[mode.id]) for mode in system.modes}
 
     sections = []
     certs = {}
@@ -116,20 +108,12 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
             rate = check_rate(mode, cert.weights[mode.id], eta, tag == "S", samples, tol)
             record(f"{name}:rate:mode{mode.id}", rate.ok)
             # the certificate's sup_growth[q], read back from samples
-            tight = tightest_eta(mode, cert.weights[mode.id], samples)
-            tightest[mode.id] = tight
+            tightest[mode.id] = tightest_eta(mode, cert.weights[mode.id], samples)
             section["modes"][str(mode.id)] = {
                 "tag": tag,
                 "sup_growth": cert.sup_growth[mode.id],
-                "tightest_eta": tight,
-                "rate_check": {
-                    "ok": rate.ok,
-                    "value": rate.sup_growth,
-                    "bound": rate.bound,
-                    "margin": rate.margin,
-                    "tolerance": rate.tolerance,
-                    "worst_point": rate.worst_point.tolist(),
-                },
+                "tightest_eta": tightest[mode.id],
+                "rate_check": _fields(rate),
             }
         for (q, r), ratio in cert.jump_ratios.items():
             tag = cert.tags[q]
@@ -138,14 +122,8 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
                 continue
             coupling = coupling_check(ratio, beta)
             record(f"{name}:coupling:{q}->{r}", coupling.ok)
-            section["coupling"][f"{q}->{r}"] = {
-                "ok": coupling.ok,
-                "exited_tag": tag,
-                "ratio": coupling.ratio,
-                "bound": coupling.bound,
-                "margin": coupling.margin,
-                "tolerance": coupling.tolerance,
-            }
+            section["coupling"][f"{q}->{r}"] = {"ok": coupling.ok, "exited_tag": tag,
+                                                **_fields(coupling)}
         stable_ids = cert.stable_modes
         unstable_ids = cert.unstable_modes
         section["constants"] = {
@@ -173,21 +151,15 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
         ),
     }
     if separating:
-        bounds = dwell_bounds_family(certs.values(), margin=margin)
+        # the aggregation dwell_bounds_family makes after its own separating test
+        bounds = _per_tag_bounds(list(certs.values()), margin, "family-aggregated")
         family["dwell_bounds"] = _bounds_section(bounds)
         lowers = list(bounds.lower.values())
         uppers = list(bounds.upper.values())
         if lowers and uppers and max(lowers) < min(uppers):
             reference = 0.5 * (max(lowers) + min(uppers))
-            decay = {}
-            for name, cert in certs.items():
-                dc = decay_constants(cert, reference, reference)
-                decay[name] = {
-                    "value_rate": dc.value_rate,
-                    "value_prefactor": dc.value_prefactor,
-                    "norm_prefactor": dc.norm_prefactor,
-                    "norm_rate": dc.norm_rate,
-                }
+            decay = {name: _fields(decay_constants(cert, reference, reference))
+                     for name, cert in certs.items()}
             family["decay_at_reference_dwell"] = {
                 "reference_dwell": reference,
                 "per_subspace": decay,
@@ -216,6 +188,12 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
         "verdicts": verdicts,
         "all_pass": all(v["ok"] for v in verdicts),
     }
+
+
+def _fields(check) -> dict:
+    # a check record's fields in declaration order, arrays as lists
+    values = {f.name: getattr(check, f.name) for f in fields(check)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def _bounds_section(bounds: DwellBounds) -> dict:

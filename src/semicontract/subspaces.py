@@ -156,6 +156,7 @@ class InvarianceResult:
     ok: bool
     worst_residual: float  # max over samples of residual / max(1, ||A(x)||_F)
     worst_point: np.ndarray
+    tolerance: float = INVARIANCE_TOL
 
 
 def check_invariance(mode, s: Subspace, samples) -> InvarianceResult:

@@ -104,7 +104,7 @@ def test_check_rate_stable_mode_accepts_published_eta(bundle, grid41, weights):
     res = check_rate(bundle.system.mode(1), weights["diag"][1], eta=1.5, stable=True,
                      samples=grid41)
     assert res.ok
-    assert res.sup_growth <= -1.5
+    assert res.value <= -1.5
 
 
 def test_check_rate_simple_decay(grid41):
@@ -350,6 +350,15 @@ def test_decay_constants_single_stable_mode(grid41, bundle):
     dc = decay_constants(cert, tau_lower=None, tau_upper=None)
     assert dc.value_rate == pytest.approx(2.0)
     assert dc.norm_prefactor == pytest.approx(1.0)
+
+
+def test_decay_constants_need_a_dwell_time_when_stable_jumps_grow(bundle, grid41, weights):
+    # with beta_S > 1 the stable term is -2 eta + ln(beta_S)/tau_lower; without
+    # tau_lower it would be the rate of an infinitely long dwell
+    cert = certificate_for(bundle, grid41, weights, "diag", (1, 2))
+    assert cert.beta_stable > 1.0
+    with pytest.raises(ValueError, match="needs an average dwell time"):
+        decay_constants(cert, tau_lower=None, tau_upper=0.35)
 
 
 def test_decay_constants_boundary_behaviour(bundle, grid41, weights):

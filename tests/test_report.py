@@ -197,13 +197,21 @@ def test_analyze_solves_each_reduced_weight_once(monkeypatch, bundle4d):
     samples = make_samples(bundle4d, 5, None, 0)
     calls = count_calls(monkeypatch, linalg, "sym_eig")
     analyze(bundle4d, samples, search_weights=True)
-    # per subspace, reduce_weight solves the unit weight and each mode's
-    # weight once, and the m-bounds read those eigenvalues back; the two 4 x 4
-    # solves are the separating test, once by the report and once by
-    # dwell_bounds_family
+    # per subspace, reduce_weight solves the unit weight, which the stable
+    # mode keeps, and the expanding mode's escalated weight, and the m-bounds
+    # read those eigenvalues back; the one 4 x 4 solve is the separating test
     shapes = [np.shape(a) for a, in calls]
-    assert shapes.count((2, 2)) == 2 * (1 + len(bundle4d.system.modes)) == 6
-    assert shapes.count((4, 4)) == 2 and len(shapes) == 8
+    assert shapes.count((2, 2)) == 4
+    assert shapes.count((4, 4)) == 1 and len(shapes) == 5
+
+
+def test_analyze_runs_the_separating_test_once(monkeypatch, bundle4d):
+    samples = make_samples(bundle4d, 5, None, 0)
+    calls = count_calls(monkeypatch, subspaces, "check_separating")
+    report = analyze(bundle4d, samples, search_weights=True)
+    # its verdict decides family:separating, and the family bounds follow
+    assert len(calls) == 1
+    assert report["family"]["separating"] and "dwell_bounds" in report["family"]
 
 
 def test_a_later_analysis_sees_changed_sample_points(bundle4d):
