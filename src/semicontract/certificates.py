@@ -201,28 +201,28 @@ class DwellBounds:
 def dwell_bounds_subspace(cert: SubspaceCertificate, margin: float = 0.0) -> DwellBounds:
     """Dwell bounds from one subspace certificate: tau_lower = ln(beta_S)/(2 eta_S)
     for S modes and tau_upper = -ln(beta_U)/(2 eta_U) for U modes."""
-    return _per_tag_bounds([cert], margin, "per-subspace")
+    return family_bounds([cert], margin, "per-subspace")
 
 
 def dwell_bounds_family(certs, margin: float = 0.0) -> DwellBounds:
-    """Aggregate dwell bounds over a separating family of subspace certificates.
-
-    Per-tag aggregation (example-consistent interpretation): a mode's dwell
-    bound uses max ln(beta) and min eta over the subspaces where it carries
-    that tag, so a mode that is semi-contracting on one subspace and expanding
-    on another carries both bounds.
-    """
+    """family_bounds over a family of subspace certificates that must be
+    separating; InfeasibleError if it is not."""
     certs = list(certs)
     if not certs:
         raise ValueError("empty certificate list")
     if not check_separating([projector(c.subspace) for c in certs]):
         raise InfeasibleError("subspace seminorms do not form a separating family")
-    return _per_tag_bounds(certs, margin, "family-aggregated")
+    return family_bounds(certs, margin)
 
 
-def _per_tag_bounds(certs, margin: float, provenance: str) -> DwellBounds:
-    # the per-tag aggregation of dwell_bounds_family; over one certificate it
-    # gives that certificate's own bounds, as max([x]) and min([x]) are x
+def family_bounds(certs, margin: float = 0.0,
+                  provenance: str = "family-aggregated") -> DwellBounds:
+    """Per-tag aggregation (example-consistent interpretation): a mode's dwell
+    bound uses max ln(beta) and min eta over the certificates where it carries
+    that tag, so a mode that is semi-contracting on one subspace and expanding
+    on another carries both bounds. Over one certificate it gives that
+    certificate's own bounds. It does not test that the family separates."""
+    certs = list(certs)
     lower = {}
     upper = {}
     for q in sorted({q for c in certs for q in c.tags}):

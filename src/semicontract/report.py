@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -17,12 +17,12 @@ from .certificates import (
     DwellBounds,
     InfeasibleError,
     NotInvariantError,
-    _per_tag_bounds,
     build_certificate,
     check_rate,
     coupling_check,
     decay_constants,
     dwell_bounds_subspace,
+    family_bounds,
     search_scalar_weights,
     tightest_eta,
     tightest_jump_factor,
@@ -151,8 +151,7 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
         ),
     }
     if separating:
-        # the aggregation dwell_bounds_family makes after its own separating test
-        bounds = _per_tag_bounds(list(certs.values()), margin, "family-aggregated")
+        bounds = family_bounds(certs.values(), margin)
         family["dwell_bounds"] = _bounds_section(bounds)
         lowers = list(bounds.lower.values())
         uppers = list(bounds.upper.values())
@@ -191,9 +190,9 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
 
 
 def _fields(check) -> dict:
-    # a check record's fields in declaration order, arrays as lists
-    values = {f.name: getattr(check, f.name) for f in fields(check)}
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+    # a check record's fields in declaration order, arrays as lists; vars(), as
+    # each dataclasses.fields call parks a tuple in CPython's tuple free list
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(check).items()}
 
 
 def _bounds_section(bounds: DwellBounds) -> dict:

@@ -156,7 +156,7 @@ class InvarianceResult:
     ok: bool
     worst_residual: float  # max over samples of residual / max(1, ||A(x)||_F)
     worst_point: np.ndarray
-    tolerance: float = INVARIANCE_TOL
+    tolerance: float
 
 
 def check_invariance(mode, s: Subspace, samples) -> InvarianceResult:
@@ -175,7 +175,7 @@ def check_invariance(mode, s: Subspace, samples) -> InvarianceResult:
     ratios = residuals / scales
     worst = int(np.argmax(ratios))
     return InvarianceResult(bool(ratios[worst] <= INVARIANCE_TOL), float(ratios[worst]),
-                            samples.points[worst])
+                            samples.points[worst], INVARIANCE_TOL)
 
 
 def check_separating(projectors) -> bool:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from semicontract.certificates import (
     decay_constants,
     dwell_bounds_family,
     dwell_bounds_subspace,
+    family_bounds,
     growth_values,
     search_scalar_weights,
     tightest_beta,
@@ -312,6 +314,16 @@ def test_dwell_bounds_family_singleton_matches_subspace(bundle, grid41, weights)
     agg = dwell_bounds_family([cert_full])
     solo = dwell_bounds_subspace(cert_full)
     assert agg.lower == solo.lower and agg.upper == solo.upper
+
+
+def test_family_bounds_is_dwell_bounds_family_without_its_separating_test(
+        bundle, grid41, weights):
+    cert_diag = certificate_for(bundle, grid41, weights, "diag", (1, 2))
+    cert_anti = certificate_for(bundle, grid41, weights, "anti", (1, 2))
+    assert family_bounds([cert_diag, cert_anti]) == dwell_bounds_family([cert_diag, cert_anti])
+    # one rank-1 subspace does not separate the plane; family_bounds does not ask
+    solo = dwell_bounds_subspace(cert_diag)
+    assert family_bounds([cert_diag]) == replace(solo, provenance="family-aggregated")
 
 
 def test_dwell_bounds_family_equal_constants_match_single(bundle, grid41, weights):
