@@ -5,7 +5,7 @@ search."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,18 +45,19 @@ class NotInvariantError(InfeasibleError):
 
 def growth_values(mode: Mode, w: WeightedSeminorm, samples: SampleSet) -> np.ndarray:
     """Weighted log-seminorm of the mode Jacobian at every sample point: the
-    bits of log_seminorm(w, samples.jacobians(mode)), as the sample set's
-    read-only array for (subspace, mode, reduced weight). It is computed on
-    the first call, from the set's one projection of the mode's stack on the
-    subspace, and returned as is on every later one.
+    bits of log_seminorm under w.rate_block, as the sample set's read-only
+    array for (subspace, mode, rate block), so a scalar multiple c Pi of Pi
+    reads Pi's array. It is computed on the first call, from the set's one
+    projection of the mode's stack on the subspace, and returned as is on
+    every later one.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
     basis = w.subspace.basis
     a11 = samples.computed((mode, basis.tobytes()),
                            lambda: _project(basis, samples.jacobians(mode)))
-    return samples.computed((mode, basis.tobytes(), w.reduced.tobytes()),
-                            lambda: _reduced_growth(w.reduced, a11))
+    return samples.computed((mode, basis.tobytes(), w.rate_block.tobytes()),
+                            lambda: _reduced_growth(w.rate_block, a11))
 
 
 def classify_mode(mode: Mode, w: WeightedSeminorm, samples: SampleSet):
@@ -369,15 +370,16 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
                           eta_unstable: float | None = None) -> SubspaceCertificate:
     """Search scalar weights p_q * Pi over the given subspace.
 
-    Classification and rates are weight-independent for scalar weights, so the
-    search only has to order the scales: every switch out of an expanding mode
-    must strictly drop the weight. That is feasible iff at most one mode is
-    expanding on this subspace (two expanding modes need each other's weight to
-    be strictly smaller). Semi-contracting modes share weight 1 and the
-    expanding mode, if present, gets the escalation ratio: the stable jump
-    factor when one is supplied (so configured constants are reproduced
-    exactly), the reciprocal of a supplied unstable jump factor, otherwise
-    ESCALATION.
+    Classification and rates are weight-independent for scalar weights: every
+    weight reads the growth arrays of the unit weight Pi, the arrays that
+    classify the modes. So the search only has to order the scales: every
+    switch out of an expanding mode must strictly drop the weight. That is
+    feasible iff at most one mode is expanding on this subspace (two expanding
+    modes need each other's weight to be strictly smaller). Semi-contracting
+    modes share weight 1 and the expanding mode, if present, gets the
+    escalation ratio: the stable jump factor when one is supplied (so
+    configured constants are reproduced exactly), the reciprocal of a
+    supplied unstable jump factor, otherwise ESCALATION.
     """
     pi = projector(s).matrix
     unit = reduce_weight(pi, s)
@@ -406,7 +408,7 @@ def search_scalar_weights(system: SwitchedSystem, s: Subspace, samples: SampleSe
         if ratio <= 1.0:
             raise InfeasibleError("escalation ratio must exceed 1 for a strict drop")
     # a mode at ratio 1 keeps the unit weight: 1.0 * pi has the bits of pi
-    weights = {m.id: reduce_weight(ratio * pi, s) if m.id in unstable else unit
-               for m in system.modes}
+    weights = {m.id: replace(reduce_weight(ratio * pi, s), rate_block=unit.reduced)
+               if m.id in unstable else unit for m in system.modes}
     return _certificate(system, s, weights, invariance, samples, beta_stable,
                         beta_unstable, eta_stable, eta_unstable)

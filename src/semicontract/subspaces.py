@@ -68,12 +68,18 @@ def projector(s: Subspace) -> Projector:
 @dataclass(frozen=True, eq=False)
 class WeightedSeminorm:
     """Positive-semidefinite weight whose kernel is the subspace complement,
-    together with its positive-definite reduced block on the subspace."""
+    together with its positive-definite reduced block on the subspace.
+
+    Its growth rates are read under rate_block: its own reduced block, as
+    reduce_weight sets it, or the block of a weight it is a positive multiple
+    of. A weight c P gives the seminorm of P scaled by sqrt(c), so both have
+    the same log-seminorm."""
 
     weight: np.ndarray       # (n, n)
     subspace: Subspace
     reduced: np.ndarray      # (h, h), basis^T @ weight @ basis
     eigenvalues: np.ndarray  # (h,), the reduced block's, ascending
+    rate_block: np.ndarray   # (h, h), reduced or reduced / c for some c > 0
 
 
 def reduce_weight(p, s: Subspace) -> WeightedSeminorm:
@@ -98,7 +104,7 @@ def reduce_weight(p, s: Subspace) -> WeightedSeminorm:
         raise NotPositiveDefiniteError(
             f"reduced weight block is singular (lambda_min {eigs[0]:.3e})"
         )
-    return WeightedSeminorm(p, s, reduced, eigs)
+    return WeightedSeminorm(p, s, reduced, eigs, reduced)
 
 
 def seminorm_eval(proj: Projector, v) -> float:
@@ -114,7 +120,8 @@ def log_seminorm(w: WeightedSeminorm, a):
     A is one (n, n) matrix (returns a float) or a stack (m, n, n) (returns an
     (m,) array); a stack shares one factorization of R. It computes afresh
     on every call; certificates.growth_values runs the same two steps once
-    per sample set, (subspace, mode) and reduced weight.
+    per sample set, (subspace, mode) and rate block, so that a scalar
+    multiple c Pi of Pi reads Pi's array.
     """
     a = np.asarray(a, dtype=float)
     n = w.subspace.ambient

@@ -180,12 +180,12 @@ def test_analyze_computes_each_array_once(monkeypatch, bundle4d):
     counts = count_analysis_work(monkeypatch)
     first = analyze(bundle4d, samples, search_weights=True)
     once = counts(samples)
-    # 2 modes, 2 subspaces x 2 modes; the stable modes share the unit
-    # weight's values, so only the escalated unstable weight adds a solve;
-    # every growth_values call stays, as memo hits
+    # 2 modes, 2 subspaces x 2 modes; the escalated unstable weight reads the
+    # unit weight's values, so each (subspace, mode) has one solve; every
+    # growth_values call stays, as memo hits
     assert once["full_grid_jacobians"] == len(bundle4d.system.modes) == 2
     assert once["projections"] == 4
-    assert once["stacked_eigensolves"] <= 6
+    assert once["stacked_eigensolves"] == 4
     assert once["growth_values"] == 16
     # the memo ends with the call: a second analysis does all the work again
     second = analyze(bundle4d, samples, search_weights=True)
@@ -203,6 +203,19 @@ def test_analyze_solves_each_reduced_weight_once(monkeypatch, bundle4d):
     shapes = [np.shape(a) for a, in calls]
     assert shapes.count((2, 2)) == 4
     assert shapes.count((4, 4)) == 1 and len(shapes) == 5
+
+
+def test_a_search_analysis_computes_one_growth_array_per_subspace_and_mode(
+        monkeypatch, bundle4d):
+    samples = make_samples(bundle4d, 5, None, 0)
+    calls = count_calls(monkeypatch, linalg, "gen_sym_eig")
+    certs = certificates_from_report(bundle4d, samples, search_weights=True)
+    analyze(bundle4d, samples, search_weights=True, certs=certs)
+    stacked = [np.shape(s) for s, _ in calls if np.ndim(s) == 3]
+    assert stacked == [(625, 2, 2)] * 4
+    # 2 Jacobian stacks, 2 subspaces x 2 modes of projections and of growth
+    assert len(samples._arrays) == 10
+    assert sum(len(key) == 3 for key in samples._arrays) == 4
 
 
 def test_analyze_runs_the_separating_test_once(monkeypatch, bundle4d):
@@ -261,6 +274,27 @@ def test_the_report_reads_each_certificates_growth(name, grid, search_weights):
             w = cert.weights[mode.id]
             assert section["modes"][str(mode.id)]["tightest_eta"] \
                 == tightest_eta(mode, w, samples) == cert.sup_growth[mode.id]
+
+
+@pytest.mark.parametrize("name, grid", [("saddle2d", 11), ("saddle4d", 5)])
+def test_a_search_certificate_reads_the_unit_weights_classification(name, grid):
+    source = load_config(bundled_config_path(name))
+    samples = make_samples(source, grid, None, 0)
+    certs = certificates_from_report(source, samples, search_weights=True)
+    for cert in certs.values():
+        unit = reduce_weight(projector(cert.subspace).matrix, cert.subspace)
+        for mode in source.system.modes:
+            q = mode.id
+            # a fresh sample set, so the unit weight's array is computed anew
+            tag, sup = certificates.classify_mode(mode, unit, replace(samples))
+            assert (cert.tags[q], cert.sup_growth[q]) == (tag, sup)
+            # the expanding mode's weight is escalated, yet reads the unit growth
+            w = cert.weights[q]
+            assert (w.reduced[0, 0] > unit.reduced[0, 0]) == (tag == "U")
+            eta = cert.eta_stable if tag == "S" else cert.eta_unstable
+            assert certificates.check_rate(mode, w, eta, tag == "S", samples).value == sup
+            fresh = float(np.max(log_seminorm(w, samples.jacobians(mode))))
+            assert abs(fresh - sup) <= 8 * np.spacing(abs(sup))
 
 
 def test_sample_sets_with_equal_points_share_no_arrays(bundle):
