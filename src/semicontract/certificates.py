@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import PSD_TOL, frobenius, gen_sym_eig
-from .subspaces import InvarianceResult, Subspace, WeightedSeminorm, _project, \
+from .subspaces import Subspace, WeightedSeminorm, _project, \
     _reduced_growth, check_invariance, check_separating, projector, reduce_weight
 from .system import Mode, SampleSet, SwitchedSystem
 
@@ -149,12 +149,6 @@ def tightest_jump_factor(ratios: dict, modes) -> float | None:
     return max((v for (q, _), v in ratios.items() if q in modes), default=None)
 
 
-def tightest_m_bounds(w: WeightedSeminorm) -> tuple[float, float]:
-    """Extremal eigenvalues of the reduced weight: the tightest constants with
-    m_lower * Pi <= P <= m_upper * Pi."""
-    return float(w.eigenvalues[0]), float(w.eigenvalues[-1])
-
-
 @dataclass(frozen=True, eq=False)
 class SubspaceCertificate:
     """Weights and constants certifying contraction of the switched flow on one
@@ -169,8 +163,8 @@ class SubspaceCertificate:
     beta_unstable: float | None  # jump factor leaving an expanding mode (in (0,1))
     eta_stable: float | None     # decay rate on semi-contracting modes (> 0)
     eta_unstable: float | None   # growth bound on expanding modes (> 0)
-    m_lower: float
-    m_upper: float
+    m_lower: float           # tightest with m_lower Pi <= P_q <= m_upper Pi for all q:
+    m_upper: float           # the extremal eigenvalues of the reduced weights
     invariance: dict         # mode id -> InvarianceResult of the complement hypothesis
     jump_ratios: dict        # (q, r) -> tightest_beta(weights[q], weights[r]), q != r
 
@@ -199,12 +193,6 @@ class DwellBounds:
                    # the boundary values of the open inequalities
 
 
-def dwell_bounds_subspace(cert: SubspaceCertificate, margin: float = 0.0) -> DwellBounds:
-    """Dwell bounds from one subspace certificate: tau_lower = ln(beta_S)/(2 eta_S)
-    for S modes and tau_upper = -ln(beta_U)/(2 eta_U) for U modes."""
-    return family_bounds([cert], margin, "per-subspace")
-
-
 def dwell_bounds_family(certs, margin: float = 0.0) -> DwellBounds:
     """family_bounds over a family of subspace certificates that must be
     separating; InfeasibleError if it is not."""
@@ -216,8 +204,7 @@ def dwell_bounds_family(certs, margin: float = 0.0) -> DwellBounds:
     return family_bounds(certs, margin)
 
 
-def family_bounds(certs, margin: float = 0.0,
-                  provenance: str = "family-aggregated") -> DwellBounds:
+def family_bounds(certs, margin: float = 0.0) -> DwellBounds:
     """Per-tag aggregation (example-consistent interpretation): a mode's dwell
     bound uses max ln(beta) and min eta over the certificates where it carries
     that tag, so a mode that is semi-contracting on one subspace and expanding
@@ -244,7 +231,7 @@ def family_bounds(certs, margin: float = 0.0,
             beta = min(max(betas) * (1.0 + margin), 1.0 - 1e-15)
             eta = min(etas) * (1.0 + margin)
             upper[q] = -math.log(beta) / (2.0 * eta)
-    return DwellBounds(lower, upper, provenance, margin)
+    return DwellBounds(lower, upper, "family-aggregated", margin)
 
 
 @dataclass(frozen=True)
@@ -354,12 +341,13 @@ def _certificate(system, s, weights, invariance, samples, beta_stable, beta_unst
         eta_stable = min(-sups[q] for q in stable)
     if eta_unstable is None and unstable:
         eta_unstable = max(max(sups[q] for q in unstable), 1e-300)
-    m_lowers, m_uppers = zip(*(tightest_m_bounds(w) for w in weights.values()))
     return SubspaceCertificate(
         subspace=s, weights=weights, tags=tags, sup_growth=sups,
         beta_stable=beta_stable, beta_unstable=beta_unstable,
         eta_stable=eta_stable, eta_unstable=eta_unstable,
-        m_lower=min(m_lowers), m_upper=max(m_uppers), invariance=invariance, jump_ratios=ratios,
+        m_lower=min(float(w.eigenvalues[0]) for w in weights.values()),
+        m_upper=max(float(w.eigenvalues[-1]) for w in weights.values()),
+        invariance=invariance, jump_ratios=ratios,
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError
 from .ioutil import atomic_write_json
 from .linalg import PSD_TOL
-from .report import analyze, bounds_from_report, config_digest, make_samples
+from .report import analyze, bounds_from_report, config_digest
 from .reproduce import run_reproduction
 from .signals import (
     TIME_EPS,
@@ -27,7 +27,7 @@ from .signals import (
     write_signal_csv,
 )
 from .sim import RateWindowError, run_simulation, write_traces
-from .system import ConfigError, load_config
+from .system import ConfigError, load_config, sample_domain
 from .testdata import bundled_config_path
 
 CONFIG_EXIT = 2
@@ -111,7 +111,7 @@ def cmd_analyze(args) -> int:
         bundle = _load(args)
     except ConfigError as exc:
         return _config_error(exc)
-    samples = make_samples(bundle, args.grid, args.samples, args.seed)
+    samples = sample_domain(bundle.system, args.grid, args.samples, args.seed)
     try:
         report = analyze(bundle, samples, tol=args.tol, margin=args.margin,
                          search_weights=args.search_weights)
@@ -239,6 +239,10 @@ def cmd_signal_gen(args) -> int:
     else:
         try:
             bounds = _bounds_from_args(args, args.modes)
+            # a mode the report does not bound would be drawn unbounded
+            unbounded = [q for q in args.modes if q not in bounds.lower and q not in bounds.upper]
+            if args.bounds_from and unbounded:
+                raise ConfigError(f"report has no dwell bounds for mode {unbounded[0]}")
             sig = generate_random(args.modes, bounds, args.t0, args.horizon, seed=args.seed or 0)
         except ConfigError as exc:
             return _config_error(exc)

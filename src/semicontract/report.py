@@ -21,7 +21,6 @@ from .certificates import (
     check_rate,
     coupling_check,
     decay_constants,
-    dwell_bounds_subspace,
     family_bounds,
     search_scalar_weights,
     tightest_eta,
@@ -29,7 +28,7 @@ from .certificates import (
 )
 from .linalg import PSD_TOL
 from .subspaces import check_separating, projector
-from .system import ConfigBundle, ConfigError, SampleSet, sample_domain
+from .system import ConfigBundle, ConfigError, SampleSet
 
 SCHEMA_VERSION = 1
 SAMPLED_EVIDENCE_NOTE = (
@@ -41,18 +40,6 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-
-
-def make_samples(bundle: ConfigBundle, grid: int | None, random_count: int | None,
-                 seed: int) -> SampleSet:
-    """The requested grid and random points; without either, a grid of 21 per
-    axis up to dimension 3, otherwise 1000 seeded random points."""
-    if grid is None and random_count is None:
-        if bundle.system.dimension <= 3:
-            return sample_domain(bundle.system, grid_per_axis=21, seed=seed)
-        return sample_domain(bundle.system, random_count=1000, seed=seed)
-    return sample_domain(bundle.system, grid_per_axis=grid or 0,
-                         random_count=random_count or 0, seed=seed)
 
 
 def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
@@ -71,11 +58,6 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
     if certs is None:
         samples = replace(samples)
         certs = certificates_from_report(bundle, samples, search_weights)
-    return _analysis_report(bundle, samples, tol, margin, search_weights, certs)
-
-
-def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> dict:
-    # results: subspace name -> certificate, or the NotInvariantError without one
     system = bundle.system
     verdicts: list[dict] = []
 
@@ -88,8 +70,8 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
         return {str(mode.id): _fields(invariance[mode.id]) for mode in system.modes}
 
     sections = []
-    certs = {}
-    for name, cert in results.items():
+    certified = {}
+    for name, cert in certs.items():
         section: dict = {
             "name": name,
             "dimension": cert.subspace.dim,
@@ -99,7 +81,7 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
         sections.append(section)
         if isinstance(cert, NotInvariantError):
             continue
-        certs[name] = cert
+        certified[name] = cert
         section.update(modes={}, coupling={}, constants={}, dwell_bounds={})
         tightest = {}
         for mode in system.modes:
@@ -138,10 +120,10 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
             "tightest_eta_stable": min((-tightest[q] for q in stable_ids), default=None),
             "tightest_eta_unstable": max((tightest[q] for q in unstable_ids), default=None),
         }
-        section["dwell_bounds"] = _bounds_section(dwell_bounds_subspace(cert, margin=margin))
+        section["dwell_bounds"] = _bounds_section(family_bounds([cert], margin))
 
-    separating = bool(certs) and check_separating([projector(c.subspace)
-                                                   for c in certs.values()])
+    separating = bool(certified) and check_separating([projector(c.subspace)
+                                                       for c in certified.values()])
     record("family:separating", separating)
     family: dict = {
         "separating": separating,
@@ -151,14 +133,14 @@ def _analysis_report(bundle, samples, tol, margin, search_weights, results) -> d
         ),
     }
     if separating:
-        bounds = family_bounds(certs.values(), margin)
+        bounds = family_bounds(certified.values(), margin)
         family["dwell_bounds"] = _bounds_section(bounds)
         lowers = list(bounds.lower.values())
         uppers = list(bounds.upper.values())
         if lowers and uppers and max(lowers) < min(uppers):
             reference = 0.5 * (max(lowers) + min(uppers))
             decay = {name: _fields(decay_constants(cert, reference, reference))
-                     for name, cert in certs.items()}
+                     for name, cert in certified.items()}
             family["decay_at_reference_dwell"] = {
                 "reference_dwell": reference,
                 "per_subspace": decay,

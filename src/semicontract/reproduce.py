@@ -11,10 +11,10 @@ import numpy as np
 from .certificates import DEFAULT_MARGIN, decay_constants
 from .ioutil import atomic_write_json
 from .linalg import PSD_TOL
-from .report import analyze, bounds_from_report, certificates_from_report, make_samples
+from .report import analyze, bounds_from_report, certificates_from_report
 from .signals import generate_periodic, generate_random
 from .sim import integrate, integrate_variational, run_simulation, write_traces
-from .system import load_config
+from .system import load_config, sample_domain
 from .testdata import bundled_config_path
 
 # Expected values carried by the bundled example, with the tolerance each is
@@ -66,7 +66,7 @@ def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = load_config(bundled_config_path("saddle2d"))
-    samples = make_samples(bundle, grid, None, SEED)
+    samples = sample_domain(bundle.system, grid, seed=SEED)
     checks: list[dict] = []
 
     def check(name, value, expected, tolerance):

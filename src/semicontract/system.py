@@ -204,9 +204,14 @@ class SampleSet:
         return self.computed((mode,), lambda: eval_jacobian(mode, self.points))
 
 
-def sample_domain(system: SwitchedSystem, grid_per_axis: int = 0,
-                  random_count: int = 0, seed: int = 0) -> SampleSet:
-    """Uniform grid plus seeded uniform random points inside the domain."""
+def sample_domain(system: SwitchedSystem, grid_per_axis: int | None = None,
+                  random_count: int | None = None, seed: int = 0) -> SampleSet:
+    """Uniform grid plus seeded uniform random points inside the domain;
+    without either count, a grid of 21 per axis up to dimension 3, otherwise
+    1000 seeded random points."""
+    if grid_per_axis is None and random_count is None:
+        grid_per_axis, random_count = (21, 0) if system.dimension <= 3 else (0, 1000)
+    grid_per_axis, random_count = grid_per_axis or 0, random_count or 0
     if grid_per_axis < 2 and random_count < 1:
         raise ValueError("request a grid of at least 2 per axis or at least 1 random point")
     box = system.domain
@@ -261,7 +266,7 @@ def load_config(source) -> ConfigBundle:
         except ValueError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
     try:
-        n = int(doc["dimension"])
+        n = _integer(doc["dimension"], "dimension")
         domain = Box(
             tuple(float(lo) for lo, _ in doc["domain"]),
             tuple(float(hi) for _, hi in doc["domain"]),
@@ -273,7 +278,7 @@ def load_config(source) -> ConfigBundle:
                 raise ConfigError(
                     f"mode {entry['id']} has {len(exprs)} field components, expected {n}"
                 )
-            modes.append(make_mode(int(entry["id"]), exprs))
+            modes.append(make_mode(_integer(entry["id"], "mode id"), exprs))
         if not modes:
             raise ConfigError("configuration declares no modes")
         modes.sort(key=lambda m: m.id)
@@ -323,28 +328,30 @@ def load_config(source) -> ConfigBundle:
         if spec.weights and unweighted:
             raise ConfigError(f"the certificate of subspace {spec.subspace!r} weights some "
                               f"modes but not mode {unweighted[0]}")
-        if broken := constant_range_error(spec):
-            raise ConfigError(f"the certificate of subspace {spec.subspace!r} has {broken}")
+        # a constant left out (None) is derived, and in range by construction
+        for key, value, ok, rule in (
+                ("beta_S", spec.beta_stable, lambda v: v >= 1.0, ">= 1"),
+                ("beta_U", spec.beta_unstable, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+                ("eta_S", spec.eta_stable, lambda v: v > 0.0, "> 0"),
+                ("eta_U", spec.eta_unstable, lambda v: v > 0.0, "> 0")):
+            if value is not None and not ok(value):
+                raise ConfigError(f"the certificate of subspace {spec.subspace!r} has "
+                                  f"{key} = {value!r}, not {rule}")
     return ConfigBundle(system, tuple(subspaces), tuple(certificates), doc)
 
 
-def constant_range_error(constants) -> str | None:
-    """The first constant of a CertificateSpec (None means derived) outside
-    its range, named by its configuration key. Derived constants are in range
-    by construction."""
-    for key, value, ok, rule in (
-            ("beta_S", constants.beta_stable, lambda v: v >= 1.0, ">= 1"),
-            ("beta_U", constants.beta_unstable, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-            ("eta_S", constants.eta_stable, lambda v: v > 0.0, "> 0"),
-            ("eta_U", constants.eta_unstable, lambda v: v > 0.0, "> 0")):
-        if value is not None and not ok(value):
-            return f"{key} = {value!r}, not {rule}"
-    return None
+def _integer(value, what: str) -> int:
+    # int() would read true as 1 and truncate 2.7 to 2
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} is not an integer: {value!r}")
+    return int(value)
 
 
 def _opt_float(entry: dict, key: str):
     if entry.get(key) is None:
         return None
+    if isinstance(entry[key], bool):  # float() would read true as 1.0
+        raise ConfigError(f"certificate constant {key} is not a number: {entry[key]!r}")
     if not math.isfinite(value := float(entry[key])):
         raise ConfigError(f"certificate constant {key} is not finite: {entry[key]!r}")
     return value

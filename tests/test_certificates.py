@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +14,11 @@ from semicontract.certificates import (
     classify_mode,
     decay_constants,
     dwell_bounds_family,
-    dwell_bounds_subspace,
     family_bounds,
     growth_values,
     search_scalar_weights,
     tightest_beta,
     tightest_eta,
-    tightest_m_bounds,
 )
 from semicontract.expr import parse_expr
 from semicontract.linalg import PSD_TOL, gen_sym_eig, psd_check
@@ -244,15 +241,22 @@ def test_check_switch_coupling_rejects_kernel_mismatch(weights):
         check_switch_coupling(weights["diag"][1], weights["anti"][1], beta=2.0)
 
 
-def test_tightest_m_bounds(weights):
-    lo, hi = tightest_m_bounds(weights["diag"][1])
-    assert lo == pytest.approx(1.4162)
-    assert hi == pytest.approx(1.4162)
+def test_m_bounds_are_the_extremal_eigenvalues_of_the_reduced_weights(
+        bundle, grid41, weights):
+    cert = certificate_for(bundle, grid41, weights, "diag", (1, 2))
+    assert (cert.m_lower, cert.m_upper) == pytest.approx((1.4162, 2.2778))
+    # on a plane in 3-space, under diag(1, 4, 0) and its projector
+    system = load_config({"dimension": 3, "domain": [[-1, 1]] * 3,
+                          "modes": [{"id": 1, "field": ["-x1", "-x2", "x3"]},
+                                    {"id": 2, "field": ["-x1", "-2*x2", "x3"]}]}).system
     s = orthonormalize([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    w = reduce_weight(np.diag([1.0, 4.0, 0.0]), s)
-    assert tightest_m_bounds(w) == pytest.approx((1.0, 4.0))
-    w_pi = reduce_weight(projector(s).matrix, s)
-    assert tightest_m_bounds(w_pi) == pytest.approx((1.0, 1.0))
+    pi = projector(s).matrix
+    mixed = build_certificate(system, s, {1: np.diag([1.0, 4.0, 0.0]), 2: pi},
+                              sample_domain(system, 3))
+    assert (mixed.m_lower, mixed.m_upper) == pytest.approx((1.0, 4.0))
+    assert type(mixed.m_lower) is float and type(mixed.m_upper) is float
+    unit = build_certificate(system, s, {1: pi, 2: pi}, sample_domain(system, 3))
+    assert (unit.m_lower, unit.m_upper) == pytest.approx((1.0, 1.0))
 
 
 def certificate_for(bundle, grid41, weights, key, ids):
@@ -264,9 +268,9 @@ def certificate_for(bundle, grid41, weights, key, ids):
     )
 
 
-def test_dwell_bounds_subspace_published(bundle, grid41, weights):
+def test_one_certificates_bounds_published(bundle, grid41, weights):
     cert = certificate_for(bundle, grid41, weights, "diag", (1, 2))
-    bounds = dwell_bounds_subspace(cert)
+    bounds = family_bounds([cert])
     assert bounds.lower[1] == pytest.approx(0.1584, abs=1e-4)
     assert bounds.upper[2] == pytest.approx(0.3960, abs=1e-4)
 
@@ -278,7 +282,7 @@ def test_dwell_bound_log_identity():
                                     {"id": 2, "field": ["-2*x1"]}]}).system
     cert = build_certificate(system, orthonormalize([[1.0]]), {1: [[1.0]], 2: [[1.0]]},
                              sample_domain(system, 5), beta_stable=math.e**2, eta_stable=1.0)
-    assert dwell_bounds_subspace(cert).lower == {1: pytest.approx(1.0), 2: pytest.approx(1.0)}
+    assert family_bounds([cert]).lower == {1: pytest.approx(1.0), 2: pytest.approx(1.0)}
 
 
 def test_dwell_bounds_family_published(bundle, grid41, weights):
@@ -296,7 +300,6 @@ def test_dwell_bounds_family_singleton_matches_subspace(bundle, grid41, weights)
     # a single rank-1 subspace is not separating in the plane
     with pytest.raises(InfeasibleError):
         dwell_bounds_family([cert])
-    assert dwell_bounds_subspace(cert).provenance == "per-subspace"
     # on a separating (full-space) singleton the aggregation reduces exactly
     system = load_config(
         {
@@ -312,7 +315,7 @@ def test_dwell_bounds_family_singleton_matches_subspace(bundle, grid41, weights)
     w_full = {1: np.eye(2), 2: 1.5 * np.eye(2)}
     cert_full = build_certificate(system, s_full, w_full, sample_domain(system, 5))
     agg = dwell_bounds_family([cert_full])
-    solo = dwell_bounds_subspace(cert_full)
+    solo = family_bounds([cert_full])
     assert agg.lower == solo.lower and agg.upper == solo.upper
 
 
@@ -322,16 +325,15 @@ def test_family_bounds_is_dwell_bounds_family_without_its_separating_test(
     cert_anti = certificate_for(bundle, grid41, weights, "anti", (1, 2))
     assert family_bounds([cert_diag, cert_anti]) == dwell_bounds_family([cert_diag, cert_anti])
     # one rank-1 subspace does not separate the plane; family_bounds does not ask
-    solo = dwell_bounds_subspace(cert_diag)
-    assert family_bounds([cert_diag]) == replace(solo, provenance="family-aggregated")
+    assert family_bounds([cert_diag]).lower == {1: pytest.approx(0.1584, abs=1e-4)}
 
 
 def test_dwell_bounds_family_equal_constants_match_single(bundle, grid41, weights):
     cert_diag = certificate_for(bundle, grid41, weights, "diag", (1, 2))
     cert_anti = certificate_for(bundle, grid41, weights, "anti", (1, 2))
     family = dwell_bounds_family([cert_diag, cert_anti])
-    solo_d = dwell_bounds_subspace(cert_diag)
-    solo_a = dwell_bounds_subspace(cert_anti)
+    solo_d = family_bounds([cert_diag])
+    solo_a = family_bounds([cert_anti])
     assert family.lower[1] == pytest.approx(solo_d.lower[1])
     assert family.upper[1] == pytest.approx(solo_a.upper[1])
 
@@ -426,7 +428,7 @@ def test_search_scalar_weights_recovers_configured_ratio(bundle, grid41, subspac
     ratio = cert.weights[2].reduced[0, 0] / cert.weights[1].reduced[0, 0]
     assert ratio == pytest.approx(1.6084, abs=1e-3)
     assert cert.tags == {1: "S", 2: "U"}
-    bounds = dwell_bounds_subspace(cert)
+    bounds = family_bounds([cert])
     assert bounds.lower[1] == pytest.approx(0.1584, abs=1e-3)
     assert bounds.upper[2] == pytest.approx(0.3960, abs=1e-3)
 

@@ -395,6 +395,16 @@ BAD_CONFIGS = {
                          "the certificate of subspace 'diag' has eta_S = 0.0, not > 0"),
     "unstable_rate_of_0": (edited("certificates", 1, eta_U=-0.0),
                            "the certificate of subspace 'antidiag' has eta_U = 0.0, not > 0"),
+    # each used to be truncated or read as a number, changing the system analysed
+    "dimension_with_a_fraction": (lambda doc: doc.update(dimension=2.7),
+                                  "dimension is not an integer: 2.7"),
+    # used to die with an OverflowError traceback
+    "infinite_dimension": (lambda doc: doc.update(dimension=float("inf")),
+                           "dimension is not an integer: inf"),
+    "mode_id_with_a_fraction": (edited("modes", 1, id=2.9), "mode id is not an integer: 2.9"),
+    "mode_id_true": (edited("modes", 0, id=True), "mode id is not an integer: True"),
+    "jump_factor_true": (edited("certificates", 0, beta_S=True),
+                         "certificate constant beta_S is not a number: True"),
 }
 
 
@@ -702,6 +712,21 @@ def test_signal_check_mode_without_bounds_is_a_config_error(tmp_path, capsys, us
     flags = ["--bounds-from", str(report)] if use_report else []
     assert main(["signal", "check", "--signal", str(signal), *flags]) == 2
     assert capsys.readouterr().err == f"config error: no dwell bounds for mode {unbounded_mode}\n"
+
+
+def test_signal_gen_refuses_a_mode_the_report_does_not_bound(tmp_path, capsys,
+                                                             saddle2d_report):
+    # mode 3 would be drawn unbounded, and signal check --bounds-from refuses
+    # a signal that enters it
+    out = tmp_path / "s.csv"
+    assert main(["signal", "gen", "--modes", "1,2,3", "--bounds-from", str(saddle2d_report),
+                 "--horizon", "5", "--out-file", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: report has no dwell bounds for mode 3\n"
+    assert not out.exists()
+    assert main(["signal", "gen", "--modes", "2,1", "--bounds-from", str(saddle2d_report),
+                 "--horizon", "5", "--out-file", str(out)]) == 0
+    assert main(["signal", "check", "--signal", str(out), "--horizon", "5",
+                 "--bounds-from", str(saddle2d_report)]) == 0
 
 
 @pytest.mark.parametrize("case", sorted(SIMULATE_BAD_SIGNAL_FILES))

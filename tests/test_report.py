@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from semicontract import __version__, certificates, linalg, subspaces, system
 from semicontract.certificates import dwell_bounds_family, growth_values, tightest_eta
 from semicontract.cli import main
-from semicontract.report import analyze, bounds_from_report, certificates_from_report, \
-    make_samples
+from semicontract.report import analyze, bounds_from_report, certificates_from_report
 from semicontract.signals import generate_periodic, write_signal_csv
 from semicontract.subspaces import INVARIANCE_TOL, check_invariance, log_seminorm, \
     orthonormalize, projector, reduce_weight
-from semicontract.system import ConfigError, eval_jacobian, load_config
+from semicontract.system import ConfigError, eval_jacobian, load_config, sample_domain
 from semicontract.testdata import bundled_config_path
 
 
@@ -26,7 +25,7 @@ def bundle():
 
 
 def test_verdict_order_is_stable(bundle):
-    samples = make_samples(bundle, 11, None, 0)
+    samples = sample_domain(bundle.system, 11)
     names_a = [v["name"] for v in analyze(bundle, samples)["verdicts"]]
     names_b = [v["name"] for v in analyze(bundle, samples)["verdicts"]]
     assert names_a == names_b
@@ -50,7 +49,7 @@ def test_simulate_replays_signal_file(tmp_path):
 
 
 def test_report_carries_provenance_and_note(bundle):
-    samples = make_samples(bundle, 11, None, 3)
+    samples = sample_domain(bundle.system, 11, seed=3)
     report = analyze(bundle, samples)
     prov = report["provenance"]
     assert re.fullmatch(r"[0-9a-f]{64}", prov["config_sha256"])
@@ -92,7 +91,7 @@ def bundle_without(*keys):
 ])
 def test_analyze_checks_each_hypothesis_once(monkeypatch, dropped, search_weights):
     source = bundle_without(*dropped)
-    samples = make_samples(source, 11, None, 0)
+    samples = sample_domain(source.system, 11)
     invariance = count_calls(monkeypatch, certificates, "check_invariance")
     ratios = count_calls(monkeypatch, certificates, "tightest_beta")
     report = analyze(source, samples, search_weights=search_weights)
@@ -106,7 +105,7 @@ def test_analyze_checks_each_hypothesis_once(monkeypatch, dropped, search_weight
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 def test_invariance_section_matches_a_direct_check(bundle, tol):
-    samples = make_samples(bundle, 11, None, 0)
+    samples = sample_domain(bundle.system, 11)
     report = analyze(bundle, samples, tol=tol)
     subspaces = {spec.name: spec.subspace for spec in bundle.subspaces}
     for section in report["subspaces"]:
@@ -123,7 +122,7 @@ def test_invariance_section_matches_a_direct_check(bundle, tol):
 
 @pytest.mark.parametrize("search_weights", [False, True])
 def test_bounds_read_from_a_report_equal_the_family_bounds(bundle, search_weights):
-    samples = make_samples(bundle, 41, None, 0)
+    samples = sample_domain(bundle.system, 41)
     certs = certificates_from_report(bundle, samples, search_weights)
     report = analyze(bundle, samples, search_weights=search_weights, certs=certs)
     expected = dwell_bounds_family(certs.values(), margin=report["provenance"]["margin"])
@@ -176,7 +175,7 @@ def strip_time(report):
 
 
 def test_analyze_computes_each_array_once(monkeypatch, bundle4d):
-    samples = make_samples(bundle4d, 5, None, 0)
+    samples = sample_domain(bundle4d.system, 5)
     counts = count_analysis_work(monkeypatch)
     first = analyze(bundle4d, samples, search_weights=True)
     once = counts(samples)
@@ -194,7 +193,7 @@ def test_analyze_computes_each_array_once(monkeypatch, bundle4d):
 
 
 def test_analyze_solves_each_reduced_weight_once(monkeypatch, bundle4d):
-    samples = make_samples(bundle4d, 5, None, 0)
+    samples = sample_domain(bundle4d.system, 5)
     calls = count_calls(monkeypatch, linalg, "sym_eig")
     analyze(bundle4d, samples, search_weights=True)
     # per subspace, reduce_weight solves the unit weight, which the stable
@@ -207,7 +206,7 @@ def test_analyze_solves_each_reduced_weight_once(monkeypatch, bundle4d):
 
 def test_a_search_analysis_computes_one_growth_array_per_subspace_and_mode(
         monkeypatch, bundle4d):
-    samples = make_samples(bundle4d, 5, None, 0)
+    samples = sample_domain(bundle4d.system, 5)
     calls = count_calls(monkeypatch, linalg, "gen_sym_eig")
     certs = certificates_from_report(bundle4d, samples, search_weights=True)
     analyze(bundle4d, samples, search_weights=True, certs=certs)
@@ -218,8 +217,28 @@ def test_a_search_analysis_computes_one_growth_array_per_subspace_and_mode(
     assert sum(len(key) == 3 for key in samples._arrays) == 4
 
 
+def test_a_configured_weight_analysis_computes_one_growth_array_per_subspace_and_mode(
+        monkeypatch, bundle):
+    # reproduce's path: the configured P matrices of saddle2d, two rank-1 subspaces
+    samples = sample_domain(bundle.system, 11)
+    growth = count_calls(monkeypatch, certificates, "growth_values")
+    projections = count_calls(monkeypatch, subspaces, "_project")
+    stacked = count_calls(monkeypatch, linalg, "gen_sym_eig")
+    solves = count_calls(monkeypatch, linalg, "sym_eig")
+    certs = certificates_from_report(bundle, samples)
+    analyze(bundle, samples, certs=certs)
+    # 2 Jacobian stacks, 2 subspaces x 2 modes of projections and of growth
+    assert len(samples._arrays) == 10
+    assert sum(len(key) == 3 for key in samples._arrays) == 4
+    assert (len(growth), len(projections)) == (12, 4)
+    # h = 1 reads growth without an eigensolve; one 1 x 1 solve per reduced
+    # weight and the one 2 x 2 solve of the separating test
+    assert len(stacked) == 0
+    assert sorted(np.shape(a) for a, in solves) == [(1, 1)] * 4 + [(2, 2)]
+
+
 def test_analyze_runs_the_separating_test_once(monkeypatch, bundle4d):
-    samples = make_samples(bundle4d, 5, None, 0)
+    samples = sample_domain(bundle4d.system, 5)
     calls = count_calls(monkeypatch, subspaces, "check_separating")
     report = analyze(bundle4d, samples, search_weights=True)
     # its verdict decides family:separating, and the family bounds follow
@@ -228,11 +247,11 @@ def test_analyze_runs_the_separating_test_once(monkeypatch, bundle4d):
 
 
 def test_a_later_analysis_sees_changed_sample_points(bundle4d):
-    samples = make_samples(bundle4d, 5, None, 0)
+    samples = sample_domain(bundle4d.system, 5)
     before = analyze(bundle4d, samples, search_weights=True)
     samples.points[:] = 0.5 * samples.points
     after = analyze(bundle4d, samples, search_weights=True)
-    fresh = make_samples(bundle4d, 5, None, 0)
+    fresh = sample_domain(bundle4d.system, 5)
     fresh.points[:] = 0.5 * fresh.points
     assert strip_time(after) != strip_time(before)
     assert strip_time(after) == strip_time(analyze(bundle4d, fresh, search_weights=True))
@@ -240,7 +259,7 @@ def test_a_later_analysis_sees_changed_sample_points(bundle4d):
 
 @pytest.fixture(scope="module")
 def grid3_4d(bundle4d):
-    return make_samples(bundle4d, 3, None, 0)
+    return sample_domain(bundle4d.system, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,7 +284,7 @@ def test_growth_values_equal_log_seminorm_bit_for_bit(bundle4d, grid3_4d, h, mod
 ])
 def test_the_report_reads_each_certificates_growth(name, grid, search_weights):
     source = load_config(bundled_config_path(name))
-    samples = make_samples(source, grid, None, 0)
+    samples = sample_domain(source.system, grid)
     report = analyze(source, samples, search_weights=search_weights)
     certs = certificates_from_report(source, samples, search_weights)
     for section in report["subspaces"]:
@@ -279,7 +298,7 @@ def test_the_report_reads_each_certificates_growth(name, grid, search_weights):
 @pytest.mark.parametrize("name, grid", [("saddle2d", 11), ("saddle4d", 5)])
 def test_a_search_certificate_reads_the_unit_weights_classification(name, grid):
     source = load_config(bundled_config_path(name))
-    samples = make_samples(source, grid, None, 0)
+    samples = sample_domain(source.system, grid)
     certs = certificates_from_report(source, samples, search_weights=True)
     for cert in certs.values():
         unit = reduce_weight(projector(cert.subspace).matrix, cert.subspace)
@@ -298,12 +317,12 @@ def test_a_search_certificate_reads_the_unit_weights_classification(name, grid):
 
 
 def test_sample_sets_with_equal_points_share_no_arrays(bundle):
-    samples = make_samples(bundle, 11, None, 0)
+    samples = sample_domain(bundle.system, 11)
     mode = bundle.system.mode(1)
     s = orthonormalize([[1.0, 1.0]])
     w = reduce_weight(projector(s).matrix, s)
     first = growth_values(mode, w, samples)
-    for other in (make_samples(bundle, 11, None, 0), replace(samples)):
+    for other in (sample_domain(bundle.system, 11), replace(samples)):
         assert np.array_equal(other.points, samples.points)
         assert other.jacobians(mode) is not samples.jacobians(mode)
         assert growth_values(mode, w, other) is not first

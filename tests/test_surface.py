@@ -83,3 +83,21 @@ def test_every_import_is_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body:
                 nested.append(f"{path.name}:{node.lineno}")
     assert nested == []
+
+
+def test_every_module_level_import_is_used():
+    # a name an import binds is read elsewhere in its module, so deleting the
+    # last use of a name deletes its import too
+    unused = []
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]  # import a.b binds a
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

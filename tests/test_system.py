@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -139,6 +141,18 @@ def test_box_first_outside_finds_the_first_point_out(bundle):
     assert box.first_outside([[5.0 + 2e-12, 0.0]]) == 0
 
 
+@pytest.mark.parametrize("name, explicit", [("saddle2d", {"grid_per_axis": 21}),
+                                            ("saddle4d", {"random_count": 1000})])
+def test_without_a_count_sampling_takes_the_default_scheme(name, explicit):
+    # a grid of 21 per axis up to dimension 3, otherwise 1000 seeded points
+    system = load_config(bundled_config_path(name)).system
+    default = sample_domain(system, seed=7)
+    requested = sample_domain(system, **explicit, seed=7)
+    assert default.scheme == requested.scheme == {"grid_per_axis": 0, "random_count": 0,
+                                                  **explicit, "seed": 7}
+    assert np.array_equal(default.points, requested.points)
+
+
 def test_empty_sampling_request_rejected(bundle):
     with pytest.raises(ValueError):
         sample_domain(bundle.system, grid_per_axis=1, random_count=0)
@@ -166,6 +180,17 @@ def test_config_errors(tmp_path):
                 "subspaces": [{"name": "bad", "span": [[1.0, 0.0]]}],
             }
         )
+
+
+def test_integral_floats_load_as_integers(bundle):
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    doc["dimension"] = 2.0
+    for mode in doc["modes"]:
+        mode["id"] = float(mode["id"])
+    loaded = load_config(doc)
+    assert loaded.system == bundle.system
+    assert type(loaded.system.dimension) is int
+    assert [type(m.id) for m in loaded.system.modes] == [int, int]
 
 
 def test_negative_eta_convention_taken_as_magnitude():
