@@ -34,6 +34,7 @@ CONFIG_EXIT = 2
 VERDICT_EXIT = 1
 # simulate's periodic dwell [s] when no signal flag is given
 DEFAULT_DWELL = 0.35
+DEFAULT_HORIZON = 10.0  # [s], of a signal that simulate or signal gen generates
 TAU_FLAGS = ["--tau-lower", "--tau-upper"]
 BOUNDS_FROM_CLASH = "whose bound the report supplies"
 
@@ -78,7 +79,7 @@ OPTIONS = {
     "--plot": dict(action="store_true", help="emit SVG plots"),
     "--search-weights": dict(action="store_true",
                              help="search scalar weights instead of reading P matrices"),
-    "--horizon": dict(type=POSITIVE, default=10.0),
+    "--horizon": dict(type=POSITIVE, default=DEFAULT_HORIZON),
     "--tau-lower": dict(type=POSITIVE, default=None),
     "--tau-upper": dict(type=POSITIVE, default=None),
     "--bounds-from": dict(default=None, help="analysis report JSON supplying family bounds"),
@@ -140,6 +141,9 @@ def cmd_simulate(args) -> int:
     if args.random_signal and not args.bounds_from:
         print("usage error: --random-signal needs --bounds-from", file=sys.stderr)
         return CONFIG_EXIT
+    if args.signal and _refused(args, "--signal", ["--horizon"], "whose file records the horizon"):
+        return CONFIG_EXIT
+    horizon = args.horizon or DEFAULT_HORIZON
     try:
         bundle = _load(args)
         mode_ids = [m.id for m in bundle.system.modes]
@@ -152,14 +156,14 @@ def cmd_simulate(args) -> int:
         return _config_error(exc)
     try:
         if args.signal:
-            sig = read_signal_csv(args.signal, horizon=args.horizon)
+            sig = read_signal_csv(args.signal)
             if unknown := sorted(set(sig.modes) - set(mode_ids)):
                 raise ConfigError(f"the signal enters mode {unknown[0]}, which the "
                                   f"configuration lacks (modes {mode_ids})")
         elif args.random_signal:
-            sig = generate_random(mode_ids, bounds, 0.0, args.horizon, seed=args.seed)
+            sig = generate_random(mode_ids, bounds, 0.0, horizon, seed=args.seed)
         else:
-            sig = generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, args.horizon)
+            sig = generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, horizon)
     except (ConfigError, OSError) as exc:
         return _config_error(exc)
     except ValueError as exc:  # bounds no signal can meet
@@ -169,14 +173,14 @@ def cmd_simulate(args) -> int:
         result, traces = run_simulation(bundle, sig, x_a0, x_b0, args.step, bounds)
     except RateWindowError as exc:
         return _config_error(f"the rate-fit window [t0 + 0.2 (T - t0), T] is too short "
-                             f"({exc}): raise --horizon or lower --step")
+                             f"({exc}): raise the horizon or lower --step")
     report = {
         "schema_version": 1,
         "provenance": {
             "config_sha256": config_digest(bundle.raw),
             "seed": args.seed,
             "step": args.step,
-            "horizon": args.horizon,
+            "horizon": sig.horizon,
             "initial_states": [x_a0.tolist(), x_b0.tolist()],
         },
         **result,
@@ -260,7 +264,7 @@ def cmd_signal_check(args) -> int:
     if args.bounds_from and _refused(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH):
         return CONFIG_EXIT
     try:
-        sig = read_signal_csv(args.signal, horizon=args.horizon)
+        sig = read_signal_csv(args.signal)
         bounds = _bounds_from_args(args, sig.modes)
         check = verify_per_activation(sig, bounds)
     except (ValueError, OSError) as exc:  # a mode without bounds is a ValueError
@@ -332,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     signal_flags.add_argument("--signal", default=None, help="signal CSV to replay")
     p_sim.add_argument("--initial", nargs=2, default=["2,-1", "-2,1"],
                        metavar=("XA", "XB"), help="two initial states, comma-separated")
-    p_sim.set_defaults(fn=cmd_simulate)
+    # horizon None tells an omitted --horizon from a given one, which --signal refuses
+    p_sim.set_defaults(fn=cmd_simulate, horizon=None)
 
     p_signal = sub.add_parser("signal", help="generate or check switching signals")
     actions = p_signal.add_subparsers(dest="action", required=True)
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(fn=cmd_signal_gen, seed=None)
     p_check = actions.add_parser("check", help="check a signal CSV against dwell bounds")
     p_check.add_argument("--signal", required=True, help="signal CSV to check")
-    _add_options(p_check, "--horizon", "--tau-lower", "--tau-upper", "--bounds-from")
+    _add_options(p_check, "--tau-lower", "--tau-upper", "--bounds-from")
     p_check.set_defaults(fn=cmd_signal_check)
 
     p_rep = sub.add_parser("reproduce", help="run the bundled example end to end")

@@ -314,22 +314,23 @@ def generate_random(modes, bounds: DwellBounds, t0: float, horizon: float,
 
 
 def write_signal_csv(sig: SwitchingSignal, path) -> None:
-    atomic_write_text(path, "time,mode\n" + "".join(f"{t!r},{mode}\n" for t, mode in sig.events))
+    atomic_write_text(path, "time,mode\n" + "".join(f"{t!r},{mode}\n" for t, mode in sig.events)
+                      + f"{sig.horizon!r},end\n")
 
 
-def read_signal_csv(path, horizon: float) -> SwitchingSignal:
-    """Read a `time,mode` signal CSV that runs until the horizon; a file that
-    does not hold a valid signal raises ConfigError."""
+def read_signal_csv(path) -> SwitchingSignal:
+    """Read a signal CSV: a `time,mode` row per event, then `<horizon>,end`;
+    a file that does not hold a valid signal raises ConfigError."""
     with Path(path).open(encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         rows = list(reader)
-    if not rows:
-        raise ConfigError(f"empty signal file {path}")
     for column in ("time", "mode"):
-        if column not in reader.fieldnames:
+        if rows and column not in reader.fieldnames:  # no rows: the end-row error
             raise ConfigError(f"signal file {path} has no {column!r} column")
+    if not rows or rows[-1]["mode"] != "end":
+        raise ConfigError(f"signal file {path} lacks its last row `<time>,end`, the horizon")
     try:
-        events = tuple((float(r["time"]), int(r["mode"])) for r in rows)
-        return SwitchingSignal(events[0][0], events, horizon)
+        events = tuple((float(r["time"]), int(r["mode"])) for r in rows[:-1])
+        return SwitchingSignal(float(rows[0]["time"]), events, float(rows[-1]["time"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad signal file {path}: {exc}") from None

@@ -267,10 +267,8 @@ def load_config(source) -> ConfigBundle:
             raise ConfigError(f"invalid JSON: {exc}") from exc
     try:
         n = _integer(doc["dimension"], "dimension")
-        domain = Box(
-            tuple(float(lo) for lo, _ in doc["domain"]),
-            tuple(float(hi) for _, hi in doc["domain"]),
-        )
+        axes = _numbers(doc["domain"], "domain")
+        domain = Box(tuple(float(lo) for lo, _ in axes), tuple(float(hi) for _, hi in axes))
         modes = []
         for entry in doc["modes"]:
             exprs = [parse_expr(text, n) for text in entry["field"]]
@@ -291,12 +289,14 @@ def load_config(source) -> ConfigBundle:
                 raise ConfigError(f"subspace {name!r}: a name is a non-empty run of ASCII "
                                   "letters, digits, '_', '-' or '.'")
             try:
-                subspaces.append(SubspaceSpec(name, orthonormalize(entry["span"], ambient=n)))
+                span = orthonormalize(_numbers(entry["span"], "span"), ambient=n)
+                subspaces.append(SubspaceSpec(name, span))
             except ValueError as exc:
                 raise ConfigError(f"subspace {name!r}: {exc}") from exc
         certificates = [CertificateSpec(
             subspace=str(entry["subspace"]),
-            weights={int(key): np.asarray(matrix, dtype=float)
+            weights={int(key): np.asarray(
+                _numbers(matrix, f"subspace {entry['subspace']!r}: P[{key!r}]"), dtype=float)
                      for key, matrix in entry.get("P", {}).items()},
             beta_stable=_opt_float(entry, "beta_S"),
             beta_unstable=_opt_float(entry, "beta_U"),
@@ -338,6 +338,16 @@ def load_config(source) -> ConfigBundle:
                 raise ConfigError(f"the certificate of subspace {spec.subspace!r} has "
                                   f"{key} = {value!r}, not {rule}")
     return ConfigBundle(system, tuple(subspaces), tuple(certificates), doc)
+
+
+def _numbers(value, key: str):
+    """value, a number or nested lists of numbers, unless a boolean is in it:
+    float() and numpy would read true as 1."""
+    def has_boolean(v):
+        return isinstance(v, bool) or isinstance(v, list) and any(map(has_boolean, v))
+    if has_boolean(value):
+        raise ConfigError(f"{key} holds a boolean, not a number: {value!r}")
+    return value
 
 
 def _integer(value, what: str) -> int:

@@ -241,6 +241,17 @@ def test_check_switch_coupling_rejects_kernel_mismatch(weights):
         check_switch_coupling(weights["diag"][1], weights["anti"][1], beta=2.0)
 
 
+def test_tightest_beta_compares_subspaces_by_span_not_by_object():
+    # two Subspace objects skip the identity shortcut and reach the span test
+    diag, antidiag = orthonormalize([[1.0, 1.0]]), orthonormalize([[1.0, -1.0]])
+    with pytest.raises(ValueError, match="do not share a kernel"):
+        check_switch_coupling(reduce_weight(ONES, diag), reduce_weight(ALT, antidiag), 1.0)
+    same_span = orthonormalize([[2.0, 2.0]])
+    check = check_switch_coupling(reduce_weight(ONES, diag), reduce_weight(2 * ONES, same_span),
+                                  2.0)
+    assert check.ok and check.ratio == 2.0
+
+
 def test_m_bounds_are_the_extremal_eigenvalues_of_the_reduced_weights(
         bundle, grid41, weights):
     cert = certificate_for(bundle, grid41, weights, "diag", (1, 2))

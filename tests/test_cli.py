@@ -405,6 +405,15 @@ BAD_CONFIGS = {
     "mode_id_true": (edited("modes", 0, id=True), "mode id is not an integer: True"),
     "jump_factor_true": (edited("certificates", 0, beta_S=True),
                          "certificate constant beta_S is not a number: True"),
+    # each used to be read as 1, changing the system analysed
+    "domain_bound_true": (lambda doc: doc.update(domain=[[-5, True], [-5, 5]]),
+                          "domain holds a boolean, not a number: [[-5, True], [-5, 5]]"),
+    "span_entry_true": (edited("subspaces", 0, span=[[True, 1.0]]),
+                        "subspace 'diag': span holds a boolean, not a number: [[True, 1.0]]"),
+    "weight_entry_true": (edited("certificates", 0, P={"1": [[True, 0.5], [0.5, 0.5]],
+                                                         "2": [[1.0, 1.0], [1.0, 1.0]]}),
+                          "subspace 'diag': P['1'] holds a boolean, not a number: "
+                          "[[True, 0.5], [0.5, 0.5]]"),
 }
 
 
@@ -597,18 +606,23 @@ def test_simulate_too_short_for_the_rate_fit_is_a_config_error(tmp_path, capsys,
                                                               saddle2d_report, signal_flags):
     # 2 steps of 1e-3: the fit window [t0 + 0.2 (T - t0), T] holds two samples
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "events.csv").write_text("time,mode\n0.0,1\n")
     if "--random-signal" in signal_flags:
         signal_flags = [*signal_flags, "--bounds-from", str(saddle2d_report)]
     out = tmp_path / "out"
-    code = main(["simulate", *signal_flags, "--horizon", "0.002", "--out", str(out)])
-    assert code == 2
+
+    def simulate(horizon):
+        # a signal file records its horizon, which --horizon sets for the others
+        (tmp_path / "events.csv").write_text(f"time,mode\n0.0,1\n{horizon},end\n")
+        flags = [] if "--signal" in signal_flags else ["--horizon", horizon]
+        return main(["simulate", *signal_flags, *flags, "--out", str(out)])
+
+    assert simulate("0.002") == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("config error: ") and "--horizon" in err and "--step" in err
+    assert err.startswith("config error: ") and "raise the horizon or lower --step" in err
     assert not out.exists()
     # one more step puts 3 samples in the window
-    assert main(["simulate", *signal_flags, "--horizon", "0.003", "--out", str(out)]) == 0
+    assert simulate("0.003") == 0
 
 
 def test_simulate_fits_the_rate_on_the_last_80_percent_of_a_late_signal(tmp_path):
@@ -616,10 +630,38 @@ def test_simulate_fits_the_rate_on_the_last_80_percent_of_a_late_signal(tmp_path
     signal = tmp_path / "late.csv"
     assert main(["signal", "gen", "--periodic", "0.35", "--t0", "5", "--horizon", "10",
                  "--out-file", str(signal)]) == 0
-    assert main(["simulate", "--signal", str(signal), "--horizon", "10", "--step", "1e-2",
+    assert main(["simulate", "--signal", str(signal), "--step", "1e-2",
                  "--out", str(tmp_path)]) == 0
     report = strict_json((tmp_path / "simulation.json").read_text())
     assert report["rate_fit"]["window"] == [6.0, 10.0]
+
+
+def test_simulate_replays_the_signal_file_it_wrote(tmp_path, saddle2d_report):
+    # the replay used to end at the default --horizon 10, so its last
+    # activation lasted 6.15 s and broke the bounds the original run kept
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--random-signal", "--seed", "4", "--horizon", "4",
+                 "--bounds-from", str(saddle2d_report), "--out", str(a_dir)]) == 0
+    assert main(["simulate", "--signal", str(a_dir / "signal.csv"),
+                 "--bounds-from", str(saddle2d_report), "--out", str(b_dir)]) == 0
+    runs = [strict_json((out / "simulation.json").read_text()) for out in (a_dir, b_dir)]
+    assert [run["provenance"].pop("seed") for run in runs] == [4, 0]
+    assert runs[0] == runs[1]
+    assert runs[1]["provenance"]["horizon"] == 4.0
+    for name in ("signal.csv", "distance.csv", "trajectory_a.csv", "trajectory_b.csv"):
+        assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+def test_simulate_signal_with_horizon_is_a_usage_error(tmp_path, capsys):
+    signal = tmp_path / "sig.csv"
+    assert main(["signal", "gen", "--periodic", "0.35", "--horizon", "4",
+                 "--out-file", str(signal)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["simulate", "--signal", str(signal), "--horizon", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("usage error: --signal cannot be combined with "
+                                       "--horizon, whose file records the horizon\n")
+    assert not out.exists()
 
 
 def test_signal_gen_counts_switches(tmp_path, capsys):
@@ -636,7 +678,7 @@ def test_signal_check_generated_passes(tmp_path, capsys):
     main(["signal", "gen", "--periodic", "0.35", "--horizon", "10",
           "--out-file", str(out)])
     capsys.readouterr()  # drop the generator's status line
-    code = main(["signal", "check", "--signal", str(out), "--horizon", "10",
+    code = main(["signal", "check", "--signal", str(out),
                  "--tau-lower", "0.1584", "--tau-upper", "0.3960"])
     assert code == 0
     report = strict_json(capsys.readouterr().out)
@@ -645,12 +687,25 @@ def test_signal_check_generated_passes(tmp_path, capsys):
     assert report["mode_1"]["mdalt"]["ok"] is True
 
 
+def test_signal_check_judges_the_signal_up_to_its_written_horizon(tmp_path, capsys):
+    # the check used to extend the last activation to the default horizon 10
+    # and fail it with "activation lasts 5.2 > 0.4"
+    out = tmp_path / "sig.csv"
+    assert main(["signal", "gen", "--periodic", "0.3", "--horizon", "5",
+                 "--out-file", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["signal", "check", "--signal", str(out),
+                 "--tau-lower", "0.1", "--tau-upper", "0.4"]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["mode_1"]["max_dwell"] == pytest.approx(0.3)
+
+
 def test_signal_check_dwell_1_names_offender(tmp_path, capsys):
     out = tmp_path / "sig.csv"
     main(["signal", "gen", "--periodic", "1.0", "--horizon", "10",
           "--out-file", str(out)])
     capsys.readouterr()  # drop the generator's status line
-    code = main(["signal", "check", "--signal", str(out), "--horizon", "10",
+    code = main(["signal", "check", "--signal", str(out),
                  "--tau-lower", "0.1584", "--tau-upper", "0.3960"])
     assert code == 1
     captured = capsys.readouterr()
@@ -660,19 +715,28 @@ def test_signal_check_dwell_1_names_offender(tmp_path, capsys):
 
 
 BAD_SIGNAL_FILES = {
-    "no_mode_column": ("time,mod\n0.0,1\n", "'mode'"),
-    "non_numeric_cell": ("time,mode\n0.0,one\n", "one"),
+    "no_mode_column": ("time,mod\n0.0,1\n10.0,end\n", "'mode'"),
+    "non_numeric_cell": ("time,mode\n0.0,one\n10.0,end\n", "one"),
     "missing_file": (None, "No such file"),
-    # the last activation, up to the default horizon 10, lasts about 1e-13 s
-    "tiny_last_activation": ("time,mode\n0.0,1\n9.9999999999999,2\n", "last activation"),
-    "nan_switch_time": ("time,mode\n0.0,1\nnan,2\n", "finite"),
+    # the last activation, up to the horizon 10, lasts about 1e-13 s
+    "tiny_last_activation": ("time,mode\n0.0,1\n9.9999999999999,2\n10.0,end\n",
+                             "last activation"),
+    "nan_switch_time": ("time,mode\n0.0,1\nnan,2\n10.0,end\n", "finite"),
+    "nan_horizon": ("time,mode\n0.0,1\nnan,end\n", "finite"),
+    "end_row_only": ("time,mode\n10.0,end\n", "initial mode event"),
+    # the horizon row closes the file: no flag supplies a horizon
+    "no_end_row": ("time,mode\n0.0,1\n1.0,2\n", "lacks its last row `<time>,end`"),
+    "end_row_before_the_last": ("time,mode\n0.0,1\n10.0,end\n11.0,2\n",
+                                "lacks its last row `<time>,end`"),
+    "empty_file": ("", "lacks its last row `<time>,end`"),
+    "header_only": ("time,mode\n", "lacks its last row `<time>,end`"),
 }
 
 
 # a signal file that is well formed but enters a mode the configuration lacks
 SIMULATE_BAD_SIGNAL_FILES = {
     **BAD_SIGNAL_FILES,
-    "unknown_mode": ("time,mode\n0.0,1\n1.0,3\n", "mode 3"),
+    "unknown_mode": ("time,mode\n0.0,1\n1.0,3\n10.0,end\n", "mode 3"),
 }
 
 
@@ -706,7 +770,7 @@ def test_signal_check_mode_without_bounds_is_a_config_error(tmp_path, capsys, us
                                                             unbounded_mode):
     # the signal enters modes 1 and 2; no flag bounds either, the report only mode 1
     signal = tmp_path / "signal.csv"
-    signal.write_text("time,mode\n0.0,1\n1.0,2\n")
+    signal.write_text("time,mode\n0.0,1\n1.0,2\n10.0,end\n")
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"family": {"dwell_bounds": {"lower": {"1": 0.2}, "upper": {}}}}))
     flags = ["--bounds-from", str(report)] if use_report else []
@@ -725,7 +789,7 @@ def test_signal_gen_refuses_a_mode_the_report_does_not_bound(tmp_path, capsys,
     assert not out.exists()
     assert main(["signal", "gen", "--modes", "2,1", "--bounds-from", str(saddle2d_report),
                  "--horizon", "5", "--out-file", str(out)]) == 0
-    assert main(["signal", "check", "--signal", str(out), "--horizon", "5",
+    assert main(["signal", "check", "--signal", str(out),
                  "--bounds-from", str(saddle2d_report)]) == 0
 
 
@@ -838,7 +902,7 @@ SUBCOMMAND_OPTIONS = {
                  "--bounds-from", "--periodic", "--random-signal", "--signal", "--initial"},
     "signal gen": {"--modes", "--periodic", "--t0", "--horizon", "--seed", "--tau-lower",
                    "--tau-upper", "--bounds-from", "--out-file"},
-    "signal check": {"--signal", "--horizon", "--tau-lower", "--tau-upper", "--bounds-from"},
+    "signal check": {"--signal", "--tau-lower", "--tau-upper", "--bounds-from"},
     "reproduce": {"--out"},
 }
 
@@ -891,6 +955,8 @@ def test_the_readme_flag_list_matches_the_parser():
     ["signal", "check", "--signal", "s.csv", "--seed", "3"],
     ["signal", "check", "--signal", "s.csv", "--out-file", "x.csv"],
     ["signal", "gen", "--signal", "x"],
+    # the signal file records its horizon
+    ["signal", "check", "--signal", "s.csv", "--horizon", "10"],
     # simulate reads its bounds from a report, not from a second analysis
     ["simulate", "--margin", "1"],
     ["simulate", "--grid", "5"],
@@ -1002,7 +1068,7 @@ def test_signal_bounds_from_a_bad_report_is_a_config_error(tmp_path, capsys, cas
                  "--out-file", str(signal)]) == 0
     report = BAD_REPORTS[case](tmp_path)
     capsys.readouterr()
-    argv = ["signal", action, "--bounds-from", str(report), "--horizon", "2"]
+    argv = ["signal", action, "--bounds-from", str(report)]
     argv += ["--signal", str(signal)] if action == "check" else ["--out-file", str(signal)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
@@ -1039,7 +1105,7 @@ def test_a_report_bound_that_is_not_positive_is_a_config_error(tmp_path, capsys,
             "signal gen": ["signal", "gen", "--out-file", str(tmp_path / "gen.csv")],
             "simulate": ["simulate", "--config", str(config), "--random-signal",
                          "--out", str(tmp_path)]}[command]
-    assert main([*argv, "--horizon", "5", "--bounds-from", str(report)]) == 2
+    assert main([*argv, "--bounds-from", str(report)]) == 2
     assert capsys.readouterr().err == f"config error: report has {message}, " \
                                       "not a finite number > 0\n"
 
@@ -1049,7 +1115,7 @@ def test_signal_check_reads_bounds_from_a_report(tmp_path, capsys):
     signal = tmp_path / "sig.csv"
     main(["signal", "gen", "--periodic", "0.35", "--horizon", "10", "--out-file", str(signal)])
     capsys.readouterr()
-    code = main(["signal", "check", "--signal", str(signal), "--horizon", "10",
+    code = main(["signal", "check", "--signal", str(signal),
                  "--bounds-from", str(tmp_path / "report.json")])
     assert code == 0
     bounds = strict_json((tmp_path / "report.json").read_text())["family"]["dwell_bounds"]
@@ -1077,7 +1143,7 @@ def signal_check_outputs(tmp_path, capsys, report, case) -> dict:
     assert main(["signal", "gen", *gen_flags, "--horizon", "10", "--out-file", str(signal)]) == 0
     capsys.readouterr()
     flags = [flag.replace("{report}", str(report)) for flag in check_flags]
-    code = main(["signal", "check", "--signal", str(signal), "--horizon", "10", *flags])
+    code = main(["signal", "check", "--signal", str(signal), *flags])
     captured = capsys.readouterr()
     return {"exit": code, "stdout": captured.out, "stderr": captured.err}
 
@@ -1123,8 +1189,8 @@ def test_signal_check_names_the_failed_average_condition(tmp_path, capsys):
         rows.append(f"{t!r},{1 + k % 2}\n")
         t += lengths[1 + k % 2]
     signal = tmp_path / "edge.csv"
-    signal.write_text("time,mode\n" + "".join(rows))
-    code = main(["signal", "check", "--signal", str(signal), "--horizon", "1.8",
+    signal.write_text("time,mode\n" + "".join(rows) + "1.8,end\n")
+    code = main(["signal", "check", "--signal", str(signal),
                  "--tau-lower", "0.1584", "--tau-upper", "0.396"])
     captured = capsys.readouterr()
     checked = strict_json(captured.out)
@@ -1132,7 +1198,7 @@ def test_signal_check_names_the_failed_average_condition(tmp_path, capsys):
     assert code == 1
     assert checked["per_activation"]["ok"] is True
     assert mdalt["ok"] is False and mdalt["tightest_offset"] == pytest.approx(-6.8e-12, rel=0.01)
-    sig = signals.read_signal_csv(signal, horizon=1.8)
+    sig = signals.read_signal_csv(signal)
     res = signals.verify_mdalt(sig, 1, 0.396, 0.0)
     assert mdalt["worst_window"] == list(res.worst_window) == [0.0, sig.events[-1][0]]
     assert mdalt["worst_value"] == res.worst_value

@@ -38,7 +38,7 @@ def test_simulate_replays_signal_file(tmp_path):
     write_signal_csv(sig, path)
     out = tmp_path / "out"
     code = main([
-        "simulate", "--signal", str(path), "--horizon", "4", "--step", "2e-3",
+        "simulate", "--signal", str(path), "--step", "2e-3",
         "--out", str(out),
     ])
     assert code == 0

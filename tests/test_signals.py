@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semicontract.certificates import DwellBounds
@@ -454,8 +454,28 @@ def test_signal_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == "time,mode"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        back = read_signal_csv(path, horizon=3.0)
+        back = read_signal_csv(path)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert back.events == sig.events
     assert back.horizon == sig.horizon
+    assert text.splitlines()[-1] == "3.0,end"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 25.0), st.booleans(),
+       st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+def test_a_signal_file_reads_back_as_the_signal_written(tmp_path_factory, modes, t0, horizon,
+                                                        periodic, dwell, seed):
+    # the file records the horizon, so no argument has to repeat it
+    assume(horizon - t0 > TIME_EPS)
+    if periodic:
+        sig = generate_periodic(modes, dwell, t0, horizon)
+    else:
+        sig = generate_random(modes, EXAMPLE_BOUNDS, t0, horizon, seed=seed)
+    path = tmp_path_factory.mktemp("signal") / "sig.csv"
+    write_signal_csv(sig, path)
+    back = read_signal_csv(path)
+    assert back == sig  # the same events, start time and horizon
+    assert [t.hex() for t in back.boundaries] == [t.hex() for t in sig.boundaries]
