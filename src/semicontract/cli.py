@@ -141,6 +141,10 @@ def cmd_simulate(args) -> int:
     if args.random_signal and not args.bounds_from:
         print("usage error: --random-signal needs --bounds-from", file=sys.stderr)
         return CONFIG_EXIT
+    if args.seed is not None and not args.random_signal:
+        print("usage error: --seed needs --random-signal, the only signal it draws",
+              file=sys.stderr)
+        return CONFIG_EXIT
     if args.signal and _refused(args, "--signal", ["--horizon"], "whose file records the horizon"):
         return CONFIG_EXIT
     horizon = args.horizon or DEFAULT_HORIZON
@@ -161,7 +165,7 @@ def cmd_simulate(args) -> int:
                 raise ConfigError(f"the signal enters mode {unknown[0]}, which the "
                                   f"configuration lacks (modes {mode_ids})")
         elif args.random_signal:
-            sig = generate_random(mode_ids, bounds, 0.0, horizon, seed=args.seed)
+            sig = generate_random(mode_ids, bounds, 0.0, horizon, seed=args.seed or 0)
         else:
             sig = generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, horizon)
     except (ConfigError, OSError) as exc:
@@ -178,7 +182,8 @@ def cmd_simulate(args) -> int:
         "schema_version": 1,
         "provenance": {
             "config_sha256": config_digest(bundle.raw),
-            "seed": args.seed,
+            # only a random signal reads the seed
+            **({"seed": args.seed or 0} if args.random_signal else {}),
             "step": args.step,
             "horizon": sig.horizon,
             "initial_states": [x_a0.tolist(), x_b0.tolist()],
@@ -236,6 +241,9 @@ def cmd_signal_gen(args) -> int:
         return CONFIG_EXIT
     if args.bounds_from and _refused(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH):
         return CONFIG_EXIT
+    if not (args.periodic or args.bounds_from or args.tau_lower or args.tau_upper):
+        return _config_error("signal gen needs --periodic, or a bound for the random "
+                             "generator: --tau-lower, --tau-upper or --bounds-from")
     if args.horizon - args.t0 <= TIME_EPS:
         return _config_error(f"--horizon {args.horizon} must exceed --t0 {args.t0}")
     if args.periodic:
@@ -336,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     signal_flags.add_argument("--signal", default=None, help="signal CSV to replay")
     p_sim.add_argument("--initial", nargs=2, default=["2,-1", "-2,1"],
                        metavar=("XA", "XB"), help="two initial states, comma-separated")
-    # horizon None tells an omitted --horizon from a given one, which --signal refuses
-    p_sim.set_defaults(fn=cmd_simulate, horizon=None)
+    # horizon None tells an omitted --horizon from a given one, which --signal
+    # refuses; seed None an omitted --seed (0) from one without --random-signal
+    p_sim.set_defaults(fn=cmd_simulate, horizon=None, seed=None)
 
     p_signal = sub.add_parser("signal", help="generate or check switching signals")
     actions = p_signal.add_subparsers(dest="action", required=True)

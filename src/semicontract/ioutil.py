@@ -8,13 +8,14 @@ import tempfile
 from pathlib import Path
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, chunks) -> None:
+    """Write the strings of the iterable chunks, in order, as the file path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -23,4 +24,4 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_json(path, document) -> None:
-    atomic_write_text(path, json.dumps(document, indent=2) + "\n")
+    atomic_write_text(path, [json.dumps(document, indent=2) + "\n"])

@@ -314,8 +314,8 @@ def generate_random(modes, bounds: DwellBounds, t0: float, horizon: float,
 
 
 def write_signal_csv(sig: SwitchingSignal, path) -> None:
-    atomic_write_text(path, "time,mode\n" + "".join(f"{t!r},{mode}\n" for t, mode in sig.events)
-                      + f"{sig.horizon!r},end\n")
+    atomic_write_text(path, ["time,mode\n" + "".join(f"{t!r},{mode}\n" for t, mode in sig.events)
+                             + f"{sig.horizon!r},end\n"])
 
 
 def read_signal_csv(path) -> SwitchingSignal:

@@ -31,6 +31,8 @@ from .system import Mode, SwitchedSystem
 # Largest state difference at the signal boundaries between a run and its
 # half-step rerun that validates the run.
 HALVING_BOUND = 1e-6
+# Rows of a trace CSV formatted and written at a time.
+CSV_BLOCK_ROWS = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -55,16 +57,11 @@ class Trajectory:
     boundaries: np.ndarray  # sample index of each signal boundary
 
 
-def _segment_steps(t0: float, t1: float, step: float):
-    # fixed steps of `step`, final one shortened to land exactly on t1
-    span = t1 - t0
-    n_full = int(math.floor(span / step + 1e-9))
-    times = [t0 + k * step for k in range(n_full + 1)]
-    if t1 - times[-1] > 1e-12:
-        times.append(t1)
-    else:
-        times[-1] = t1
-    return times
+def _segment_steps(t0: float, t1: float, step: float) -> int:
+    # the count of fixed steps of `step` over [t0, t1], the final one
+    # shortened to land exactly on t1
+    n_full = int(math.floor((t1 - t0) / step + 1e-9))
+    return n_full + (t1 - (t0 + n_full * step) > 1e-12)
 
 
 def _ieee_step(step, args, t_next):
@@ -173,15 +170,23 @@ def integrate(system: SwitchedSystem, sig: SwitchingSignal, x0, step: float) -> 
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
     kernels = {m: _rk4_kernel(system.mode(m)) for m in sig.modes}
-    times = [sig.start_time]
-    states = x0.tolist()
-    boundaries = [0]
-    for (seg_start, mode_id), seg_end in zip(sig.events, sig.boundaries[1:]):
-        seg_times = _segment_steps(seg_start, seg_end, step)
-        states += kernels[mode_id](states[-n:], seg_times)
-        times += seg_times[1:]
-        boundaries.append(len(times) - 1)
-    return Trajectory(np.array(times), np.array(states).reshape(-1, n), np.array(boundaries))
+    segments = [(seg_start, seg_end, mode_id, _segment_steps(seg_start, seg_end, step))
+                for (seg_start, mode_id), seg_end in zip(sig.events, sig.boundaries[1:])]
+    boundaries = np.cumsum([0] + [steps for *_, steps in segments])
+    # each segment's kernel output goes straight into its slice of the arrays
+    times = np.empty(boundaries[-1] + 1)
+    states = np.empty((len(times), n))
+    flat = states.reshape(-1)
+    times[0], states[0] = sig.start_time, x0
+    x = x0.tolist()
+    for (seg_start, seg_end, mode_id, steps), k0 in zip(segments, boundaries):
+        # the step times after seg_start end exactly on seg_end
+        seg_times = [seg_start + k * step for k in range(steps)] + [seg_end]
+        out = kernels[mode_id](x, seg_times)
+        times[k0 + 1:k0 + steps + 1] = seg_times[1:]
+        flat[(k0 + 1) * n:(k0 + steps + 1) * n] = out
+        x = out[-n:] or x
+    return Trajectory(times, states, boundaries)
 
 
 def integrate_variational(system: SwitchedSystem, sig: SwitchingSignal,
@@ -194,14 +199,21 @@ def integrate_variational(system: SwitchedSystem, sig: SwitchingSignal,
         raise ValueError(f"initial perturbation has shape {y0.shape}, expected ({n},)")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial perturbation must be finite")
-    times = x_traj.times.tolist()
-    points = x_traj.states.tolist()
-    states = y0.tolist()
     cuts = x_traj.boundaries.tolist()
+    # each segment fills its rows, the last one the trajectory's last row
+    if len(cuts) != len(sig.boundaries):
+        raise ValueError(f"trajectory has {len(cuts)} signal boundaries, "
+                         f"the signal {len(sig.boundaries)}")
+    states = np.empty_like(x_traj.states)
+    flat = states.reshape(-1)
+    states[0] = y0
+    y = y0.tolist()
     for (_, mode_id), k0, k1 in zip(sig.events, cuts, cuts[1:]):
         kernel = _rk4_kernel(system.mode(mode_id), True)
-        states += kernel(states[-n:], times[k0:k1 + 1], points[k0:k1 + 1])
-    return Trajectory(x_traj.times.copy(), np.array(states).reshape(-1, n), x_traj.boundaries)
+        out = kernel(y, x_traj.times[k0:k1 + 1].tolist(), x_traj.states[k0:k1 + 1].tolist())
+        flat[(k0 + 1) * n:(k1 + 1) * n] = out
+        y = out[-n:] or y
+    return Trajectory(x_traj.times.copy(), states, x_traj.boundaries)
 
 
 def distance_trace(a: Trajectory, b: Trajectory) -> np.ndarray:
@@ -314,11 +326,19 @@ def run_simulation(bundle, sig, x_a0, x_b0, step: float,
     return result, traces
 
 
-def _write_csv(path, header: str, rows) -> None:
+def _write_csv(path, header: str, *columns) -> None:
+    # the rows of column_stack(columns), CSV_BLOCK_ROWS at a time, each block
     # one % over Python floats (never numpy scalars, whose repr differs)
-    n, m = rows.shape
-    row = ",".join(["%r"] * m) + "\n"
-    atomic_write_text(path, header + "\n" + row * n % tuple(rows.ravel().tolist()))
+    n = len(columns[0])
+
+    def chunks():
+        yield header + "\n"
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+            row = ",".join(["%r"] * block.shape[1]) + "\n"
+            yield row * len(block) % tuple(block.ravel().tolist())
+
+    atomic_write_text(path, chunks())
 
 
 def write_traces(out_dir: Path, sig, traces, plot: bool, title: str) -> None:
@@ -327,14 +347,12 @@ def write_traces(out_dir: Path, sig, traces, plot: bool, title: str) -> None:
     times = traces["times"]
     n = traces["a"].shape[1]
     state_header = "time," + ",".join(f"x{i + 1}" for i in range(n))
-    _write_csv(out_dir / "trajectory_a.csv", state_header,
-               np.column_stack([times, traces["a"]]))
-    _write_csv(out_dir / "trajectory_b.csv", state_header,
-               np.column_stack([times, traces["b"]]))
+    _write_csv(out_dir / "trajectory_a.csv", state_header, times, traces["a"])
+    _write_csv(out_dir / "trajectory_b.csv", state_header, times, traces["b"])
     proj_names = sorted(traces["projections"])
     header = "time,norm_full" + "".join(f",norm_{name}" for name in proj_names)
-    columns = [times, traces["distance"]] + [traces["projections"][p] for p in proj_names]
-    _write_csv(out_dir / "distance.csv", header, np.column_stack(columns))
+    _write_csv(out_dir / "distance.csv", header, times, traces["distance"],
+               *(traces["projections"][p] for p in proj_names))
     write_signal_csv(sig, out_dir / "signal.csv")
     if plot:
         series = [("|x_a - x_b|", times, traces["distance"])]

@@ -40,10 +40,10 @@ def write_line_plot(path, series, vlines, title: str) -> None:
         raise ValueError("nothing to plot")
     prepared = []  # (label, times, log10 values)
     for label, times, values in series:
-        times = np.asarray(times, dtype=float)
-        values = np.maximum(np.asarray(values, dtype=float), 1e-300)
-        times, values = _downsample(times, values)
-        prepared.append((label, times, np.log10(values)))
+        # downsampled first, so that no step of a plot grows with the run
+        times, values = _downsample(np.asarray(times, dtype=float),
+                                    np.asarray(values, dtype=float))
+        prepared.append((label, times, np.log10(np.maximum(values, 1e-300))))
 
     x_min = min(float(t[0]) for _, t, _ in prepared)
     x_max = max(float(t[-1]) for _, t, _ in prepared)
@@ -117,4 +117,4 @@ def write_line_plot(path, series, vlines, title: str) -> None:
             f'fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    atomic_write_text(path, "\n".join(parts) + "\n")
+    atomic_write_text(path, ["\n".join(parts) + "\n"])

@@ -645,11 +645,42 @@ def test_simulate_replays_the_signal_file_it_wrote(tmp_path, saddle2d_report):
     assert main(["simulate", "--signal", str(a_dir / "signal.csv"),
                  "--bounds-from", str(saddle2d_report), "--out", str(b_dir)]) == 0
     runs = [strict_json((out / "simulation.json").read_text()) for out in (a_dir, b_dir)]
-    assert [run["provenance"].pop("seed") for run in runs] == [4, 0]
+    # only the run that drew its signal records the seed
+    assert runs[0]["provenance"].pop("seed") == 4
+    assert "seed" not in runs[1]["provenance"]
     assert runs[0] == runs[1]
     assert runs[1]["provenance"]["horizon"] == 4.0
     for name in ("signal.csv", "distance.csv", "trajectory_a.csv", "trajectory_b.csv"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+# simulate used to accept --seed with any signal and record it as provenance.seed
+@pytest.mark.parametrize("signal_flags", [[], ["--periodic", "0.35"], ["--signal", "{signal}"]],
+                         ids=["default", "periodic", "signal"])
+def test_simulate_seed_without_random_signal_is_a_usage_error(tmp_path, capsys, signal_flags):
+    signal = tmp_path / "sig.csv"
+    assert main(["signal", "gen", "--periodic", "0.35", "--horizon", "2",
+                 "--out-file", str(signal)]) == 0
+    capsys.readouterr()
+    flags = [flag.replace("{signal}", str(signal)) for flag in signal_flags]
+    assert main(["simulate", *flags, "--seed", "9", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --seed needs --random-signal, the only signal it draws\n")
+    assert not (tmp_path / "simulation.json").exists()
+
+
+def test_simulate_records_the_seed_of_a_random_signal_only(tmp_path, saddle2d_report):
+    runs = {"default_seed": ["--random-signal", "--bounds-from", str(saddle2d_report)],
+            "seed_0": ["--random-signal", "--seed", "0", "--bounds-from", str(saddle2d_report)],
+            "periodic": ["--periodic", "0.35"]}
+    for name, flags in runs.items():
+        assert main(["simulate", *flags, "--horizon", "2", "--step", "1e-2",
+                     "--out", str(tmp_path / name)]) == 0
+    reports = {name: strict_json((tmp_path / name / "simulation.json").read_text())
+               for name in runs}
+    assert reports["default_seed"] == reports["seed_0"]
+    assert reports["seed_0"]["provenance"]["seed"] == 0
+    assert "seed" not in reports["periodic"]["provenance"]
 
 
 def test_simulate_signal_with_horizon_is_a_usage_error(tmp_path, capsys):
@@ -852,6 +883,18 @@ def test_signal_bounds_from_with_a_tau_flag_is_a_usage_error(tmp_path, capsys, a
         f"usage error: --bounds-from cannot be combined with {flag}, whose bound the report "
         "supplies\n")
     assert signal.read_bytes() == before
+
+
+# signal gen used to draw every activation unbounded from [1e-6, 10] s, a
+# signal that signal check then refused for want of bounds
+@pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--modes", "1,2,3", "--t0", "1"]])
+def test_signal_gen_without_a_kind_of_signal_is_a_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "signal.csv"
+    assert main(["signal", "gen", *flags, "--horizon", "5", "--out-file", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: signal gen needs --periodic, or a bound for the random generator: "
+        "--tau-lower, --tau-upper or --bounds-from\n")
+    assert not out.exists()
 
 
 def test_signal_gen_without_seed_uses_seed_0(tmp_path):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -106,6 +107,21 @@ def reference_compiled_field(mode):
     return lambda x: np.array(fn(x))
 
 
+# The segment time grid that integrate built before it counted each segment's
+# steps to preallocate its arrays, kept verbatim (renamed) as the oracle of
+# the grid it steps through.
+def reference_segment_times(t0, t1, step):
+    # fixed steps of `step`, final one shortened to land exactly on t1
+    span = t1 - t0
+    n_full = int(math.floor(span / step + 1e-9))
+    times = [t0 + k * step for k in range(n_full + 1)]
+    if t1 - times[-1] > 1e-12:
+        times.append(t1)
+    else:
+        times[-1] = t1
+    return times
+
+
 def reference_integrate(system, sig, x0, step):
     if step <= 0:
         raise ValueError("step must be positive")
@@ -122,7 +138,7 @@ def reference_integrate(system, sig, x0, step):
         def f(_t, state, field=field):
             return field(state)
 
-        seg_times = sim._segment_steps(seg_start, seg_end, step)
+        seg_times = reference_segment_times(seg_start, seg_end, step)
         for t_prev, t_next in zip(seg_times, seg_times[1:]):
             try:
                 x = _reference_rk4_step(f, t_prev, x, t_next - t_prev)
@@ -334,6 +350,15 @@ def test_variational_rejects_a_perturbation_of_the_wrong_shape(bundle):
     x_traj = integrate(bundle.system, sig, [1.0, 1.0], step=1e-2)
     with pytest.raises(ValueError, match=r"\(3,\).*\(2,\)"):
         integrate_variational(bundle.system, sig, x_traj, [1.0, 0.0, 0.0])
+
+
+def test_variational_rejects_a_trajectory_of_another_signal(bundle):
+    # its arrays are sized from the trajectory, whose rows the signal's
+    # segments would not all fill
+    traj = integrate(bundle.system, generate_periodic([1, 2], 0.35, 0.0, 2.0), [2.0, -1.0], 1e-2)
+    with pytest.raises(ValueError, match="trajectory has 7 signal boundaries, the signal 4"):
+        integrate_variational(bundle.system, generate_periodic([1, 2], 0.35, 0.0, 1.0), traj,
+                              [1.0, 0.5])
 
 
 def test_integrate_scalar_linear_ode(decay_system):
@@ -715,7 +740,49 @@ def csv_path(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 6)),
                   elements=CSV_FLOATS))
+@example(np.zeros((0, 2)))
+@example(np.full((1, 3), -0.0))
+@example(np.arange(18.0).reshape(6, 3) / 7.0)
+@example(np.arange(28.0).reshape(7, 4) * 1e-17)
 def test_csv_writer_matches_the_per_row_reference(csv_path, rows):
+    # blocks of 3 rows: the 0-12 rows cover an empty file, a single row,
+    # exact multiples of the block and a ragged last block
     header = ",".join(f"c{j}" for j in range(rows.shape[1]))
-    sim._write_csv(csv_path, header, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "CSV_BLOCK_ROWS", 3)
+        sim._write_csv(csv_path, header, rows)
     assert csv_path.read_text() == reference_csv_text(header, rows)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Bytes that writing the traces of a run may allocate at its peak, whatever
+# the run's length.
+TRACE_WRITE_PEAK = 2_000_000
+
+
+def test_integrate_and_write_traces_hold_no_run_as_python_floats(bundle, tmp_path):
+    # a 60 s periodic run at step 1e-3 has 60,001 samples; integrate used to
+    # keep them as one list of Python floats (32 B a value against numpy's 8),
+    # and write_traces each trace file as one string copied twice
+    x_a0, x_b0 = np.array([2.0, -1.0]), np.array([-2.0, 1.0])
+    integrate(bundle.system, generate_periodic([1, 2], 0.35, 0.0, 1.0), x_a0, 1e-3)  # kernels
+    sig = generate_periodic([1, 2], 0.35, 0.0, 60.0)
+    traj, peak = traced_peak(integrate, bundle.system, sig, x_a0, 1e-3)
+    assert len(traj.times) == 60_001
+    assert peak <= 2 * (traj.times.nbytes + traj.states.nbytes + traj.boundaries.nbytes)
+    _, traces = run_simulation(bundle, sig, x_a0, x_b0, 1e-3, None)
+    _, peak = traced_peak(sim.write_traces, tmp_path, sig, traces, True, "60 s")
+    # the bound is below the size of each trace file, so no writer that holds
+    # a whole file can meet it
+    for name in ("trajectory_a.csv", "trajectory_b.csv", "distance.csv"):
+        assert (tmp_path / name).stat().st_size > TRACE_WRITE_PEAK
+    assert peak < TRACE_WRITE_PEAK
