@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import DEFAULT_MARGIN, DwellBounds, InfeasibleError
+from .certificates import DEFAULT_MARGIN, DwellBounds
+from .expr import EvaluationError
 from .ioutil import atomic_write_json
 from .linalg import PSD_TOL
 from .report import analyze, bounds_from_report, config_digest
@@ -37,6 +38,10 @@ DEFAULT_DWELL = 0.35
 DEFAULT_HORIZON = 10.0  # [s], of a signal that simulate or signal gen generates
 TAU_FLAGS = ["--tau-lower", "--tau-upper"]
 BOUNDS_FROM_CLASH = "whose bound the report supplies"
+
+
+class UsageError(Exception):
+    """A flag combination the parser cannot refuse itself (exit 2)."""
 
 
 def _flag_type(kind, ok, rule: str):
@@ -68,7 +73,7 @@ MODES = _flag_type(lambda text: [int(m) for m in text.split(",")],
 OPTIONS = {
     "--config": dict(default=None, help="system configuration JSON"),
     "--out": dict(default=None, help="output directory (default: stdout/cwd)"),
-    "--seed": dict(type=SEED, default=0),
+    "--seed": dict(type=SEED, default=None),  # None: omitted, 0 where anything is drawn
     "--step": dict(type=POSITIVE, default=1e-3, help="integration step [s]"),
     "--grid": dict(type=GRID, default=None, help="grid points per axis"),
     "--samples": dict(type=COUNT, default=None, help="random sample count"),
@@ -95,31 +100,22 @@ def _load(args):
     return load_config(args.config or bundled_config_path("saddle2d"))
 
 
-def _config_error(exc) -> int:
-    print(f"config error: {exc}", file=sys.stderr)
-    return CONFIG_EXIT
-
-
-def _emit_report(report: dict, args, name: str) -> None:
-    if args.out:
-        atomic_write_json(Path(args.out) / name, report)
-    else:
-        print(json.dumps(report, indent=2))
-
-
 def cmd_analyze(args) -> int:
-    try:
-        bundle = _load(args)
-    except ConfigError as exc:
-        return _config_error(exc)
-    samples = sample_domain(bundle.system, args.grid, args.samples, args.seed)
+    bundle = _load(args)
+    samples = sample_domain(bundle.system, args.grid, args.samples, args.seed or 0)
+    if args.seed is not None and not samples.scheme["random_count"]:
+        raise UsageError("--seed needs random sample points, and a grid draws none "
+                         "(add --samples)")
     try:
         report = analyze(bundle, samples, tol=args.tol, margin=args.margin,
                          search_weights=args.search_weights)
-    except (InfeasibleError, ValueError) as exc:
+    except (ValueError, EvaluationError) as exc:  # no certificate, or a non-finite Jacobian
         print(f"analysis failed: {exc}", file=sys.stderr)
         return VERDICT_EXIT
-    _emit_report(report, args, "report.json")
+    if args.out:
+        atomic_write_json(Path(args.out) / "report.json", report)
+    else:
+        print(json.dumps(report, indent=2))
     if not report["all_pass"]:
         failing = [v["name"] for v in report["verdicts"] if not v["ok"]]
         print(f"failed conditions: {', '.join(failing)}", file=sys.stderr)
@@ -139,45 +135,38 @@ def _initial_state(text: str, dimension: int) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     if args.random_signal and not args.bounds_from:
-        print("usage error: --random-signal needs --bounds-from", file=sys.stderr)
-        return CONFIG_EXIT
+        raise UsageError("--random-signal needs --bounds-from")
     if args.seed is not None and not args.random_signal:
-        print("usage error: --seed needs --random-signal, the only signal it draws",
-              file=sys.stderr)
-        return CONFIG_EXIT
-    if args.signal and _refused(args, "--signal", ["--horizon"], "whose file records the horizon"):
-        return CONFIG_EXIT
+        raise UsageError("--seed needs --random-signal, the only signal it draws")
+    if args.signal:
+        _refuse(args, "--signal", ["--horizon"], "whose file records the horizon")
     horizon = args.horizon or DEFAULT_HORIZON
-    try:
-        bundle = _load(args)
-        mode_ids = [m.id for m in bundle.system.modes]
-        x_a0, x_b0 = (_initial_state(text, bundle.system.dimension) for text in args.initial)
-        if np.array_equal(x_a0, x_b0):
-            raise ConfigError(f"initial states {args.initial[0]!r} and {args.initial[1]!r} "
-                              "are equal, so the distance ratio is undefined")
-        bounds = _report_bounds(args.bounds_from, bundle) if args.bounds_from else None
-    except ConfigError as exc:
-        return _config_error(exc)
-    try:
-        if args.signal:
-            sig = read_signal_csv(args.signal)
-            if unknown := sorted(set(sig.modes) - set(mode_ids)):
-                raise ConfigError(f"the signal enters mode {unknown[0]}, which the "
-                                  f"configuration lacks (modes {mode_ids})")
-        elif args.random_signal:
-            sig = generate_random(mode_ids, bounds, 0.0, horizon, seed=args.seed or 0)
-        else:
-            sig = generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, horizon)
-    except (ConfigError, OSError) as exc:
-        return _config_error(exc)
-    except ValueError as exc:  # bounds no signal can meet
-        print(f"no signal to simulate: {exc}", file=sys.stderr)
-        return VERDICT_EXIT
+    bundle = _load(args)
+    mode_ids = [m.id for m in bundle.system.modes]
+    x_a0, x_b0 = (_initial_state(text, bundle.system.dimension) for text in args.initial)
+    if np.array_equal(x_a0, x_b0):
+        raise ConfigError(f"initial states {args.initial[0]!r} and {args.initial[1]!r} "
+                          "are equal, so the distance ratio is undefined")
+    bounds = _report_bounds(args.bounds_from, bundle) if args.bounds_from else None
+    if args.signal:
+        sig = read_signal_csv(args.signal)
+        if unknown := sorted(set(sig.modes) - set(mode_ids)):
+            raise ConfigError(f"the signal enters mode {unknown[0]}, which the "
+                              f"configuration lacks (modes {mode_ids})")
+    else:
+        try:
+            if args.random_signal:
+                sig = generate_random(mode_ids, bounds, 0.0, horizon, seed=args.seed or 0)
+            else:
+                sig = generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, horizon)
+        except ValueError as exc:  # bounds no signal can meet, or too short a horizon
+            print(f"no signal to simulate: {exc}", file=sys.stderr)
+            return VERDICT_EXIT
     try:
         result, traces = run_simulation(bundle, sig, x_a0, x_b0, args.step, bounds)
     except RateWindowError as exc:
-        return _config_error(f"the rate-fit window [t0 + 0.2 (T - t0), T] is too short "
-                             f"({exc}): raise the horizon or lower --step")
+        raise ConfigError(f"the rate-fit window [t0 + 0.2 (T - t0), T] is too short "
+                          f"({exc}): raise the horizon or lower --step") from None
     report = {
         "schema_version": 1,
         "provenance": {
@@ -208,13 +197,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _refused(args, flag: str, others: list, why: str) -> bool:
-    """Whether one of the flags others (read from args by their argparse
-    dest) is given with flag; if so, print a usage error naming the first."""
+def _refuse(args, flag: str, others: list, why: str) -> None:
+    """Raise UsageError if one of the flags others (read from args by their
+    argparse dest) is given with flag, naming the first."""
     given = [other for other in others if getattr(args, other[2:].replace("-", "_")) is not None]
     if given:
-        print(f"usage error: {flag} cannot be combined with {given[0]}, {why}", file=sys.stderr)
-    return bool(given)
+        raise UsageError(f"{flag} cannot be combined with {given[0]}, {why}")
 
 
 def _report_bounds(path, bundle=None) -> DwellBounds:
@@ -236,28 +224,26 @@ def _bounds_from_args(args, modes) -> DwellBounds:
 
 
 def cmd_signal_gen(args) -> int:
-    if args.periodic and _refused(args, "--periodic", ["--seed", *TAU_FLAGS, "--bounds-from"],
-                                  "which only the seeded random generator reads"):
-        return CONFIG_EXIT
-    if args.bounds_from and _refused(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH):
-        return CONFIG_EXIT
+    if args.periodic:
+        _refuse(args, "--periodic", ["--seed", *TAU_FLAGS, "--bounds-from"],
+                "which only the seeded random generator reads")
+    if args.bounds_from:
+        _refuse(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH)
     if not (args.periodic or args.bounds_from or args.tau_lower or args.tau_upper):
-        return _config_error("signal gen needs --periodic, or a bound for the random "
-                             "generator: --tau-lower, --tau-upper or --bounds-from")
+        raise ConfigError("signal gen needs --periodic, or a bound for the random "
+                          "generator: --tau-lower, --tau-upper or --bounds-from")
     if args.horizon - args.t0 <= TIME_EPS:
-        return _config_error(f"--horizon {args.horizon} must exceed --t0 {args.t0}")
+        raise ConfigError(f"--horizon {args.horizon} must exceed --t0 {args.t0}")
     if args.periodic:
         sig = generate_periodic(args.modes, args.periodic, args.t0, args.horizon)
     else:
+        bounds = _bounds_from_args(args, args.modes)
+        # a mode the report does not bound would be drawn unbounded
+        unbounded = [q for q in args.modes if q not in bounds.lower and q not in bounds.upper]
+        if args.bounds_from and unbounded:
+            raise ConfigError(f"report has no dwell bounds for mode {unbounded[0]}")
         try:
-            bounds = _bounds_from_args(args, args.modes)
-            # a mode the report does not bound would be drawn unbounded
-            unbounded = [q for q in args.modes if q not in bounds.lower and q not in bounds.upper]
-            if args.bounds_from and unbounded:
-                raise ConfigError(f"report has no dwell bounds for mode {unbounded[0]}")
             sig = generate_random(args.modes, bounds, args.t0, args.horizon, seed=args.seed or 0)
-        except ConfigError as exc:
-            return _config_error(exc)
         except ValueError as exc:
             print(f"infeasible bounds: {exc}", file=sys.stderr)
             return VERDICT_EXIT
@@ -269,14 +255,11 @@ def cmd_signal_gen(args) -> int:
 
 
 def cmd_signal_check(args) -> int:
-    if args.bounds_from and _refused(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH):
-        return CONFIG_EXIT
-    try:
-        sig = read_signal_csv(args.signal)
-        bounds = _bounds_from_args(args, sig.modes)
-        check = verify_per_activation(sig, bounds)
-    except (ValueError, OSError) as exc:  # a mode without bounds is a ValueError
-        return _config_error(exc)
+    if args.bounds_from:
+        _refuse(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH)
+    sig = read_signal_csv(args.signal)
+    bounds = _bounds_from_args(args, sig.modes)
+    check = verify_per_activation(sig, bounds)
     report = {"per_activation": {"ok": check.ok, "detail": check.reason}}
     failure = None if check.ok else check.reason  # the first failed check
     for q in sig.modes:
@@ -344,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     signal_flags.add_argument("--signal", default=None, help="signal CSV to replay")
     p_sim.add_argument("--initial", nargs=2, default=["2,-1", "-2,1"],
                        metavar=("XA", "XB"), help="two initial states, comma-separated")
-    # horizon None tells an omitted --horizon from a given one, which --signal
-    # refuses; seed None an omitted --seed (0) from one without --random-signal
-    p_sim.set_defaults(fn=cmd_simulate, horizon=None, seed=None)
+    # horizon None tells an omitted --horizon from a given one, which --signal refuses
+    p_sim.set_defaults(fn=cmd_simulate, horizon=None)
 
     p_signal = sub.add_parser("signal", help="generate or check switching signals")
     actions = p_signal.add_subparsers(dest="action", required=True)
@@ -356,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--t0", type=FINITE, default=0.0)
     p_gen.add_argument("--out-file", default=None)
     _add_options(p_gen, "--seed", "--horizon", "--tau-lower", "--tau-upper", "--bounds-from")
-    # seed None tells an omitted --seed (0) from a given one, which --periodic refuses
-    p_gen.set_defaults(fn=cmd_signal_gen, seed=None)
+    p_gen.set_defaults(fn=cmd_signal_gen)
     p_check = actions.add_parser("check", help="check a signal CSV against dwell bounds")
     p_check.add_argument("--signal", required=True, help="signal CSV to check")
     _add_options(p_check, "--tau-lower", "--tau-upper", "--bounds-from")
@@ -373,9 +354,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OSError as exc:  # each command reports what it cannot read itself
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+    except OSError as exc:  # every reader of an input raises ConfigError instead
         print(f"output error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
+    return CONFIG_EXIT
 
 
 if __name__ == "__main__":

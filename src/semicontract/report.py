@@ -249,4 +249,6 @@ def certificates_from_report(bundle: ConfigBundle, samples: SampleSet,
                                                        **constants)
         except NotInvariantError as exc:
             results[spec.name] = exc
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"subspace {spec.name!r}: {exc}") from None
     return results

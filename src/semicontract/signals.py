@@ -235,11 +235,12 @@ def verify_per_activation(sig: SwitchingSignal, bounds: DwellBounds) -> Activati
     every activation of an upper-bounded mode at most tau_upper.
 
     The final activation is censored by the horizon: its observed length still
-    enforces the upper bound but cannot fail the lower one.
+    enforces the upper bound but cannot fail the lower one. A mode of sig
+    without bounds raises ConfigError.
     """
     for mode in sig.modes:
         if mode not in bounds.lower and mode not in bounds.upper:
-            raise ValueError(f"no dwell bounds for mode {mode}")
+            raise ConfigError(f"no dwell bounds for mode {mode}")
     counters = dict.fromkeys(sig.modes, 0)
     lower_of, upper_of = bounds.lower.get, bounds.upper.get
     for act in sig.activations:
@@ -320,10 +321,14 @@ def write_signal_csv(sig: SwitchingSignal, path) -> None:
 
 def read_signal_csv(path) -> SwitchingSignal:
     """Read a signal CSV: a `time,mode` row per event, then `<horizon>,end`;
-    a file that does not hold a valid signal raises ConfigError."""
-    with Path(path).open(encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        rows = list(reader)
+    a file that cannot be read or does not hold a valid signal raises
+    ConfigError."""
+    try:
+        with Path(path).open(encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8
+        raise ConfigError(str(exc)) from None
     for column in ("time", "mode"):
         if rows and column not in reader.fieldnames:  # no rows: the end-row error
             raise ConfigError(f"signal file {path} has no {column!r} column")

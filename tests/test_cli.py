@@ -262,6 +262,62 @@ def test_simulate_skips_the_bounds_where_analyze_refuses(tmp_path, capsys, confi
         assert "signal_within_bounds" not in report
 
 
+def two_axes_config(tmp_path, field_1, field_2):
+    """A 2-D configuration on the box [-1, 1]^2 with the axis subspaces 'a'
+    and 'b' and no P matrices, whose modes have the fields field_1, field_2."""
+    doc = {"name": "axes", "dimension": 2, "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+           "modes": [{"id": 1, "field": field_1}, {"id": 2, "field": field_2}],
+           "subspaces": [{"name": "a", "span": [[1.0, 0.0]]},
+                         {"name": "b", "span": [[0.0, 1.0]]}],
+           "certificates": []}
+    config = tmp_path / "axes.json"
+    config.write_text(json.dumps(doc))
+    return str(config)
+
+
+# the pole used to end analyze in an EvaluationError traceback, which no
+# handler caught; the infeasible subspace used to go unnamed
+@pytest.mark.parametrize("fields, reason", [
+    ((["1/x1", "-x2"], ["-x1", "x2"]), "non-finite value in subexpression -1.0/(x1*x1)"),
+    ((["x1", "-x2"], ["x1", "x2"]),
+     "subspace 'a': no semi-contracting mode on this subspace: scalar weights cannot make "
+     "every expanding-mode exit drop"),
+], ids=["jacobian_pole_at_a_sample", "infeasible_subspace"])
+def test_an_analysis_that_cannot_certify_fails_in_one_line(tmp_path, capsys, fields, reason):
+    config = two_axes_config(tmp_path, *fields)
+    out = tmp_path / "out"
+    # grid 5 samples x1 = 0
+    assert main(["analyze", "--config", config, "--search-weights", "--grid", "5",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"analysis failed: {reason}\n"
+    assert not out.exists()
+
+
+# analyze used to record a --seed that drew nothing as provenance.seed
+@pytest.mark.parametrize("flags", [["--grid", "5"], []], ids=["grid", "default_grid"])
+def test_analyze_seed_without_random_points_is_a_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["analyze", *flags, "--seed", "9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("usage error: --seed needs random sample points, and a "
+                                       "grid draws none (add --samples)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, scheme", [
+    (["--grid", "3", "--samples", "4", "--seed", "9"],
+     {"grid_per_axis": 3, "random_count": 4, "seed": 9}),
+    (["--samples", "4"], {"grid_per_axis": 0, "random_count": 4, "seed": 0}),
+    # above dimension 3 the default scheme is 1000 seeded random points
+    (["--config", str(bundled_config_path("saddle4d")), "--search-weights", "--seed", "3"],
+     {"grid_per_axis": 0, "random_count": 1000, "seed": 3}),
+], ids=["grid_and_samples", "samples_without_seed", "saddle4d_default_scheme"])
+def test_analyze_records_the_seed_it_draws_with(tmp_path, argv, scheme):
+    assert main(["analyze", *argv, "--out", str(tmp_path)]) == 0
+    provenance = strict_json((tmp_path / "report.json").read_text())["provenance"]
+    assert provenance["sample_scheme"] == scheme
+    assert provenance["seed"] == scheme["seed"]
+
+
 def test_analyze_config_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid json")
@@ -833,6 +889,26 @@ def test_simulate_bad_signal_file_is_a_config_error(tmp_path, capsys, case):
     assert "config error:" in err
     assert SIMULATE_BAD_SIGNAL_FILES[case][1] in err
     assert not (tmp_path / "simulation.json").exists()
+
+
+# simulate used to report a file that is not UTF-8 as "no signal to simulate"
+# (exit 1), signal check as a config error; a field over the csv module's
+# limit ended both in a csv.Error traceback
+@pytest.mark.parametrize("content, message", [
+    (b"time,mode\n0.0,\xff\n10.0,end\n", "'utf-8' codec can't decode"),
+    (b"time,mode\n" + b"1" * 200_000 + b",1\n10.0,end\n", "field larger than field limit"),
+], ids=["not_utf8", "field_over_the_csv_limit"])
+def test_a_signal_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys, content,
+                                                             message):
+    path = tmp_path / "signal.csv"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["simulate", "--signal", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["signal", "check", "--signal", str(path), "--tau-lower", "0.1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith(f"config error: {message}")
 
 
 def test_signal_gen_infeasible_bounds(tmp_path, capsys):

@@ -764,23 +764,27 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-# Bytes that writing the traces of a run may allocate at its peak, whatever
-# the run's length.
-TRACE_WRITE_PEAK = 2_000_000
+# Bytes that writing the traces of a run, plot included, may allocate at its
+# peak, whatever the run's length, with blocks of TRACE_BLOCK_ROWS rows; the
+# plot, at most svgplot.MAX_POINTS points a series, takes about 330 kB.
+TRACE_WRITE_PEAK = 400_000
+TRACE_BLOCK_ROWS = 256
 
 
 def test_integrate_and_write_traces_hold_no_run_as_python_floats(bundle, tmp_path):
-    # a 60 s periodic run at step 1e-3 has 60,001 samples; integrate used to
+    # a 10 s periodic run at step 1e-3 has 10,001 samples; integrate used to
     # keep them as one list of Python floats (32 B a value against numpy's 8),
     # and write_traces each trace file as one string copied twice
     x_a0, x_b0 = np.array([2.0, -1.0]), np.array([-2.0, 1.0])
     integrate(bundle.system, generate_periodic([1, 2], 0.35, 0.0, 1.0), x_a0, 1e-3)  # kernels
-    sig = generate_periodic([1, 2], 0.35, 0.0, 60.0)
+    sig = generate_periodic([1, 2], 0.35, 0.0, 10.0)
     traj, peak = traced_peak(integrate, bundle.system, sig, x_a0, 1e-3)
-    assert len(traj.times) == 60_001
+    assert len(traj.times) == 10_001
     assert peak <= 2 * (traj.times.nbytes + traj.states.nbytes + traj.boundaries.nbytes)
     _, traces = run_simulation(bundle, sig, x_a0, x_b0, 1e-3, None)
-    _, peak = traced_peak(sim.write_traces, tmp_path, sig, traces, True, "60 s")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "CSV_BLOCK_ROWS", TRACE_BLOCK_ROWS)
+        _, peak = traced_peak(sim.write_traces, tmp_path, sig, traces, True, "10 s")
     # the bound is below the size of each trace file, so no writer that holds
     # a whole file can meet it
     for name in ("trajectory_a.csv", "trajectory_b.csv", "distance.csv"):

@@ -101,3 +101,18 @@ def test_every_module_level_import_is_used():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_only_cli_main_prints_the_error_kinds():
+    # commands raise UsageError, ConfigError or OSError, and cli.main alone
+    # turns each into its stderr prefix and exit code
+    prefixes = ("usage error:", "config error:", "output error:")
+    printed = {prefix: [] for prefix in prefixes}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    for prefix in prefixes:
+                        if prefix in sub.value:
+                            printed[prefix].append(f"{path.stem}.{getattr(node, 'name', '')}")
+    assert printed == {prefix: ["cli.main"] for prefix in prefixes}
