@@ -97,7 +97,7 @@ def _add_options(parser, *names):
 
 
 def _load(args):
-    return load_config(args.config or bundled_config_path("saddle2d"))
+    return load_config(bundled_config_path("saddle2d") if args.config is None else args.config)
 
 
 def cmd_analyze(args) -> int:
@@ -134,34 +134,35 @@ def _initial_state(text: str, dimension: int) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    if args.random_signal and not args.bounds_from:
+    if args.random_signal and args.bounds_from is None:
         raise UsageError("--random-signal needs --bounds-from")
     if args.seed is not None and not args.random_signal:
         raise UsageError("--seed needs --random-signal, the only signal it draws")
-    if args.signal:
+    if args.signal is not None:
         _refuse(args, "--signal", ["--horizon"], "whose file records the horizon")
     horizon = args.horizon or DEFAULT_HORIZON
+    if horizon <= TIME_EPS:
+        raise ConfigError(f"--horizon {horizon} must exceed the start time 0.0")
     bundle = _load(args)
     mode_ids = [m.id for m in bundle.system.modes]
     x_a0, x_b0 = (_initial_state(text, bundle.system.dimension) for text in args.initial)
     if np.array_equal(x_a0, x_b0):
         raise ConfigError(f"initial states {args.initial[0]!r} and {args.initial[1]!r} "
                           "are equal, so the distance ratio is undefined")
-    bounds = _report_bounds(args.bounds_from, bundle) if args.bounds_from else None
-    if args.signal:
+    bounds = None if args.bounds_from is None else _report_bounds(args.bounds_from, bundle)
+    if args.signal is not None:
         sig = read_signal_csv(args.signal)
         if unknown := sorted(set(sig.modes) - set(mode_ids)):
             raise ConfigError(f"the signal enters mode {unknown[0]}, which the "
                               f"configuration lacks (modes {mode_ids})")
-    else:
+    elif args.random_signal:
         try:
-            if args.random_signal:
-                sig = generate_random(mode_ids, bounds, 0.0, horizon, seed=args.seed or 0)
-            else:
-                sig = generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, horizon)
-        except ValueError as exc:  # bounds no signal can meet, or too short a horizon
+            sig = generate_random(mode_ids, bounds, 0.0, horizon, seed=args.seed or 0)
+        except ValueError as exc:  # bounds no signal can meet
             print(f"no signal to simulate: {exc}", file=sys.stderr)
             return VERDICT_EXIT
+    else:
+        sig = generate_periodic(mode_ids, args.periodic or DEFAULT_DWELL, 0.0, horizon)
     try:
         result, traces = run_simulation(bundle, sig, x_a0, x_b0, args.step, bounds)
     except RateWindowError as exc:
@@ -216,7 +217,7 @@ def _report_bounds(path, bundle=None) -> DwellBounds:
 
 
 def _bounds_from_args(args, modes) -> DwellBounds:
-    if args.bounds_from:
+    if args.bounds_from is not None:
         return _report_bounds(args.bounds_from)
     lower = {q: args.tau_lower for q in modes} if args.tau_lower is not None else {}
     upper = {q: args.tau_upper for q in modes} if args.tau_upper is not None else {}
@@ -227,9 +228,9 @@ def cmd_signal_gen(args) -> int:
     if args.periodic:
         _refuse(args, "--periodic", ["--seed", *TAU_FLAGS, "--bounds-from"],
                 "which only the seeded random generator reads")
-    if args.bounds_from:
+    if args.bounds_from is not None:
         _refuse(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH)
-    if not (args.periodic or args.bounds_from or args.tau_lower or args.tau_upper):
+    if not (args.periodic or args.bounds_from is not None or args.tau_lower or args.tau_upper):
         raise ConfigError("signal gen needs --periodic, or a bound for the random "
                           "generator: --tau-lower, --tau-upper or --bounds-from")
     if args.horizon - args.t0 <= TIME_EPS:
@@ -240,7 +241,7 @@ def cmd_signal_gen(args) -> int:
         bounds = _bounds_from_args(args, args.modes)
         # a mode the report does not bound would be drawn unbounded
         unbounded = [q for q in args.modes if q not in bounds.lower and q not in bounds.upper]
-        if args.bounds_from and unbounded:
+        if args.bounds_from is not None and unbounded:
             raise ConfigError(f"report has no dwell bounds for mode {unbounded[0]}")
         try:
             sig = generate_random(args.modes, bounds, args.t0, args.horizon, seed=args.seed or 0)
@@ -255,7 +256,7 @@ def cmd_signal_gen(args) -> int:
 
 
 def cmd_signal_check(args) -> int:
-    if args.bounds_from:
+    if args.bounds_from is not None:
         _refuse(args, "--bounds-from", TAU_FLAGS, BOUNDS_FROM_CLASH)
     sig = read_signal_csv(args.signal)
     bounds = _bounds_from_args(args, sig.modes)

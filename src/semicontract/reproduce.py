@@ -59,6 +59,32 @@ SIMULATION_SUMMARY = ("terminal_distance", "distance_ratio", "rate_fit", "step_h
 SEED = 19
 
 
+def _write_traces_child(conn, *args) -> None:
+    """Body of a writer child: write_traces(*args), then send the parent None
+    or the error it raised."""
+    with conn:
+        try:
+            write_traces(*args)
+        except Exception as exc:
+            conn.send(exc)
+        else:
+            conn.send(None)
+
+
+def _join_writer(name, child, reader) -> Exception | None:
+    """Wait for the writer child of experiment name: the error it sent, None
+    once it wrote every file, or an OSError if it exited without a message."""
+    with reader:
+        try:
+            return reader.recv()
+        except EOFError:
+            pass
+        finally:
+            child.join()
+    return OSError(f"the trace writer of {name} exited with code {child.exitcode} "
+                   "without a message")
+
+
 def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
     """Run and check the example at seed SEED, tolerance PSD_TOL and margin
     DEFAULT_MARGIN; 0 iff every check passes."""
@@ -120,14 +146,32 @@ def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
         ("control_dwell_1.0", generate_periodic([1, 2], 1.0, 0.0, horizon),
          out_dir / "control_simulation.json", None),
     ]
+    # imported here: it would add some 8 ms to every command's start
+    import multiprocessing
+
     simulations = {}
-    for name, sig, path, title in experiments:
-        result, traces = run_simulation(bundle, sig, x_a0, x_b0, step, bounds)
-        path.parent.mkdir(exist_ok=True)
-        if title:
-            write_traces(path.parent, sig, traces, True, title)
-        atomic_write_json(path, result)
-        simulations[name] = result
+    writers = []
+    try:
+        for name, sig, path, title in experiments:
+            result, traces = run_simulation(bundle, sig, x_a0, x_b0, step, bounds)
+            path.parent.mkdir(exist_ok=True)
+            if title:
+                # the trace files are written by a child process while this
+                # one integrates the next experiment
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(
+                    target=_write_traces_child,
+                    args=(writer, path.parent, sig, traces, True, title))
+                child.start()
+                writer.close()
+                writers.append((name, child, reader))
+            atomic_write_json(path, result)
+            simulations[name] = result
+    finally:
+        errors = [_join_writer(*entry) for entry in writers]
+    if error := next((e for e in errors if e is not None), None):
+        raise error
+
     res1, res2, res3 = simulations.values()
 
     halving = next(v["ok"] for v in res1["verdicts"] if v["name"] == "step_halving_agreement")

@@ -324,13 +324,19 @@ def test_analyze_config_error_exit_2(tmp_path):
     assert main(["analyze", "--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("command", ["analyze", "simulate"])
-def test_a_missing_config_file_is_a_config_error(tmp_path, capsys, command):
-    missing = tmp_path / "missing.json"
-    assert main([command, "--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+# an empty --config is a path like any other, not an omitted flag
+@pytest.mark.parametrize("command, name", [
+    ("analyze", "missing.json"), ("simulate", "missing.json"), ("analyze", ""), ("simulate", ""),
+], ids=["analyze", "simulate", "analyze-empty", "simulate-empty"])
+def test_a_missing_config_file_is_a_config_error(tmp_path, capsys, command, name):
+    missing = str(tmp_path / name) if name else name
+    out = tmp_path / "out"
+    assert main([command, "--config", missing, "--grid" if command == "analyze" else "--horizon",
+                 "5", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot read configuration: ")
-    assert str(missing) in err
+    assert missing in err
+    assert not out.exists()
 
 
 def without_modes(doc):
@@ -677,6 +683,13 @@ def test_simulate_too_short_for_the_rate_fit_is_a_config_error(tmp_path, capsys,
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ") and "raise the horizon or lower --step" in err
     assert not out.exists()
+    # no signal starting at 0 ends within TIME_EPS of its start
+    assert simulate("1e-12") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    if "--signal" not in signal_flags:
+        assert "--horizon 1e-12 must exceed the start time" in err
+    assert not out.exists()
     # one more step puts 3 samples in the window
     assert simulate("0.003") == 0
 
@@ -805,6 +818,8 @@ BAD_SIGNAL_FILES = {
     "no_mode_column": ("time,mod\n0.0,1\n10.0,end\n", "'mode'"),
     "non_numeric_cell": ("time,mode\n0.0,one\n10.0,end\n", "one"),
     "missing_file": (None, "No such file"),
+    # an empty --signal is a path like any other, not an omitted flag
+    "empty_path": (None, "Is a directory"),
     # the last activation, up to the horizon 10, lasts about 1e-13 s
     "tiny_last_activation": ("time,mode\n0.0,1\n9.9999999999999,2\n10.0,end\n",
                              "last activation"),
@@ -829,6 +844,8 @@ SIMULATE_BAD_SIGNAL_FILES = {
 
 def write_bad_signal(tmp_path, case):
     text, _ = SIMULATE_BAD_SIGNAL_FILES[case]
+    if case == "empty_path":
+        return ""
     path = tmp_path / "signal.csv"
     if text is not None:
         path.write_text(text)
@@ -1174,6 +1191,7 @@ def invalid_json_report(tmp_path):
 
 BAD_REPORTS = {
     "missing_file": lambda tmp_path: tmp_path / "absent.json",
+    "empty_path": lambda tmp_path: "",
     "invalid_json": invalid_json_report,
     "not_separating": non_separating_report,
 }

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from semicontract import report, reproduce, system
 from semicontract.cli import main
@@ -58,6 +60,38 @@ def test_reproduce_does_not_import_the_cli():
             "assert r.run_simulation.__module__ == 'semicontract.sim'")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_the_cli_starts_without_multiprocessing():
+    # run_reproduction imports it for its trace writers; no other command pays for it
+    code = "import sys, semicontract.cli; assert 'multiprocessing' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_a_trace_writer_error_is_an_output_error(tmp_path, capsys):
+    # the periodic experiment's writer child cannot rename its first CSV into place
+    out = tmp_path / "rep"
+    blocker = out / "periodic" / "trajectory_a.csv"
+    blocker.mkdir(parents=True)
+    assert main(["reproduce", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(blocker) in err
+    assert multiprocessing.active_children() == []
+    assert not (out / "reproduction.json").exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the child sees the patched write_traces only when forked")
+def test_a_trace_writer_that_dies_is_named_with_its_exit_code(tmp_path, monkeypatch, capsys):
+    def die(*args):
+        raise SystemExit(3)
+
+    monkeypatch.setattr(reproduce, "write_traces", die)
+    with pytest.raises(OSError, match="trace writer of periodic_dwell_0.35 exited with code 3"):
+        reproduce.run_reproduction(tmp_path, step=1e-2, grid=5)
+    assert multiprocessing.active_children() == []
 
 
 def test_reproduction_builds_its_certificates_once(tmp_path, monkeypatch, capsys):
