@@ -65,6 +65,7 @@ FRACTION = _flag_type(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 GRID = _flag_type(int, lambda v: v >= 2, "an integer >= 2")
 COUNT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
 SEED = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
+OUT_PATH = _flag_type(str, bool, "a non-empty path")
 MODES = _flag_type(lambda text: [int(m) for m in text.split(",")],
                    lambda v: min(v) >= 1 and len(set(v)) == len(v),
                    "comma-separated distinct positive integers")
@@ -72,7 +73,7 @@ MODES = _flag_type(lambda text: [int(m) for m in text.split(",")],
 # Options shared by the subcommands; each registers only those it reads.
 OPTIONS = {
     "--config": dict(default=None, help="system configuration JSON"),
-    "--out": dict(default=None, help="output directory (default: stdout/cwd)"),
+    "--out": dict(type=OUT_PATH, default=None, help="output directory (default: stdout/cwd)"),
     "--seed": dict(type=SEED, default=None),  # None: omitted, 0 where anything is drawn
     "--step": dict(type=POSITIVE, default=1e-3, help="integration step [s]"),
     "--grid": dict(type=GRID, default=None, help="grid points per axis"),
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--modes", type=MODES, default="1,2")
     p_gen.add_argument("--periodic", type=POSITIVE, default=None)
     p_gen.add_argument("--t0", type=FINITE, default=0.0)
-    p_gen.add_argument("--out-file", default=None)
+    p_gen.add_argument("--out-file", type=OUT_PATH, default=None)
     _add_options(p_gen, "--seed", "--horizon", "--tau-lower", "--tau-upper", "--bounds-from")
     p_gen.set_defaults(fn=cmd_signal_gen)
     p_check = actions.add_parser("check", help="check a signal CSV against dwell bounds")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
 
 import numpy as np
 
@@ -41,8 +41,48 @@ class EvaluationError(ArithmeticError):
     """Non-finite intermediate value, reported with the offending subexpression."""
 
 
+_LIVE: dict = {}  # intern key -> weak reference to the one live node with that key
+
+
+def _forget(ref, key) -> None:
+    if _LIVE.get(key) is ref:  # not the entry of a newer node with the key
+        del _LIVE[key]
+
+
 class Expr:
-    """Base expression node. Instances are immutable and hashable."""
+    """Base expression node. Nodes are interned and immutable: building a node
+    equal to a live one returns that one, so equality and hashing are
+    identity. A node's fields are its class's __slots__, and it stores the
+    levels of its tree, a leaf being one, as depth."""
+
+    __slots__ = ("depth", "__weakref__")
+
+    def __new__(cls, *fields):
+        # children are keyed by identity; a constant by its repr, so 0.0 and
+        # -0.0 are two nodes (a kernel compiled for one mode must not serve a
+        # mode equal up to the sign of a zero) and every nan is one node
+        key = (cls, repr(fields[0])) if cls is Const else (cls, *fields)
+        ref = _LIVE.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "depth", 1 + max(
+                (f.depth for f in fields if isinstance(f, Expr)), default=0))
+            _LIVE[key] = weakref.ref(node, lambda dead, key=key: _forget(dead, key))
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copies and unpickled nodes are interned too
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
 
     def evaluate(self, x: np.ndarray):
         """Evaluate at a point of shape (n,) or a batch of shape (m, n)."""
@@ -56,18 +96,8 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
-
-    # constants are equal when they render alike: 0.0 and -0.0 differ (a
-    # kernel compiled for one mode must not serve a mode equal up to the sign
-    # of a zero), nan equals nan
-    def __eq__(self, other):
-        return isinstance(other, Const) and repr(self.value) == repr(other.value)
-
-    def __hash__(self):
-        return hash(repr(self.value))
+    __slots__ = ("value",)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -82,9 +112,8 @@ class Const(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int  # 1-based
+    __slots__ = ("index",)  # index is 1-based
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -151,10 +180,8 @@ def neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def evaluate(self, x):
         return self.left.evaluate(x) + self.right.evaluate(x)
@@ -166,10 +193,8 @@ class Add(Expr):
         return f"{self.left} + {_wrap(self.right, (Add, Sub))}"
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def evaluate(self, x):
         return self.left.evaluate(x) - self.right.evaluate(x)
@@ -181,10 +206,8 @@ class Sub(Expr):
         return f"{self.left} - {_wrap(self.right, (Add, Sub))}"
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def evaluate(self, x):
         return self.left.evaluate(x) * self.right.evaluate(x)
@@ -199,10 +222,8 @@ class Mul(Expr):
         return f"{_wrap(self.left, (Add, Sub))}*{_wrap(self.right, (Add, Sub, Mul, Div))}"
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def evaluate(self, x):
         num = self.left.evaluate(x)
@@ -223,10 +244,8 @@ class Div(Expr):
         return f"{_wrap(self.left, (Add, Sub))}/{_wrap(self.right, (Add, Sub, Mul, Div))}"
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
     def evaluate(self, x):
         base = self.base.evaluate(x)
@@ -240,19 +259,15 @@ class Pow(Expr):
         inner = self.base.diff(index)
         if n == 1:
             return inner
-        if n == 2:
-            outer = mul(Const(float(n)), self.base)
-        else:
-            outer = mul(Const(float(n)), Pow(self.base, n - 1))
+        outer = mul(Const(float(n)), self.base if n == 2 else Pow(self.base, n - 1))
         return mul(outer, inner)
 
     def __str__(self):
         return f"{_wrap(self.base, (Add, Sub, Mul, Div, Neg, Pow))}^{self.exponent}"
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def evaluate(self, x):
         return -self.arg.evaluate(x)
@@ -264,10 +279,8 @@ class Neg(Expr):
         return f"-{_wrap(self.arg, (Add, Sub, Mul, Div, Neg))}"
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
 
     def evaluate(self, x):
         return FUNCTIONS[self.func](self.arg.evaluate(x))
@@ -311,12 +324,8 @@ def _tokenize(text: str):
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", text, pos)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # the one group that matched: number, name or op
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -436,21 +445,7 @@ def differentiate(e: Expr, index: int) -> Expr:
 
 
 def _children(e: Expr) -> list:
-    return [c for c in (getattr(e, f) for f in e.__dataclass_fields__) if isinstance(c, Expr)]
-
-
-def depth(e: Expr) -> int:
-    """Levels of e's tree, a leaf being one, computed without recursion."""
-    levels: dict = {}  # id(node) -> its depth
-    stack = [e]
-    while stack:
-        kids = _children(stack[-1])
-        pending = [c for c in kids if id(c) not in levels]
-        if pending:
-            stack += pending
-        else:
-            levels[id(stack.pop())] = 1 + max((levels[id(c)] for c in kids), default=0)
-    return levels[id(e)]
+    return [c for c in (getattr(e, f) for f in e.__slots__) if isinstance(c, Expr)]
 
 
 def _find_nonfinite(e: Expr, x) -> Expr:
@@ -516,14 +511,14 @@ def to_python_statements(exprs, targets, var: str = "x[{}]", numpy: bool = False
     inline for CPython to fold. A subexpression is named by its plain source,
     rendered once per node, so the operations and every target's value are
     those of to_python_source's rendering."""
-    plain: dict = {}  # id(node) -> (plain source, whether it reads a variable)
+    plain: dict = {}  # node -> (plain source, whether it reads a variable)
 
     def key(e):
-        if id(e) not in plain:
+        if e not in plain:
             kids = [key(c) for c in _children(e)]
-            plain[id(e)] = (to_python_source(e, var, args=[k for k, _ in kids]),
-                            isinstance(e, Var) or any(reads for _, reads in kids))
-        return plain[id(e)]
+            plain[e] = (to_python_source(e, var, args=[k for k, _ in kids]),
+                        isinstance(e, Var) or any(reads for _, reads in kids))
+        return plain[e]
 
     counts: dict = {}
     stack = list(exprs)

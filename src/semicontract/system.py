@@ -6,7 +6,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,6 @@ from .expr import (
     MAX_DEPTH,
     Expr,
     EvaluationError,
-    depth,
     differentiate,
     evaluate_checked,
     parse_expr,
@@ -40,15 +39,6 @@ class Mode:
     def dimension(self) -> int:
         return len(self.field_exprs)
 
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # the dataclass hash, taken once: the compiled kernels are looked up
-        # by mode on every call, and hashing walks every expression tree
-        return hash((self.id, self.field_exprs, self.jacobian_exprs))
-
 
 def make_mode(mode_id: int, field_exprs) -> Mode:
     """Build a mode, differentiating the field symbolically. A field
@@ -70,8 +60,8 @@ def make_mode(mode_id: int, field_exprs) -> Mode:
 
 
 def _check_depth(e: Expr, what: str) -> None:
-    if (levels := depth(e)) > MAX_DEPTH:
-        raise ConfigError(f"{what} is an expression {levels} levels deep, more than the "
+    if e.depth > MAX_DEPTH:
+        raise ConfigError(f"{what} is an expression {e.depth} levels deep, more than the "
                           f"{MAX_DEPTH} a generated kernel can hold")
 
 

@@ -339,6 +339,24 @@ def test_a_missing_config_file_is_a_config_error(tmp_path, capsys, command, name
     assert not out.exists()
 
 
+# an empty output path is refused by the parser, not read as the flag left out
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--grid", "5", "--out", ""],
+    ["simulate", "--horizon", "2", "--step", "1e-2", "--out", ""],
+    ["signal", "gen", "--periodic", "0.35", "--horizon", "2", "--out-file", ""],
+    ["reproduce", "--out", ""],
+], ids=["analyze", "simulate", "signal-gen", "reproduce"])
+def test_an_empty_output_path_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: expected a non-empty path, got ''" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def without_modes(doc):
     doc["modes"] = []
 

@@ -1,11 +1,14 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semicontract import expr
 from semicontract.expr import (
     FUNCTIONS,
     MAX_DEPTH,
@@ -20,13 +23,14 @@ from semicontract.expr import (
     Pow,
     Sub,
     Var,
-    depth,
     differentiate,
     evaluate_checked,
     parse_expr,
     to_python_source,
     to_python_statements,
 )
+from semicontract.system import load_config
+from semicontract.testdata import bundled_config_path
 
 
 def test_parse_linear_row():
@@ -153,7 +157,29 @@ def test_evaluate_checked_reports_subexpression():
 def test_call_nodes_are_hashable_values():
     a = Call("sin", Var(1))
     b = Call("sin", Var(1))
-    assert a == b and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b) and a is b
+
+
+def test_nodes_are_interned_immutable_and_freed_with_their_last_owner():
+    # a constant is keyed by its repr, as kernels render it
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(math.nan) is Const(math.nan)
+    node = Add(Var(1), Const(2.0))
+    with pytest.raises(AttributeError):
+        node.left = Var(2)
+    with pytest.raises(AttributeError):
+        node.depth = 1
+    # a second load of a configuration builds no node anew
+    first, second = ([e for m in load_config(bundled_config_path("saddle2d")).system.modes
+                      for e in (*m.field_exprs, *sum(m.jacobian_exprs, ()))] for _ in range(2))
+    assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
+    gc.collect()
+    live = len(expr._LIVE)
+    tree = Call("tanh", Add(Var(1), Const(0.123456789)))
+    dropped = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert dropped() is None and len(expr._LIVE) == live  # the intern table forgets it
 
 
 # expressions over x1, x2 whose constants include both zeros and the non-finite values
@@ -227,19 +253,19 @@ def test_statements_name_each_repeat_once_and_keep_every_bit(exprs, x, numpy):
 
 
 def test_depth_counts_tree_levels_without_recursion():
-    assert depth(Var(1)) == 1
-    assert depth(parse_expr("sin(x1)*x2 - 3", 2)) == 4
+    assert Var(1).depth == 1
+    assert parse_expr("sin(x1)*x2 - 3", 2).depth == 4
     chain = Var(1)
     for _ in range(9_999):
         chain = Neg(chain)
-    assert depth(chain) == 10_000  # far past the recursion limit
-    assert depth(Add(chain, chain)) == 10_001
+    assert chain.depth == 10_000  # far past the recursion limit
+    assert Add(chain, chain).depth == 10_001
 
 
 @pytest.mark.parametrize("opening", ["(", "sin("])
 def test_parentheses_nest_at_most_max_depth_deep(opening):
     text = opening * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
-    assert depth(parse_expr(text, 1)) == (1 if opening == "(" else MAX_DEPTH + 1)
+    assert parse_expr(text, 1).depth == (1 if opening == "(" else MAX_DEPTH + 1)
     # the error names the opening parenthesis one level too deep
     position = MAX_DEPTH * len(opening) + len(opening) - 1
     with pytest.raises(ParseError, match=f"^parentheses nested more than {MAX_DEPTH} deep at "
