@@ -7,6 +7,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from .ioutil import atomic_write_text
 from .system import ConfigError
 
 TIME_EPS = 1e-12
+SCALE_BITS = 53 - math.frexp(TIME_EPS)[1]  # 92; a length > TIME_EPS is a multiple of 2^-SCALE_BITS
 # generate_random draws each activation length at least this far inside the
 # mode's strict dwell bounds, and at most MAX_DWELL for a mode without an upper
 # bound.
@@ -136,30 +138,28 @@ def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
     i..j-1 has N = C(j) - C(i) and T = S(j) - S(i), with C counting and S
     summing the mode's activations among the first k. Its score is therefore
     key(j) - key(i) with key(k) = sign * (tau * C(k) - S(k)), and one
-    suffix-maximum pass finds the largest difference. Every float is m * 2^e,
-    so the keys are exact integers at one common power-of-two scale. Ties go
-    to the first window in (start, end) order. T is then the left-to-right
-    float sum of the window's lengths, dwell_stats' own additions.
+    suffix-maximum pass finds the largest difference, the first window in
+    (start, end) order on a tie. T is the left-to-right float sum of the
+    window's lengths, dwell_stats' own additions.
 
-    One activation costs one read of its mode, start and end (no property
-    call), one as_integer_ratio and one integer multiply-subtract if it is of
-    the mode, one key addition and append, and two comparisons in the reverse
-    pass (no builtin call per start)."""
+    The keys are exact integers at scale 2^max(SCALE_BITS, m) for tau = num / 2^m
+    (m > SCALE_BITS only for tau below about 2^-40): a length x > TIME_EPS has an
+    ulp of at least 2^-SCALE_BITS, so x * 2^SCALE_BITS is an integer-valued float,
+    and from 2^53, before that product can overflow, x is an int to shift. Each
+    activation costs a read of its mode, start and end, one addition in
+    accumulate and two comparisons in the reverse pass, and one float multiply,
+    int() and integer multiply-subtract if it is of the mode."""
     if mode not in sig.modes:
         raise KeyError(f"mode {mode} never appears in the signal")
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be a finite number > 0, got {tau}")
-    acts = sig.activations
-    lengths = [a.end - a.start if a.mode == mode else None for a in acts]
-    ratios = [x.as_integer_ratio() for x in (tau, *(x for x in lengths if x is not None))]
-    scale = max(den for _, den in ratios)  # every denominator is a power of two
-    tau_int, *length_ints = (num * (scale // den) for num, den in ratios)
-    steps = iter([sign * (tau_int - n) for n in length_ints])
-    keys, key = [0], 0
-    for x in lengths:
-        if x is not None:
-            key += next(steps)
-        keys.append(key)
+    acts, scale = sig.activations, 2.0 ** SCALE_BITS
+    num, den = tau.as_integer_ratio()
+    m = den.bit_length() - 1  # den = 2^m
+    tau_key, factor = sign * num << max(SCALE_BITS - m, 0), sign << max(m - SCALE_BITS, 0)
+    steps = [tau_key - factor * (int(x * scale) if (x := a.end - a.start) < 2.0 ** 53
+                                 else int(x) << SCALE_BITS) if a.mode == mode else 0 for a in acts]
+    keys = list(accumulate(steps, initial=0))
     # starts go from last to first and high is max(keys[i + 1:]), so >= keeps
     # the smallest start of the largest gap
     best, start, high = -math.inf, 0, keys[-1]
@@ -170,7 +170,7 @@ def _worst(sig: SwitchingSignal, mode: int, tau: float, sign: int) -> tuple:
         if key > high:
             high = key
     end = keys.index(keys[start] + best, start + 1)
-    window = [x for x in lengths[start:end] if x is not None]
+    window = [a.end - a.start for a in acts[start:end] if a.mode == mode]
     total = 0.0  # not sum(), which compensates float additions from Python 3.12
     for x in window:
         total += x
@@ -275,7 +275,7 @@ def generate_periodic(mode_order, dwell: float, t0: float, horizon: float) -> Sw
         k += 1
         if len(mode_order) == 1:
             break
-    return SwitchingSignal(t0, tuple(events), horizon)
+    return SwitchingSignal(events[0][0], tuple(events), horizon)  # not t0: -0.0 + 0.0 is 0.0
 
 
 def generate_random(modes, bounds: DwellBounds, t0: float, horizon: float,

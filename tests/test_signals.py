@@ -1,4 +1,5 @@
 import gc
+import math
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from semicontract.certificates import DwellBounds
 from semicontract.signals import (
+    SCALE_BITS,
     TIME_EPS,
     ActivationCheck,
     SwitchingSignal,
@@ -24,6 +26,7 @@ from semicontract.signals import (
     verify_per_activation,
     write_signal_csv,
 )
+from semicontract.signals import _worst
 
 EXAMPLE_BOUNDS = DwellBounds({1: 0.1584, 2: 0.1584}, {1: 0.3960, 2: 0.3960}, "test", 0.0)
 
@@ -276,7 +279,46 @@ def test_a_scan_of_1e5_activations_checks_every_window():
     sig = generate_periodic([1, 2], 0.35, 0.0, 0.35 * (10**5 - 1) + 0.1)
     k = len(sig.events)
     assert k == 10**5
-    assert verify_mdadt(sig, 1, tau_lower=0.3, n_lower=1.0).checked_windows == k * (k + 1) // 2
+    check = verify_mdadt(sig, 1, tau_lower=0.3, n_lower=1.0)
+    assert check.checked_windows == k * (k + 1) // 2
+    # every mode-1 activation lasts about 0.35 > tau, so no window scores above
+    # the 0 of a mode-2 activation, and the first of those is the worst window
+    assert check.worst_window == (0.35, 0.7)
+
+
+def test_every_length_the_signals_admit_is_a_multiple_of_the_scan_scale():
+    # the window scans' integer keys are exact only while the shortest length a
+    # signal admits, the float just above TIME_EPS, has an ulp of 2^-SCALE_BITS
+    # or more; a smaller TIME_EPS must come with a larger SCALE_BITS
+    shortest = math.nextafter(TIME_EPS, math.inf)
+    assert 2.0 ** -SCALE_BITS <= math.ulp(shortest)
+    assert (shortest * 2.0 ** SCALE_BITS).is_integer()
+
+
+# Lengths and taus outside the hypothesis draws: lengths from 2^53 up, which the
+# scans shift as integers, the shortest lengths the signals admit, and taus whose
+# denominator exceeds 2^SCALE_BITS, which shift the lengths' keys further. In the
+# last signal, mode 1's first and last lengths, 2^40 + 0.5 and 2^40, would tie
+# for tau = 2^40 + 1 if a length below 2^53 lost its fraction.
+EDGE_SIGNALS = [
+    SwitchingSignal(0.0, ((0.0, 1), (1e299, 2), (3e299, 1), (5e299, 2)), 1e300),
+    SwitchingSignal(0.0, ((0.0, 1), (2.0**60, 2)), 2.0**60 + 2.0**9),
+    SwitchingSignal(0.0, ((0.0, 1), (1.2e-12, 2), (1.0, 1)), 1.5),
+    SwitchingSignal(0.0, ((0.0, 2), (math.nextafter(TIME_EPS, math.inf), 1), (1.0, 2)), 1.5),
+    SwitchingSignal(0.0, ((0.0, 1), (2.0**40 + 0.5, 2), (2.0**40 + 1.5, 1),
+                          (5 * 2.0**40 + 1.5, 2), (5 * 2.0**40 + 2.5, 1)), 6 * 2.0**40 + 2.5),
+]
+
+
+@pytest.mark.parametrize("sig", EDGE_SIGNALS)
+@pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-12, 2.0**40 + 1, 1e300, 1.7e308])
+def test_window_scans_equal_the_reference_at_extreme_lengths_and_taus(sig, tau):
+    for q in sig.modes:
+        for sign in (+1, -1):
+            assert _worst(sig, q, tau, sign) == exact_worst_window(sig, q, tau, sign)[:3]
+        # no field is NaN here: t / tau overflows to inf at worst
+        assert verify_mdadt(sig, q, tau, 1.0) == reference_verify_mdadt(sig, q, tau, 1.0)
+        assert verify_mdalt(sig, q, tau, 0.0) == reference_verify_mdalt(sig, q, tau, 0.0)
 
 
 def test_window_scans_reject_a_mode_that_never_appears():
@@ -419,6 +461,13 @@ def test_generate_periodic_examples():
 def test_generate_periodic_counts_switches_over_horizon_10():
     sig = generate_periodic([1, 2], 0.35, 0.0, 10.0)
     assert len(sig.switch_times) == 28
+
+
+def test_a_periodic_signal_from_minus_zero_starts_at_its_first_event():
+    # t0 + 0 * dwell is 0.0 for t0 = -0.0, and a signal file starts at its first
+    # event, so a signal that kept -0.0 read back with another start time
+    sig = generate_periodic([1, 2], 0.5, -0.0, 2.0)
+    assert sig.start_time.hex() == sig.events[0][0].hex() == "0x0.0p+0"
 
 
 def test_generate_periodic_rejects_empty():
