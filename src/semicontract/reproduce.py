@@ -85,6 +85,17 @@ def _join_writer(name, child, reader) -> Exception | None:
                    "without a message")
 
 
+def _analyze_example(bundle, grid: int, out_dir: Path):
+    """Analyze the example on its grid and write report.json. Returns the
+    report, the dwell bounds it certifies and the diag certificate's decay
+    constants at dwell 0.35; the sample set and certificates die on return."""
+    samples = sample_domain(bundle.system, grid, seed=SEED)
+    certs = certificates_from_report(bundle, samples)
+    report = analyze(bundle, samples, PSD_TOL, DEFAULT_MARGIN, certs=certs)
+    atomic_write_json(out_dir / "report.json", report)
+    return report, bounds_from_report(report), decay_constants(certs["diag"], 0.35, 0.35)
+
+
 def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
     """Run and check the example at seed SEED, tolerance PSD_TOL and margin
     DEFAULT_MARGIN; 0 iff every check passes."""
@@ -92,7 +103,6 @@ def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = load_config(bundled_config_path("saddle2d"))
-    samples = sample_domain(bundle.system, grid, seed=SEED)
     checks: list[dict] = []
 
     def check(name, value, expected, tolerance):
@@ -110,10 +120,7 @@ def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
             "note": info["note"],
         })
 
-    # certificate analysis
-    certs = certificates_from_report(bundle, samples)
-    report = analyze(bundle, samples, PSD_TOL, DEFAULT_MARGIN, certs=certs)
-    atomic_write_json(out_dir / "report.json", report)
+    report, bounds, decay = _analyze_example(bundle, grid, out_dir)
     check_flag("analysis_all_conditions", report["all_pass"],
                "every invariance/rate/coupling/separating verdict")
     diag = next(s for s in report["subspaces"] if s["name"] == "diag")
@@ -128,9 +135,6 @@ def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
         check(f"tau_lower_mode{q}", family["dwell_bounds"]["lower"][q], *EXPECTED["tau_lower"])
         check(f"tau_upper_mode{q}", family["dwell_bounds"]["upper"][q], *EXPECTED["tau_upper"])
     check_flag("separating_family", family["separating"])
-
-    bounds = bounds_from_report(report)
-    decay = decay_constants(certs["diag"], 0.35, 0.35)
     check("norm_rate_at_0.35", decay.norm_rate, *EXPECTED["norm_rate_at_0.35"])
 
     x_a0, x_b0 = np.array([2.0, -1.0]), np.array([-2.0, 1.0])
@@ -165,6 +169,9 @@ def run_reproduction(out_dir: Path, step: float = 1e-3, grid: int = 41) -> int:
                 child.start()
                 writer.close()
                 writers.append((name, child, reader))
+            # a writer child has its own copy of the traces, and the control
+            # has no writer: release them before the next experiment integrates
+            del traces
             atomic_write_json(path, result)
             simulations[name] = result
     finally:

@@ -56,7 +56,9 @@ class SwitchingSignal:
             raise ValueError("a signal needs at least the initial mode event")
         if not all(map(math.isfinite, (self.start_time, self.horizon, *self.switch_times))):
             raise ValueError("the start time, switch times and horizon must be finite")
-        if self.events[0][0] != self.start_time:
+        # a signal file has no start row, so -0.0 and 0.0 must not differ here
+        first, start = self.events[0][0], self.start_time
+        if first != start or math.copysign(1, first) != math.copysign(1, start):
             raise ValueError("first event must be at the start time")
         if self.horizon - self.events[-1][0] <= TIME_EPS:
             raise ValueError(f"the last activation must last more than {TIME_EPS:g} s, got "

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,50 @@ def test_a_trace_writer_that_dies_is_named_with_its_exit_code(tmp_path, monkeypa
     with pytest.raises(OSError, match="trace writer of periodic_dwell_0.35 exited with code 3"):
         reproduce.run_reproduction(tmp_path, step=1e-2, grid=5)
     assert multiprocessing.active_children() == []
+
+
+def test_each_experiments_arrays_are_released_before_the_next_runs(tmp_path, monkeypatch,
+                                                                   capsys):
+    # a writer child has its own copy of its experiment's traces, and nothing
+    # reads the analysis's sample set after the decay constants, so the parent
+    # holds one stage's arrays at a time
+    simulate, sample = reproduce.run_simulation, reproduce.sample_domain
+    earlier = []
+
+    def sampling(*args, **kwargs):
+        samples = sample(*args, **kwargs)
+        earlier.append(weakref.ref(samples))
+        return samples
+
+    def simulating(*args):
+        assert len(earlier) in (1, 5, 9) and all(ref() is None for ref in earlier)
+        result, traces = simulate(*args)
+        earlier.extend(weakref.ref(traces[key]) for key in ("times", "a", "b", "distance"))
+        return result, traces
+
+    monkeypatch.setattr(reproduce, "sample_domain", sampling)
+    monkeypatch.setattr(reproduce, "run_simulation", simulating)
+    assert reproduce.run_reproduction(tmp_path, step=1e-2, grid=5) == 0
+    assert "all_pass=True" in capsys.readouterr().out
+    assert len(earlier) == 13
+
+
+def test_the_trace_writers_write_the_same_bytes_under_spawn(tmp_path, monkeypatch, capsys):
+    # spawn, macOS's default start method, pickles the traces in start(); the
+    # parent releases its own copy as soon as start() returns
+    assert reproduce.run_reproduction(tmp_path / "default", step=1e-2, grid=5) == 0
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "Process", spawn.Process)
+    monkeypatch.setattr(multiprocessing, "Pipe", spawn.Pipe)
+    assert reproduce.run_reproduction(tmp_path / "spawn", step=1e-2, grid=5) == 0
+    assert capsys.readouterr().out.count("all_pass=True") == 2
+    assert multiprocessing.active_children() == []
+    for sub in ("periodic", "random"):
+        names = sorted(p.name for p in (tmp_path / "default" / sub).iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "spawn" / sub).iterdir())
+        for name in names:
+            assert ((tmp_path / "default" / sub / name).read_bytes()
+                    == (tmp_path / "spawn" / sub / name).read_bytes()), f"{sub}/{name}"
 
 
 def test_reproduction_builds_its_certificates_once(tmp_path, monkeypatch, capsys):

@@ -470,6 +470,14 @@ def test_a_periodic_signal_from_minus_zero_starts_at_its_first_event():
     assert sig.start_time.hex() == sig.events[0][0].hex() == "0x0.0p+0"
 
 
+@pytest.mark.parametrize("start, first", [(-0.0, 0.0), (0.0, -0.0)])
+def test_a_start_time_and_first_event_of_other_signs_of_zero_are_refused(start, first):
+    # a signal file starts at its first event, so such a signal would read back
+    # with another start time
+    with pytest.raises(ValueError, match="first event must be at the start time"):
+        SwitchingSignal(start, ((first, 1),), 1.0)
+
+
 def test_generate_periodic_rejects_empty():
     with pytest.raises(ValueError):
         generate_periodic([], 0.5, 0.0, 1.0)
