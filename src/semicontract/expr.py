@@ -323,7 +323,8 @@ def _tokenize(text: str):
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", text, pos)
+            raise ParseError(f"unexpected character {stripped[0]!r}", text,
+                             len(text) - len(stripped))
         kind = m.lastgroup  # the one group that matched: number, name or op
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
@@ -508,42 +509,38 @@ def to_python_statements(exprs, targets, var: str = "x[{}]", numpy: bool = False
     (`var` and `numpy` as in to_python_source). A non-constant subexpression
     that occurs more than once (not counting repeats inside a repeat) is
     computed once, into a local _s0, _s1, .. Constant-only subtrees stay
-    inline for CPython to fold. A subexpression is named by its plain source,
-    rendered once per node, so the operations and every target's value are
+    inline for CPython to fold. Repeats are found by interned node, and each
+    node is rendered once, so the operations and every target's value are
     those of to_python_source's rendering."""
-    plain: dict = {}  # node -> (plain source, whether it reads a variable)
+    memo: dict = {}  # node -> whether it reads a variable
 
-    def key(e):
-        if e not in plain:
-            kids = [key(c) for c in _children(e)]
-            plain[e] = (to_python_source(e, var, args=[k for k, _ in kids]),
-                        isinstance(e, Var) or any(reads for _, reads in kids))
-        return plain[e]
+    def reads(e):
+        if e not in memo:
+            memo[e] = isinstance(e, Var) or any(map(reads, _children(e)))
+        return memo[e]
 
     counts: dict = {}
     stack = list(exprs)
     while stack:
         e = stack.pop()
-        k, reads = key(e)
-        if reads and not isinstance(e, Var):  # neither a variable nor free of them
-            counts[k] = counts.get(k, 0) + 1
-            if counts[k] == 1:
+        if reads(e) and not isinstance(e, Var):  # neither a variable nor free of them
+            counts[e] = counts.get(e, 0) + 1
+            if counts[e] == 1:
                 stack += _children(e)
     names: dict = {}
     lines = []
 
     def text(e):
         # post-order, so a shared subexpression is named after those inside it
-        k = key(e)[0]
-        if k not in names:
+        if e not in names:
             source = to_python_source(e, var, numpy, [text(c) for c in _children(e)])
-            if counts.get(k, 0) < 2:
+            if counts.get(e, 0) < 2:
                 return source
-            names[k] = f"_s{len(names)}"
-            lines.append(f"{names[k]} = {source}")
-        return names[k]
+            names[e] = f"_s{len(names)}"
+            lines.append(f"{names[e]} = {source}")
+        return names[e]
 
     for target, e in zip(targets, exprs):
         lines.append(f"{target} = {text(e)}")
-    del key, text  # each refers to itself: free the memo now, not at the next gc cycle
+    del reads, text  # each refers to itself: free the memo now, not at the next gc cycle
     return lines

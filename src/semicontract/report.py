@@ -100,8 +100,6 @@ def analyze(bundle: ConfigBundle, samples: SampleSet, tol: float = PSD_TOL,
         for (q, r), ratio in cert.jump_ratios.items():
             tag = cert.tags[q]
             beta = cert.beta_stable if tag == "S" else cert.beta_unstable
-            if beta is None:
-                continue
             coupling = coupling_check(ratio, beta)
             record(f"{name}:coupling:{q}->{r}", coupling.ok)
             section["coupling"][f"{q}->{r}"] = {"ok": coupling.ok, "exited_tag": tag,

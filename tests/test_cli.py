@@ -293,6 +293,64 @@ def test_an_analysis_that_cannot_certify_fails_in_one_line(tmp_path, capsys, fie
     assert not out.exists()
 
 
+def with_every_certificate(**fields):
+    """A change that sets fields of every certificate; a field set to None
+    is deleted."""
+    def change(doc):
+        for index in range(len(doc["certificates"])):
+            edited("certificates", index, **fields)(doc)
+    return change
+
+
+def with_diag_weights_swapped(doc):
+    cert = doc["certificates"][0]
+    cert["P"]["1"], cert["P"]["2"] = cert["P"]["2"], cert["P"]["1"]
+    del cert["beta_S"], cert["beta_U"]
+
+
+def with_three_radial_modes(doc):
+    doc["modes"] = [{"id": 1, "field": ["-x1", "-x2"]}, {"id": 2, "field": ["0.5*x1", "0.5*x2"]},
+                    {"id": 3, "field": ["x1", "x2"]}]
+    del doc["certificates"]
+
+
+# analysis outcomes of the bundled saddle2d, edited: a failed family verdict,
+# each way a certificate cannot be built, and a stable jump factor derived
+# from a configured unstable one
+@pytest.mark.parametrize("change, flags, code, err", [
+    (with_every_certificate(eta_S=0.1), ["--grid", "11"], 1,
+     "failed conditions: family:dwell_window_nonempty"),
+    (with_every_certificate(P=None, beta_S=1.0), ["--search-weights", "--grid", "11"], 1,
+     "analysis failed: subspace 'antidiag': escalation ratio must exceed 1 for a strict drop"),
+    (with_diag_weights_swapped, ["--grid", "11"], 1,
+     "analysis failed: subspace 'diag': some switch out of an expanding mode does not drop "
+     "the weight (tightest unstable jump factor 1.60839 >= 1)"),
+    (with_three_radial_modes, ["--search-weights", "--grid", "5"], 1,
+     "analysis failed: subspace 'antidiag': two expanding modes each require the other's "
+     "weight to be strictly smaller; scalar weights are infeasible"),
+    (with_every_certificate(P=None, beta_S=None), ["--search-weights", "--grid", "11"], 0, ""),
+], ids=["empty_dwell_window", "escalation_ratio_of_1", "expanding_exit_raises_the_weight",
+        "two_expanding_modes", "stable_jump_factor_from_the_unstable_one"])
+def test_analyze_outcomes_of_edited_certificates(tmp_path, capsys, change, flags, code, err):
+    doc = json.loads(bundled_config_path("saddle2d").read_text())
+    change(doc)
+    config = tmp_path / "edited.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(config), *flags, "--out", str(out)]) == code
+    assert capsys.readouterr().err == (err + "\n" if err else "")
+    if err.startswith("analysis failed"):
+        assert not out.exists()
+        return
+    report = strict_json((out / "report.json").read_text())
+    if code == 1:  # no decay constants for an empty dwell window
+        assert "decay_at_reference_dwell" not in report["family"]
+    else:  # scalar weights escalate by 1 / beta_U, the configured 0.6217
+        for section in report["subspaces"]:
+            assert section["constants"]["beta_stable"] == pytest.approx(1 / 0.6217, rel=0,
+                                                                        abs=1e-12)
+
+
 # analyze used to record a --seed that drew nothing as provenance.seed
 @pytest.mark.parametrize("flags", [["--grid", "5"], []], ids=["grid", "default_grid"])
 def test_analyze_seed_without_random_points_is_a_usage_error(tmp_path, capsys, flags):
@@ -404,6 +462,10 @@ def edited(section, index, **fields):
 # well-formed JSON that no analysis or simulation can run on
 BAD_CONFIGS = {
     "no_modes": (without_modes, "configuration declares no modes"),
+    "domain_axis_empty": (lambda doc: doc.update(domain=[[1.0, -1.0], [-5.0, 5.0]]),
+                          "bad configuration: empty or unbounded axis [1.0, -1.0]"),
+    "domain_of_one_axis_in_dimension_2": (lambda doc: doc.update(domain=[[-5.0, 5.0]]),
+                                          "bad configuration: domain dimension mismatch"),
     "zero_span": (with_a_zero_span,
                   "subspace 'diag': all spanning vectors are numerically zero"),
     "non_finite_span": (edited("subspaces", 0, span=[[float("nan"), 1.0]]),

@@ -61,6 +61,20 @@ def test_parse_errors_carry_position():
         parse_expr("x1^x2", 2)
 
 
+# an unexpected character is reported at its own position, not at the end of
+# the token before it
+@pytest.mark.parametrize("text, message", [
+    ("x1  @", "unexpected character '@' at position 4"),
+    ("x1 $ 2", "unexpected character '$' at position 3"),
+    ("x1$", "unexpected character '$' at position 2"),
+    ("sin(x1) )", "unexpected trailing ')' at position 8"),
+])
+def test_tokenizer_errors_name_the_offending_position(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}: ") as info:
+        parse_expr(text, 2)
+    assert info.value.pos == int(message.rsplit(" ", 1)[1])
+
+
 def test_diff_square():
     e = parse_expr("x1^2", 1)
     d = differentiate(e, 1)

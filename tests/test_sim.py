@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from functools import lru_cache
@@ -22,7 +23,7 @@ from semicontract.sim import (
     run_simulation,
     step_halving_agreement,
 )
-from semicontract.expr import Const, evaluate_checked, to_python_source
+from semicontract.expr import Const, evaluate_checked, to_python_source, to_python_statements
 from semicontract.subspaces import orthonormalize, projector
 from semicontract.system import eval_jacobian, load_config
 from semicontract.testdata import bundled_config_path
@@ -246,6 +247,27 @@ def test_kernels_compute_shared_subexpressions_once(bundle):
         name = line.split(" = ", 1)[0]
         if name.startswith("_s"):
             assert sum(r.count(name) for r in rhs) >= 2
+
+
+# sha256 of every generated kernel source of the bundled models: a change to
+# the code generator that keeps every bit of the results may still not change
+# the kernels it generates unnoticed
+KERNEL_SOURCES_SHA256 = "b091b61325da81a12a3e94d12ac5c920895b5fe8b9941551debc3848fa2a9394"
+
+
+def test_kernel_sources_of_the_bundled_models_equal_the_golden_digest():
+    digest = hashlib.sha256()
+    for name in ("saddle2d", "saddle4d"):
+        for mode in load_config(bundled_config_path(name)).system.modes:
+            n = mode.dimension
+            # the numpy Jacobian statements as system._jacobian_kernel renders them
+            jacobian = to_python_statements(
+                [e for row in mode.jacobian_exprs for e in row],
+                [f"out[..., {r}, {c}]" for r in range(n) for c in range(n)], "x{}", numpy=True)
+            for source in (sim._rk4_source(mode), sim._rk4_source(mode, True),
+                           "\n".join(jacobian)):
+                digest.update(source.encode())
+    assert digest.hexdigest() == KERNEL_SOURCES_SHA256
 
 
 @settings(max_examples=30, deadline=None)
